@@ -31,8 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coherence import Assessment, DutchBook, check_coherence, find_dutch_book
-from .crq import CRQ, support
-from .dsl import BuiltDocument, Query, build, parse, parse_expression, render_expr
+from .dsl import BuiltDocument, build, parse, parse_expression
 from .errors import CapExceeded, CoherekitError, ParseError
 from .propagation import extension_interval, mp_bounds, mp_family
 

@@ -5,10 +5,11 @@ An assessment attaches an exact rational prevision to each quantity of a
 finite family.  It is coherent when, for every nonempty subfamily, the
 vector of assessed previsions lies in the convex hull of the payoff
 points generated by the possible worlds where at least one bet of the
-subfamily stands (the all-subfamilies characterization).  The independent
-Dutch-book oracle searches, subfamily by subfamily, for a stake vector
-whose gain is uniformly positive over those same worlds; one exists
-exactly when some hull membership fails.
+subfamily stands (the all-subfamilies characterization).  A sure-win
+stake vector over a subfamily's live worlds exists exactly when its hull
+membership fails (a point outside the hull of finitely many points is
+strictly separable from them), so `find_dutch_book` places its stakes on
+the first failing subfamily, found by the one subset loop `_first_failure`.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
 prevision of B|K inside the table of (B|K)|(A|H) when B|K itself is not
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .crq import CRQ, payoff_at, support
+from .crq import CRQ, support
 from .linprog import best_uniform_gain, convex_combination
 from .errors import (
     CapExceeded,
@@ -46,7 +47,13 @@ def family_cap(override: Optional[int] = None) -> int:
     """Configured family-size cap; COHERE_SUBSET_CAP overrides the default."""
     if override is not None:
         return override
-    return int(os.environ.get("COHERE_SUBSET_CAP", DEFAULT_FAMILY_CAP))
+    text = os.environ.get("COHERE_SUBSET_CAP", str(DEFAULT_FAMILY_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionFailed(
+            f"COHERE_SUBSET_CAP must be an integer, got {text!r}"
+        ) from None
 
 
 class Assessment:
@@ -335,40 +342,43 @@ def _check_cap(assessment: Assessment, cap: Optional[int]) -> None:
         )
 
 
-def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> CoherenceResult:
-    """Decide coherence by solving the hull system of every subfamily.
-
-    Returns the smallest failing subfamily (lexicographic within size) as
-    witness when incoherent.  Subfamilies whose bets are all called off at
-    every world impose no constraint and are skipped.
-    """
-    _check_cap(assessment, cap)
-    for subset in subsets_by_size(len(assessment)):
+def _first_failure(
+    assessment: Assessment, subsets: Iterable[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """The first of `subsets` whose previsions lie outside the hull of its
+    payoff points, or None.  Subfamilies whose bets are all called off at
+    every world impose no constraint and are skipped."""
+    for subset in subsets:
         entries = _subset_entries(assessment, subset)
         if not entries:
             continue
         target = tuple(assessment.items[i][1] for i in subset)
         if convex_combination([e.values for e in entries], target) is None:
-            return CoherenceResult(False, subset)
-    return CoherenceResult(True)
+            return subset
+    return None
+
+
+def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> CoherenceResult:
+    """Decide coherence by solving the hull system of every subfamily.
+
+    Returns the smallest failing subfamily (lexicographic within size) as
+    witness when incoherent.
+    """
+    _check_cap(assessment, cap)
+    witness = _first_failure(assessment, subsets_by_size(len(assessment)))
+    return CoherenceResult(witness is None, witness)
 
 
 def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Optional[DutchBook]:
-    """Search independently for a sure-win stake vector (the betting-scheme
-    oracle): for each subfamily, maximize the worst-case gain over its live
-    worlds subject to unit stake bounds; report the first subfamily with a
-    strictly positive optimum."""
-    _check_cap(assessment, cap)
-    for subset in subsets_by_size(len(assessment)):
-        entries = _subset_entries(assessment, subset)
-        if not entries:
-            continue
-        target = tuple(assessment.items[i][1] for i in subset)
-        deviations = [
-            tuple(entry.values[d] - target[d] for d in range(len(subset)))
-            for entry in entries
-        ]
-        epsilon, stakes = best_uniform_gain(deviations)
-        if epsilon > 0:
-            return DutchBook(subset, tuple(stakes), epsilon)
-    return None
+    """Sure-win stakes on the witness of `check_coherence`, None when the
+    assessment is coherent: one stake LP maximizes the worst-case gain
+    over the witness's live worlds subject to unit stake bounds."""
+    witness = check_coherence(assessment, cap).witness
+    if witness is None:
+        return None
+    table = build_points(assessment, witness)
+    epsilon, stakes = best_uniform_gain(
+        [tuple(v - p for v, p in zip(point, table.previsions)) for point in table.points]
+    )
+    assert epsilon > 0, "a point outside a finite hull is strictly separable"
+    return DutchBook(witness, tuple(stakes), epsilon)

@@ -15,7 +15,7 @@ quantity on a further event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -25,12 +25,10 @@ from .errors import (
     PreconditionFailed,
 )
 from .events import (
-    TRUE,
     AtomRegistry,
     Constituent,
     Event,
     constituents_of,
-    equivalent,
     evaluate,
     implies,
     is_impossible,

@@ -38,7 +38,6 @@ from .crq import (
 )
 from .errors import ParseError, PreconditionFailed, UndeclaredAtom
 from .events import TRUE, FALSE, AtomRegistry, Event, equivalent
-from .polynomials import Rational
 
 QUERY_KINDS = ("check", "extend", "mp", "dutchbook", "table")
 
@@ -402,9 +401,15 @@ def parse(text: str) -> AssessmentDocument:
                     line_no,
                     token.column,
                 )
+            try:
+                value = Fraction(token.text)
+            except ZeroDivisionError:
+                raise ParseError(
+                    f"zero denominator in {token.text!r}", line_no, token.column
+                ) from None
             cur.require_end()
             _check_declared(expr, declared, line_no)
-            statements.append(Statement(expr, Fraction(token.text)))
+            statements.append(Statement(expr, value))
         elif head.text == "query":
             if query is not None:
                 raise ParseError("only one query per document", line_no, head.column)

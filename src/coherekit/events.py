@@ -9,7 +9,7 @@ semantics); the registry cap keeps that enumeration at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, PreconditionFailed, UnknownAtom
 
@@ -35,7 +35,9 @@ class AtomRegistry:
 
     Atom names are unique and indices are contiguous from zero.  The
     registry freezes the first time its worlds are used: enumerating
-    constituents or computing any truth bitmask (`atom_mask`, `full_mask`).
+    constituents or computing any truth bitmask (`atom_mask`, `full_mask`);
+    each of these raises `CapExceeded` when the registry holds more atoms
+    than its cap.
     Bitmasks are sized for the atoms present when they are computed and are
     cached, so once frozen `atom()` still returns existing atoms but raises
     `PreconditionFailed` for a new name.
@@ -84,16 +86,12 @@ class AtomRegistry:
             n = self.size
             if n < 1:
                 raise PreconditionFailed("registry has no atoms")
-            if n > self.cap:
-                raise CapExceeded(
-                    f"{n} atoms exceed the constituent-enumeration cap of {self.cap}"
-                )
+            self._freeze()
             worlds = []
             for k in range(1 << n):
                 bits = tuple(bool((k >> (n - 1 - i)) & 1) for i in range(n))
                 worlds.append(Constituent(self, k, bits))
             self._constituents = tuple(worlds)
-            self._frozen = True
         return self._constituents
 
     def atom_mask(self, index: int) -> int:
@@ -101,7 +99,7 @@ class AtomRegistry:
         cached = self._atom_masks.get(index)
         if cached is not None:
             return cached
-        self._frozen = True
+        self._freeze()
         n = self.size
         mask = 0
         for k in range(1 << n):
@@ -112,8 +110,17 @@ class AtomRegistry:
 
     def full_mask(self) -> int:
         """Bitmask with one bit set per constituent."""
-        self._frozen = True
+        self._freeze()
         return (1 << (1 << self.size)) - 1
+
+    def _freeze(self) -> None:
+        """Fix the atom set before its worlds are used; the cap bounds the
+        2^n worlds that masks and constituents range over."""
+        if self.size > self.cap:
+            raise CapExceeded(
+                f"{self.size} atoms exceed the constituent-enumeration cap of {self.cap}"
+            )
+        self._frozen = True
 
     def __repr__(self) -> str:
         return f"AtomRegistry({list(self.names)!r})"

@@ -24,17 +24,13 @@ from typing import Optional, Sequence
 
 from .coherence import (
     Assessment,
-    _subset_entries,
+    _first_failure,
     check_coherence,
     family_cap,
     subsets_by_size,
 )
 from .crq import (
     CRQ,
-    ConditionalEventShape,
-    ConjunctionShape,
-    IteratedEventShape,
-    IteratedShape,
     add,
     conditional_event,
     conjunction,
@@ -50,7 +46,6 @@ from .errors import (
     PreconditionFailed,
 )
 from .events import TRUE, AtomRegistry, Event, is_impossible
-from .linprog import convex_combination
 from .polynomials import Rational
 
 DEFAULT_TOLERANCE_EXPONENT = 20
@@ -170,17 +165,9 @@ def _coherent_with_target(premises: Assessment, target: CRQ, value: Fraction) ->
     """Coherence of premises + (target = value), checking only subfamilies
     that contain the target: the premise-only ones were already verified."""
     combined = Assessment(tuple(premises.items) + ((target, value),))
-    anchor = len(combined) - 1
-    for subset in subsets_by_size(len(combined)):
-        if anchor not in subset:
-            continue
-        entries = _subset_entries(combined, subset)
-        if not entries:
-            continue
-        previsions = tuple(combined.items[i][1] for i in subset)
-        if convex_combination([e.values for e in entries], previsions) is None:
-            return False
-    return True
+    anchor = len(premises)
+    subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
+    return _first_failure(combined, subsets) is None
 
 
 def _endpoint_candidates(premises: Assessment, target: CRQ) -> list[Fraction]:

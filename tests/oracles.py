@@ -1,0 +1,31 @@
+"""Independent reference implementations the library is tested against.
+
+`exhaustive_dutch_book` is the betting-scheme search that `find_dutch_book`
+used before it solved one stake LP on the hull witness: for every
+subfamily, smallest first, maximize the worst-case gain over its live
+worlds subject to unit stake bounds, and report the first subfamily with
+a strictly positive optimum.  It never consults a hull system, so its
+verdict is independent of `check_coherence`.
+"""
+
+from typing import Optional
+
+from coherekit.coherence import Assessment, DutchBook, build_points, subsets_by_size
+from coherekit.errors import EmptySupport
+from coherekit.linprog import best_uniform_gain
+
+
+def exhaustive_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
+    for subset in subsets_by_size(len(assessment)):
+        try:
+            table = build_points(assessment, subset)
+        except EmptySupport:
+            continue
+        deviations = [
+            tuple(value - prevision for value, prevision in zip(point, table.previsions))
+            for point in table.points
+        ]
+        epsilon, stakes = best_uniform_gain(deviations)
+        if epsilon > 0:
+            return DutchBook(subset, tuple(stakes), epsilon)
+    return None

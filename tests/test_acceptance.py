@@ -15,8 +15,9 @@ Criteria:
     logical relations, holding iff z1 + z2 = y
  6. symbolic fidelity of the 7-row and 5-row payoff tables and of the
     called-off sets
- 7. agreement of the hull-system check and the Dutch-book search on 200
-    randomized assessments                                 (< 5 min)
+ 7. on 200 randomized assessments, the hull-system check agrees with the
+    exhaustive stake search of tests/oracles.py, and find_dutch_book
+    returns exactly its subset, stakes and gain             (< 5 min)
  8. (A|H)|(H∨K) reduces to A|H pointwise
 """
 
@@ -45,6 +46,7 @@ from coherekit.propagation import (
     mp_family,
     verify_decomposition,
 )
+from oracles import exhaustive_dutch_book
 
 F = Fraction
 GRID = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
@@ -261,23 +263,22 @@ def test_acceptance_7_oracle_equivalence():
     rng = random.Random(97531)
     registry = AtomRegistry(["A", "C", "H"])
     atoms = [registry.atom(n) for n in ("A", "C", "H")]
-    agreements = 0
-    while agreements < 200:
+    for _ in range(200):
         members = _random_family(rng, registry, atoms)
         items = [(m, F(rng.randint(-4, 12), 8)) for m in members]
         assessment = Assessment(items)
+        context = [(m.own_symbol, str(v)) for m, v in items]
+        expected = exhaustive_dutch_book(assessment)
         verdict = check_coherence(assessment)
+        assert verdict.coherent == (expected is None), context
         book = find_dutch_book(assessment)
-        assert verdict.coherent == (book is None), [
-            (m.own_symbol, str(v)) for m, v in items
-        ]
+        assert book == expected, context
         if book is not None:
-            gain_floor = book.guaranteed_gain
-            assert gain_floor > 0
-        agreements += 1
+            assert verdict.witness == book.subset, context
+            assert book.guaranteed_gain > 0
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"budget exceeded: {elapsed:.1f}s"
-    _report(7, "hull check and stake search agree on 200 random assessments", started)
+    _report(7, "hull check and Dutch book match the stake oracle on 200 families", started)
 
 
 def test_acceptance_8_nested_reduction():

@@ -182,3 +182,14 @@ def test_cap_exit_code(write, capsys, monkeypatch):
     assert code == 3
     monkeypatch.setenv("COHERE_SUBSET_CAP", "12")
     assert main(["check", write(NESTED_TRIPLE_DOC)]) == 0
+
+
+def test_non_integer_cap_exit_code(write, capsys, monkeypatch):
+    monkeypatch.setenv("COHERE_SUBSET_CAP", "abc")
+    assert main(["check", write(NESTED_TRIPLE_DOC)]) == 2
+    assert "COHERE_SUBSET_CAP" in capsys.readouterr().err
+
+
+def test_zero_denominator_exit_code(write, capsys):
+    assert main(["check", write("atoms A\nassess P(A) = 1/0\n")]) == 2
+    assert "zero denominator" in capsys.readouterr().err

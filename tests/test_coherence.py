@@ -34,6 +34,7 @@ from coherekit.errors import (
 )
 from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import ONE, Poly
+from oracles import exhaustive_dutch_book
 
 F = Fraction
 x, y, z = Poly.sym("x"), Poly.sym("y"), Poly.sym("z")
@@ -405,8 +406,7 @@ def test_oracles_agree_on_random_families():
             for m in members
         ]
         a = Assessment(items)
-        verdict = check_coherence(a)
-        book = find_dutch_book(a)
-        assert verdict.coherent == (book is None), [
-            (m.own_symbol, str(v)) for m, v in items
-        ]
+        expected = exhaustive_dutch_book(a)
+        context = [(m.own_symbol, str(v)) for m, v in items]
+        assert check_coherence(a).coherent == (expected is None), context
+        assert find_dutch_book(a) == expected, context

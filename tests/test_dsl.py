@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coherekit.coherence import check_coherence
 from coherekit.crq import ConditionalEventShape, IteratedShape
@@ -19,6 +20,7 @@ from coherekit.dsl import (
     serialize,
 )
 from coherekit.errors import (
+    CoherekitError,
     ImpossibleConditioningEvent,
     ParseError,
     UndeclaredAtom,
@@ -174,3 +176,54 @@ def test_definitions_expand():
     built = build(doc)
     assert built.members[0].own_symbol == "P(D given H)"
     assert check_coherence(built.assessment).coherent
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse("atoms A\nassess P(A) = 1/0\n")
+    assert (info.value.line, info.value.column) == (2, 15)
+
+
+FUZZ_TOKENS = (
+    "atoms", "define", "assess", "query", "P", "given", "and", "TOP", "BOT",
+    "check", "extend", "mp", "dutchbook", "table", "A", "B", "C", "D", "X",
+    "0", "1", "-1", "1/2", "3/4", "1/0", "0.25", "(", ")", "=", "!", "&", "|",
+    "#",
+)
+FUZZ_VALUES = ("0", "1", "-1", "1/2", "3/4", "1/0", "0.25", "2")
+
+# Token soup fails in the parser, so each document is well-formed lines
+# over the same tokens with at most one line of soup among them.
+_soup = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=8).map(" ".join)
+_event = st.recursive(
+    st.sampled_from(("A", "B", "C", "D", "X", "TOP", "BOT")),
+    lambda inner: st.one_of(
+        inner.map("!{}".format),
+        st.tuples(inner, st.sampled_from("&|"), inner).map("({0[0]} {0[1]} {0[2]})".format),
+    ),
+    max_leaves=4,
+)
+_conditional = st.recursive(
+    _event,
+    lambda inner: st.tuples(inner, st.sampled_from(("given", "and")), inner).map(
+        "({0[0]} {0[1]} {0[2]})".format
+    ),
+    max_leaves=3,
+)
+_line = st.one_of(
+    st.tuples(_conditional, st.sampled_from(FUZZ_VALUES)).map("assess P({0[0]}) = {0[1]}".format),
+    _event.map("define D = {}".format),
+    _conditional.map("query extend {}".format),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_line, max_size=4), st.one_of(st.just(None), _soup), st.integers(0, 4))
+def test_fuzzed_documents_build_or_raise_package_errors(lines, soup, at):
+    if soup is not None:
+        lines.insert(at, soup)
+    text = "atoms A B C\n" + "\n".join(lines)
+    try:
+        build(parse(text))
+    except CoherekitError:
+        pass

@@ -41,6 +41,17 @@ def test_cap_exceeded():
         reg.constituents()
 
 
+def test_cap_exceeded_by_masks():
+    reg = AtomRegistry([f"X{i}" for i in range(5)], cap=4)
+    a = reg.atom("X0")
+    with pytest.raises(CapExceeded):
+        is_impossible(a & ~a)
+    with pytest.raises(CapExceeded):
+        a.mask(reg)
+    with pytest.raises(CapExceeded):
+        reg.full_mask()
+
+
 def test_empty_registry_rejected():
     with pytest.raises(PreconditionFailed):
         AtomRegistry([]).constituents()

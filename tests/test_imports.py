@@ -1,0 +1,50 @@
+"""Every name a coherekit module imports is used in that module.
+
+The package's `__init__.py` is exempt: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coherekit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # Quoted forward references in annotations name imports too.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    )
+
+
+def test_scan_finds_an_unused_import():
+    source = "from typing import Optional, Sequence\nimport os\nx: Optional[int] = os.sep\n"
+    assert unused_imports(source) == ["Sequence (line 1)"]
+
+
+def test_scan_counts_quoted_annotations():
+    assert unused_imports("from typing import Optional\ny: 'Optional[int]' = None\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
