@@ -9,6 +9,7 @@ from .errors import (
     ExtensionSearchFailed,
     ImpossibleConditioningEvent,
     IncoherentPremises,
+    InternalError,
     MissingSymbol,
     OutOfRange,
     ParseError,

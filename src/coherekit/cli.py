@@ -16,7 +16,8 @@ Subcommands:
   assessment.
 
 Exit codes: 0 success/coherent, 1 incoherent or Dutch book found,
-2 parse/validation error, 3 cap exceeded.  The environment variable
+2 parse/validation error, 3 cap exceeded, 4 internal error (a failed
+certificate re-check or a bug: never a verdict).  The environment variable
 COHERE_SUBSET_CAP overrides the family-size cap.
 """
 
@@ -26,19 +27,19 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .coherence import Assessment, DutchBook, check_coherence, find_dutch_book
-from .dsl import BuiltDocument, build, parse, parse_expression
-from .errors import CapExceeded, CoherekitError, ParseError
+from .dsl import BuiltDocument, build, parse, parse_expression, parse_value
+from .errors import CapExceeded, CoherekitError, InternalError, ParseError
 from .propagation import extension_interval, mp_bounds, mp_family
 
 EXIT_OK = 0
 EXIT_INCOHERENT = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -55,6 +56,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as error:  # InternalError, or a bug: not a verdict
+        kind = "" if isinstance(error, InternalError) else f"{type(error).__name__}: "
+        print(f"internal error: {kind}{error}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,8 +213,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_mp(args) -> int:
-    x = Fraction(args.x)
-    y = Fraction(args.y)
+    x = parse_value(args.x)
+    y = parse_value(args.y)
     closed = mp_bounds(x, y)
     premises, target = mp_family(x, y, classical=args.classical)
     engine = extension_interval(premises, target)

@@ -5,11 +5,27 @@ An assessment attaches an exact rational prevision to each quantity of a
 finite family.  It is coherent when, for every nonempty subfamily, the
 vector of assessed previsions lies in the convex hull of the payoff
 points generated by the possible worlds where at least one bet of the
-subfamily stands (the all-subfamilies characterization).  A sure-win
-stake vector over a subfamily's live worlds exists exactly when its hull
-membership fails (a point outside the hull of finitely many points is
-strictly separable from them), so `find_dutch_book` places its stakes on
-the first failing subfamily, found by the one subset loop `_first_failure`.
+subfamily stands (the all-subfamilies characterization).  At a world
+where a bet is called off its coordinate is its own prevision.
+
+`check_coherence` decides this with Gilio's level algorithm (Biazzo &
+Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
+Level 0 solves the hull system of the whole family; LPs on the same
+points that maximise the weight on the supports of the members still at
+weight zero release every member whose support can get weight, and level
+k + 1 solves the system of the members left at zero.  The family is
+coherent when every level is solvable and no member, or no live world,
+is left.  This is the all-subfamilies test: a level-k solution giving
+weight to a member of a subfamily S of the level, restricted to S's
+worlds and renormalised, is a hull witness for S, because at the other
+worlds every coordinate of S is called off and deviates from its
+prevision by 0; the other subfamilies are those of the next level.  So
+at most n levels give the verdict, and the subset loop `_first_failure`
+runs only to name an incoherent family's smallest failing subfamily as
+its witness.  A sure-win stake vector over a subfamily's live worlds
+exists exactly when its hull membership fails (a point outside the hull
+of finitely many points is strictly separable from them), so
+`find_dutch_book` places its stakes on that witness.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
 prevision of B|K inside the table of (B|K)|(A|H) when B|K itself is not
@@ -17,6 +33,8 @@ part of the family) are treated as unknown previsions ranging over [0,1]
 and eliminated exactly: each one may appear in only a single distinct
 payoff row of a subfamily, affinely, in which case replacing that moving
 row by its endpoint rows is an exact reformulation of the hull test.
+When the rows of a level break that rule, the subset loop decides, so a
+family raises `MissingSymbol` exactly where the loop reaches it.
 """
 
 from __future__ import annotations
@@ -33,6 +51,7 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     EmptySupport,
+    InternalError,
     MissingSymbol,
     PreconditionFailed,
 )
@@ -323,7 +342,8 @@ def solve_sigma(
     if weights is None:
         return None
     solution = SigmaSolution(tuple(weights))
-    assert solution.verify(PointTable(table.subset, table.entries, tuple(target)))
+    if not solution.verify(PointTable(table.subset, table.entries, tuple(target))):
+        raise InternalError("hull weights fail their exact re-check")
     return solution
 
 
@@ -353,20 +373,63 @@ def _first_failure(
         if not entries:
             continue
         target = tuple(assessment.items[i][1] for i in subset)
-        if convex_combination([e.values for e in entries], target) is None:
+        points = list(dict.fromkeys(e.values for e in entries))
+        if convex_combination(points, target) is None:
             return subset
     return None
 
 
+def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
+    """Gilio's levels I_0 ⊃ I_1 ⊃ ...: the member sets whose hull systems
+    were solved, or None when one of them has no solution."""
+    members = tuple(range(len(assessment)))
+    levels: list[tuple[int, ...]] = []
+    while members:
+        entries = _subset_entries(assessment, members)
+        if not entries:
+            break
+        # Phi_j sums the weights of the worlds where member j stands, so
+        # only points with the same values and live members may merge.
+        merged = dict.fromkeys(
+            (e.values, frozenset(j for j in members if e.constituent in assessment.supports[j]))
+            for e in entries
+        )
+        points, lives = [values for values, _ in merged], [live for _, live in merged]
+        target = tuple(assessment.items[j][1] for j in members)
+        zero = set(members)
+        favoured: list[int] = []
+        while zero:
+            weights = convex_combination(points, target, favoured)
+            if weights is None:
+                return None
+            # Weights are re-checked nonnegative, so a member whose support
+            # holds a positive weight has Phi > 0 exactly.
+            released = zero & set().union(*(live for w, live in zip(weights, lives) if w > 0))
+            if not released:
+                break
+            zero -= released
+            favoured = [h for h, live in enumerate(lives) if not zero.isdisjoint(live)]
+        levels.append(members)
+        members = tuple(sorted(zero))
+    return levels
+
+
 def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> CoherenceResult:
-    """Decide coherence by solving the hull system of every subfamily.
+    """Decide coherence with Gilio's level algorithm.
 
     Returns the smallest failing subfamily (lexicographic within size) as
     witness when incoherent.
     """
     _check_cap(assessment, cap)
+    try:
+        if _levels(assessment) is not None:
+            return CoherenceResult(True)
+    except MissingSymbol:
+        pass  # the subset loop raises it too, unless it stops at a witness first
     witness = _first_failure(assessment, subsets_by_size(len(assessment)))
-    return CoherenceResult(witness is None, witness)
+    if witness is None:
+        raise InternalError("a level has no hull solution, yet no subfamily fails")
+    return CoherenceResult(False, witness)
 
 
 def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Optional[DutchBook]:
@@ -380,5 +443,6 @@ def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Option
     epsilon, stakes = best_uniform_gain(
         [tuple(v - p for v, p in zip(point, table.previsions)) for point in table.points]
     )
-    assert epsilon > 0, "a point outside a finite hull is strictly separable"
+    if epsilon <= 0:  # a point outside a finite hull is strictly separable
+        raise InternalError("no sure-win stakes on a subfamily outside its hull")
     return DutchBook(witness, tuple(stakes), epsilon)

@@ -167,10 +167,11 @@ class Token:
     column: int
 
 
+_NUMBER = r"-?\d+(?:/\d+|\.\d+)?"
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
       | (?P<comment>\#[^\n]*)
-      | (?P<number>-?\d+(?:/\d+|\.\d+)?)
+      | (?P<number>""" + _NUMBER + r""")
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[()=!&|])
     """,
@@ -324,6 +325,16 @@ def _parse_primary(cur: _Cursor) -> Expr:
     )
 
 
+def parse_value(text: str, line_no: int = 0, column: int = 0) -> Fraction:
+    """A rational in document syntax: an integer, P/Q or a decimal."""
+    if not re.fullmatch(_NUMBER, text):
+        raise ParseError(f"expected a rational value, found {text!r}", line_no, column)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", line_no, column) from None
+
+
 def parse_expression(text: str, line_no: int = 1) -> Expr:
     cur = _Cursor(_tokenize_line(text, line_no))
     expr = _parse_mixed(cur)
@@ -395,18 +406,7 @@ def parse(text: str) -> AssessmentDocument:
             cur.expect(")")
             cur.expect("=")
             token = cur.next()
-            if token.kind != "number":
-                raise ParseError(
-                    f"expected a rational value, found {token.text!r}",
-                    line_no,
-                    token.column,
-                )
-            try:
-                value = Fraction(token.text)
-            except ZeroDivisionError:
-                raise ParseError(
-                    f"zero denominator in {token.text!r}", line_no, token.column
-                ) from None
+            value = parse_value(token.text, line_no, token.column)
             cur.require_end()
             _check_declared(expr, declared, line_no)
             statements.append(Statement(expr, value))

@@ -56,3 +56,8 @@ class ParseError(CoherekitError):
 
 class UndeclaredAtom(ParseError):
     """An expression uses an identifier that was never declared."""
+
+
+class InternalError(Exception):
+    """A certificate re-check failed: a fault of the library, deliberately
+    not a `CoherekitError`, so that it never reads as a verdict."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InternalError
 
 Vector = Sequence[Fraction]
 
@@ -121,10 +121,12 @@ def simplex_minimize(
 
 
 def convex_combination(
-    points: Sequence[Vector], target: Vector
+    points: Sequence[Vector], target: Vector, favoured: Sequence[int] = ()
 ) -> Optional[list[Fraction]]:
     """Weights expressing `target` as a convex combination of `points`,
-    or None when `target` lies outside their convex hull.  Exact."""
+    or None when `target` lies outside their convex hull.  Exact.  Among
+    all such weights, those returned maximise the total weight on the
+    points indexed by `favoured`."""
     if not points:
         return None
     dim = len(target)
@@ -135,15 +137,18 @@ def convex_combination(
     matrix = [[Fraction(points[h][d]) for h in range(count)] for d in range(dim)]
     matrix.append([Fraction(1)] * count)
     rhs = [Fraction(v) for v in target] + [Fraction(1)]
-    status, solution, _ = simplex_minimize(matrix, rhs, [Fraction(0)] * count)
+    costs = [Fraction(0)] * count
+    for h in favoured:
+        costs[h] = Fraction(-1)
+    status, solution, _ = simplex_minimize(matrix, rhs, costs)
     if status != "optimal":
         return None
-    assert solution is not None
     # Exact re-verification of the certificate.
-    assert all(w >= 0 for w in solution)
-    assert sum(solution) == 1
-    for d in range(dim):
-        assert sum(solution[h] * Fraction(points[h][d]) for h in range(count)) == Fraction(target[d])
+    if solution is None or any(w < 0 for w in solution) or sum(solution) != 1 or any(
+        sum(w * Fraction(p[d]) for w, p in zip(solution, points)) != Fraction(target[d])
+        for d in range(dim)
+    ):
+        raise InternalError("hull weights fail their exact re-check")
     return solution
 
 
@@ -189,14 +194,14 @@ def best_uniform_gain(
     costs = [Fraction(0)] * cols
     costs[2 * n] = Fraction(-1)  # maximize e
     status, solution, _ = simplex_minimize(matrix, rhs, costs)
-    if status != "optimal":  # pragma: no cover - problem is bounded and feasible
-        raise AssertionError(f"stake search ended with status {status}")
-    assert solution is not None
+    if status != "optimal" or solution is None:  # pragma: no cover - bounded and feasible
+        raise InternalError(f"stake search ended with status {status}")
     stakes = [solution[i] - solution[n + i] for i in range(n)]
     epsilon = solution[2 * n]
     # Exact re-verification of the certificate.
-    assert all(-1 <= s <= 1 for s in stakes)
-    for h in range(m):
-        gain = sum(stakes[i] * Fraction(deviations[h][i]) for i in range(n))
-        assert gain >= epsilon
+    if any(not -1 <= s <= 1 for s in stakes) or any(
+        sum(stakes[i] * Fraction(deviations[h][i]) for i in range(n)) < epsilon
+        for h in range(m)
+    ):
+        raise InternalError("stakes fail their exact re-check")
     return epsilon, stakes

@@ -6,8 +6,13 @@ nested modus ponens bounds [x·y, x·y + 1 - x] for the conclusion P(C)
 from premises P(A|H) = x and P(C|(A|H)) = y.  The generic path computes
 the set of coherent extensions of any premise assessment to a new target
 quantity by exact rational bisection against the coherence oracle, then
-certifies candidate exact endpoints; the closed forms are never
-substituted for the generic computation, so each can audit the other.
+certifies candidate exact endpoints.  The oracle decides premises +
+(target = value) with the level algorithm of `coherence` on the combined
+family, usually with one hull LP; when an unassessed symbol stops the
+levels, the subset loop over the subfamilies that contain the target
+decides, so the oracle answers or raises exactly as that loop would.
+The closed forms are never substituted for the generic computation, so
+each can audit the other.
 
 The generic sweep relies on coherent extensions forming an interval; for
 the families treated here that holds (the auxiliary prevision
@@ -25,6 +30,7 @@ from typing import Optional, Sequence
 from .coherence import (
     Assessment,
     _first_failure,
+    _levels,
     check_coherence,
     family_cap,
     subsets_by_size,
@@ -42,6 +48,7 @@ from .errors import (
     CapExceeded,
     ExtensionSearchFailed,
     IncoherentPremises,
+    MissingSymbol,
     OutOfRange,
     PreconditionFailed,
 )
@@ -162,12 +169,18 @@ def extension_interval(
 
 
 def _coherent_with_target(premises: Assessment, target: CRQ, value: Fraction) -> bool:
-    """Coherence of premises + (target = value), checking only subfamilies
-    that contain the target: the premise-only ones were already verified."""
+    """Coherence of premises + (target = value), decided by the levels of
+    the combined family.  When its rows leave an unassessed symbol that
+    cannot be eliminated, the subset loop decides instead, over the
+    subfamilies that contain the target (the premises are coherent), and
+    raises `MissingSymbol` only where it reaches such a subfamily."""
     combined = Assessment(tuple(premises.items) + ((target, value),))
-    anchor = len(premises)
-    subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
-    return _first_failure(combined, subsets) is None
+    try:
+        return _levels(combined) is not None
+    except MissingSymbol:
+        anchor = len(premises)
+        subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
+        return _first_failure(combined, subsets) is None
 
 
 def _endpoint_candidates(premises: Assessment, target: CRQ) -> list[Fraction]:

@@ -1,6 +1,10 @@
 """Command line: exit codes, output shapes, JSON mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,56 @@ def test_non_integer_cap_exit_code(write, capsys, monkeypatch):
 def test_zero_denominator_exit_code(write, capsys):
     assert main(["check", write("atoms A\nassess P(A) = 1/0\n")]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", ["abc", "1/0"])
+def test_mp_rejects_malformed_value(x, capsys):
+    assert main(["mp", "--x", x, "--y", "1/2"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def _corrupted(simplex_minimize):
+    """The simplex with the right status and doubled, wrong weights."""
+
+    def corrupted(matrix, rhs, costs):
+        status, solution, objective = simplex_minimize(matrix, rhs, costs)
+        if solution is not None:
+            solution = [2 * w for w in solution]
+        return status, solution, objective
+
+    return corrupted
+
+
+def test_failed_certificate_exits_internal_error(write, capsys, monkeypatch):
+    from coherekit import linprog
+
+    monkeypatch.setattr(linprog, "simplex_minimize", _corrupted(linprog.simplex_minimize))
+    assert main(["check", write(NESTED_TRIPLE_DOC)]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("internal error:")
+    assert "\n" not in err
+
+
+def test_certificate_check_survives_optimization(write):
+    """`python -O` strips assert statements; the re-checks must still fire."""
+    script = (
+        "import sys\n"
+        "from coherekit import cli, linprog\n"
+        "from test_cli import _corrupted\n"
+        "linprog.simplex_minimize = _corrupted(linprog.simplex_minimize)\n"
+        "sys.exit(cli.main(['check', sys.argv[1]]))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, write(NESTED_TRIPLE_DOC)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert "internal error" in done.stderr

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from coherekit import coherence
 from coherekit.coherence import (
     Assessment,
     CoherenceResult,
@@ -28,7 +29,9 @@ from coherekit.crq import (
 )
 from coherekit.errors import (
     CapExceeded,
+    CoherekitError,
     EmptySupport,
+    InternalError,
     MissingSymbol,
     PreconditionFailed,
 )
@@ -410,3 +413,62 @@ def test_oracles_agree_on_random_families():
         context = [(m.own_symbol, str(v)) for m, v in items]
         assert check_coherence(a).coherent == (expected is None), context
         assert find_dutch_book(a) == expected, context
+
+
+def _hull_lps(monkeypatch, assessment):
+    """check_coherence's verdict and the number of hull LPs it solved."""
+    real = coherence.convex_combination
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coherence, "convex_combination", counting)
+    return check_coherence(assessment), calls
+
+
+def _independent_given(count, condition_names):
+    """{A_i | H_i = k/(k+2)}, k = i + 1, on independent atoms A_i and
+    conditioning atoms H_i named by condition_names[i]."""
+    reg = AtomRegistry([f"A{i}" for i in range(count)] + sorted(set(condition_names)))
+    return [
+        (
+            conditional_event(reg.atom(f"A{i}"), reg.atom(condition_names[i]), f"p{i}"),
+            F(i + 1, i + 3),
+        )
+        for i in range(count)
+    ]
+
+
+def test_coherent_six_member_family_takes_one_hull_lp(monkeypatch):
+    """Five A_i|H and (A0|H) ∧ (A1|H) inside its Fréchet bounds: 63
+    subfamilies, decided by the whole family's system alone."""
+    items = _independent_given(5, ["H"] * 5)
+    both = conjunction(items[0][0], items[1][0], "z")
+    assessment = Assessment(items + [(both, F(1, 5))])
+    result, lps = _hull_lps(monkeypatch, assessment)
+    assert result.coherent
+    assert lps == 1
+
+
+@pytest.mark.parametrize(
+    "count, conditions",
+    [(7, ["H"] * 7), (5, [f"H{i}" for i in range(5)])],
+    ids=["seven-sharing-H", "five-distinct-H"],
+)
+def test_coherent_independent_families_take_at_most_n_hull_lps(monkeypatch, count, conditions):
+    """127 and 31 subfamilies; at most one hull LP per member."""
+    result, lps = _hull_lps(monkeypatch, Assessment(_independent_given(count, conditions)))
+    assert result.coherent
+    assert lps <= count
+
+
+def test_unbacked_incoherent_level_is_an_internal_error(monkeypatch):
+    """An incoherent level verdict needs a failing subfamily; without one
+    the library is at fault, and says so with no verdict."""
+    assert not issubclass(InternalError, CoherekitError)
+    monkeypatch.setattr(coherence, "_levels", lambda assessment: None)
+    with pytest.raises(InternalError):
+        check_coherence(Assessment([(nested_triple()[1], F(1, 2))]))

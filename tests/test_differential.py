@@ -1,5 +1,6 @@
 """Differential tests of the coherence engine against the exhaustive
-stake search of `oracles.py`, on random families over three atoms.
+hull sweep and stake search of `oracles.py`, on random families over
+three atoms.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -9,10 +10,12 @@ eighths that may fall outside [0, 1].
 import itertools
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from coherekit.coherence import (
     Assessment,
+    _levels,
     build_points,
     check_coherence,
     find_dutch_book,
@@ -21,9 +24,10 @@ from coherekit.coherence import (
 )
 from coherekit.crq import conditional_event, conjunction, iterated, iterated_simple, negate
 from coherekit.errors import CoherekitError, EmptySupport
-from coherekit.events import AtomRegistry
+from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import Poly
-from oracles import exhaustive_dutch_book
+from coherekit.propagation import _coherent_with_target
+from oracles import exhaustive_coherence, exhaustive_dutch_book
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
 ATOMS = REGISTRY.atoms("A", "B", "C")
@@ -57,7 +61,9 @@ REQUIRES = {
 
 
 @st.composite
-def families(draw):
+def member_lists(draw, free_inner=False):
+    """Members and previsions; with `free_inner`, (B|K)|(A|H) is always
+    present and the prevision of B|K, inside its payoffs, never assessed."""
     base_a = conditional_event(draw(formulas), draw(possible), "pa", registry=REGISTRY)
     base_b = conditional_event(draw(formulas), draw(possible), "pb", registry=REGISTRY)
     not_a = negate(base_a, "na")
@@ -72,18 +78,34 @@ def families(draw):
         "c_given_not_a": lambda: iterated_simple(not_a, draw(formulas), "cna"),
         "b_given_a": lambda: iterated(base_a, base_b, "mu", "cj"),
     }
-    kinds = draw(st.sets(st.sampled_from(sorted(REQUIRES)), min_size=1, max_size=3))
+    allowed = sorted(REQUIRES)
+    if free_inner:
+        allowed = [kind for kind in allowed if kind not in ("b", "conj", "not_conj")]
+    kinds = draw(st.sets(st.sampled_from(allowed), min_size=1, max_size=3))
+    if free_inner:
+        kinds.add("b_given_a")
     kinds |= {need for kind in kinds for need in REQUIRES[kind]}
     assume(len(kinds) <= MAX_MEMBERS)
     order = draw(st.permutations(sorted(kinds)))
-    return Assessment([(build[kind](), draw(eighths)) for kind in order])
+    return [(build[kind](), draw(eighths)) for kind in order]
 
 
-def _outcome(fn, assessment):
+def families():
+    return member_lists().map(Assessment)
+
+
+def _outcome(fn, *args):
     try:
-        return fn(assessment)
+        return fn(*args)
     except CoherekitError as error:
         return type(error)
+
+
+def _outcome_with_message(fn, *args):
+    try:
+        return fn(*args)
+    except CoherekitError as error:
+        return type(error), str(error)
 
 
 def _assert_sure_win(assessment, book):
@@ -132,3 +154,106 @@ def test_engine_matches_exhaustive_stake_search(assessment):
             continue
         assert solve_sigma(table) is not None, subset
 
+
+@settings(deadline=None, max_examples=150)
+@given(families())
+def test_levels_match_exhaustive_hull_sweep(assessment):
+    assert _outcome(check_coherence, assessment) == _outcome(exhaustive_coherence, assessment)
+
+
+@st.composite
+def layered_families(draw):
+    """Conditional events beside unconditional ones assessed at 0 or 1, so
+    that conditioning events often get no weight and the levels go deeper
+    than the first (about one family in six over three atoms)."""
+    items = []
+    for i in range(draw(st.integers(2, 4))):
+        if draw(st.booleans()):
+            member = conditional_event(draw(possible), TRUE, f"u{i}", registry=REGISTRY)
+            value = draw(st.sampled_from([Fraction(0), Fraction(1)]))
+        else:
+            member = conditional_event(draw(formulas), draw(possible), f"c{i}", registry=REGISTRY)
+            value = Fraction(draw(st.integers(-1, 5)), 4)
+        items.append((member, value))
+    return Assessment(items)
+
+
+@settings(deadline=None, max_examples=200)
+@given(layered_families())
+def test_deeper_levels_match_exhaustive_hull_sweep(assessment):
+    assert check_coherence(assessment) == exhaustive_coherence(assessment)
+
+
+@settings(deadline=None, max_examples=100)
+@given(member_lists(free_inner=True))
+def test_free_inner_symbols_give_the_sweeps_answer_or_error(items):
+    """A level system over the whole family may meet an unassessed symbol
+    that the sweep meets only later, or never, because it stops at a
+    smaller witness first; the verdict or error must still be the sweep's."""
+    assessment = Assessment(items)
+    assert assessment.free_symbols
+    assert _outcome_with_message(check_coherence, assessment) == _outcome_with_message(
+        exhaustive_coherence, assessment
+    )
+
+
+@st.composite
+def extensions(draw):
+    """Coherent premises, a target quantity and a value for it: the target
+    is a member of a random family that no other member needs."""
+    items = draw(member_lists())
+    assume(len(items) >= 2)
+    for k in reversed(range(len(items))):
+        try:
+            premises = Assessment(items[:k] + items[k + 1 :])
+            coherent = exhaustive_coherence(premises).coherent
+        except CoherekitError:
+            continue
+        assume(coherent)
+        return premises, items[k][0], draw(eighths)
+    assume(False)
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
+@given(extensions())
+def test_extension_oracle_matches_target_subset_sweep(case):
+    """`_coherent_with_target` against the sweep of the subfamilies that
+    contain the target."""
+    premises, target, value = case
+    anchor = len(premises)
+
+    def sweep(premises, target, value):
+        combined = Assessment(tuple(premises.items) + ((target, value),))
+        subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
+        return exhaustive_coherence(combined, subsets).coherent
+
+    assert _outcome_with_message(_coherent_with_target, *case) == (
+        _outcome_with_message(sweep, *case)
+    )
+
+
+def _zero_antecedent(p):
+    """{P(H) = 0, P(A|H) = p}: the bet on A|H stands only where H has no
+    weight, so it is decided on a second level."""
+    registry = AtomRegistry(["A", "H"])
+    a, h = registry.atoms("A", "H")
+    return Assessment(
+        [
+            (conditional_event(h, TRUE, "h", registry=registry), Fraction(0)),
+            (conditional_event(a, h, "ah", registry=registry), Fraction(p)),
+        ]
+    )
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(1)])
+def test_two_level_family_is_coherent(p):
+    assessment = _zero_antecedent(p)
+    assert _levels(assessment) == [(0, 1), (1,)]
+    assert check_coherence(assessment).coherent
+
+
+def test_two_level_family_incoherent_at_second_level():
+    assessment = _zero_antecedent(Fraction(3, 2))
+    assert _levels(assessment) is None
+    assert check_coherence(assessment).witness == (1,)
+    assert exhaustive_coherence(assessment).witness == (1,)
