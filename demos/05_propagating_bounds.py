@@ -2,8 +2,11 @@
 
 From P(A|H) = x and P(C|(A|H)) = y, the coherent values for P(C) form
 exactly the interval [x*y, x*y + 1 - x].  The closed form and the
-generic engine (exact bisection against the coherence oracle, with
-endpoint certification) are computed independently and must agree; the
+generic engine are computed independently and must agree.  The engine
+solves two exact LPs, the Charnes-Cooper form of minimising and
+maximising P(C) over the hull of the premises' payoff points, and
+re-checks both optima with their LP multipliers (a target named inside a
+premise's own payoffs would take the bisection search instead).  The
 same bounds come out when the antecedent is conditioned on the sure
 event, recovering the classical rule.
 """

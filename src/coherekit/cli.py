@@ -5,7 +5,8 @@ Subcommands:
 * ``cohere check FILE [--json]`` - coherence verdict for the assessments
   in FILE (exit 0 coherent, 1 incoherent).
 * ``cohere extend FILE --target EXPR [--tol 2^-K] [--json]`` - interval of
-  coherent previsions for a new target quantity.
+  coherent previsions for a new target quantity; ``--tol`` is read only
+  by the bisection search that targets outside the exact LP path take.
 * ``cohere mp --x P/Q --y P/Q [--classical] [--json]`` - closed-form
   conclusion bounds from premises x and y, cross-checked against the
   generic engine; the command fails loudly if the two disagree.
@@ -80,7 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     extend.add_argument("file")
     extend.add_argument("--target", help="conditional expression (defaults to the file's query)")
-    extend.add_argument("--tol", default="2^-20", help="bisection tolerance, e.g. 2^-20")
+    extend.add_argument(
+        "--tol",
+        default="2^-20",
+        help="bisection tolerance, e.g. 2^-20; read only for targets that the "
+        "exact LP path does not cover (such as a target named inside a premise's payoffs)",
+    )
     extend.add_argument("--json", action="store_true")
     extend.set_defaults(handler=_cmd_extend)
 

@@ -15,16 +15,19 @@ points that maximise the weight on the supports of the members still at
 weight zero release every member whose support can get weight, and level
 k + 1 solves the system of the members left at zero.  The family is
 coherent when every level is solvable and no member, or no live world,
-is left.  This is the all-subfamilies test: a level-k solution giving
-weight to a member of a subfamily S of the level, restricted to S's
-worlds and renormalised, is a hull witness for S, because at the other
-worlds every coordinate of S is called off and deviates from its
-prevision by 0; the other subfamilies are those of the next level.  So
-at most n levels give the verdict, and the subset loop `_first_failure`
-runs only to name an incoherent family's smallest failing subfamily as
-its witness.  A sure-win stake vector over a subfamily's live worlds
-exists exactly when its hull membership fails (a point outside the hull
-of finitely many points is strictly separable from them), so
+is left; a level of one member needs no LP, since the hull of scalars
+is the interval between the least and the greatest.  This is the
+all-subfamilies test: a level-k solution giving weight to a member of a
+subfamily S of the level, restricted to S's worlds and renormalised, is
+a hull witness for S, because at the other worlds every coordinate of S
+is called off and deviates from its prevision by 0; the other
+subfamilies are those of the next level.  So at most n levels give the
+verdict, and the subset loop `_first_failure` runs only to name an
+incoherent family's smallest failing subfamily as its witness, certified
+by the separator (Farkas) that the multipliers of its infeasible hull LP
+give.  A sure-win stake vector over a subfamily's live worlds exists
+exactly when its hull membership fails (a point outside the hull of
+finitely many points is strictly separable from them), so
 `find_dutch_book` places its stakes on that witness.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -248,10 +251,20 @@ class DutchBook:
     guaranteed_gain: Fraction
 
 
+Separator = tuple[tuple[Fraction, ...], Fraction]
+
+
 @dataclass(frozen=True)
 class CoherenceResult:
+    """The verdict; when incoherent, the witness subfamily and a separator
+    (s, t) re-checked exactly over the witness's deduplicated payoff
+    points p: s·p + t <= 0 at each of them and s·previsions + t > 0.  The
+    separator is a certificate, not part of the verdict, so results
+    compare equal without it."""
+
     coherent: bool
     witness: Optional[tuple[int, ...]] = None
+    separator: Optional[Separator] = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.coherent
@@ -364,9 +377,10 @@ def _check_cap(assessment: Assessment, cap: Optional[int]) -> None:
 
 def _first_failure(
     assessment: Assessment, subsets: Iterable[tuple[int, ...]]
-) -> Optional[tuple[int, ...]]:
-    """The first of `subsets` whose previsions lie outside the hull of its
-    payoff points, or None.  Subfamilies whose bets are all called off at
+) -> Optional[CoherenceResult]:
+    """The incoherent result for the first of `subsets` whose previsions
+    lie outside the hull of its payoff points, with that hull LP's
+    separator, or None.  Subfamilies whose bets are all called off at
     every world impose no constraint and are skipped."""
     for subset in subsets:
         entries = _subset_entries(assessment, subset)
@@ -374,9 +388,37 @@ def _first_failure(
             continue
         target = tuple(assessment.items[i][1] for i in subset)
         points = list(dict.fromkeys(e.values for e in entries))
-        if convex_combination(points, target) is None:
-            return subset
+        _, separator = convex_combination(points, target, separate=True)
+        if separator is not None:
+            return CoherenceResult(False, subset, separator)
     return None
+
+
+def _unreleased(
+    points: Sequence[tuple[Fraction, ...]],
+    lives: Sequence[frozenset[int]],
+    target: tuple[Fraction, ...],
+    members: Iterable[int],
+) -> Optional[set[int]]:
+    """The members whose live points get zero weight in every solution of
+    the hull system, or None when it has none.  `lives[h]` holds the
+    members live at point h.  The first solution releases every member
+    whose points hold weight; LPs maximising the weight on the points of
+    the members still at zero release the others that can get weight."""
+    zero = set(members)
+    favoured: list[int] = []
+    while zero:
+        weights = convex_combination(points, target, favoured)
+        if weights is None:
+            return None
+        # Weights are re-checked nonnegative, so a member whose support
+        # holds a positive weight has Phi > 0 exactly.
+        released = zero & set().union(*(live for w, live in zip(weights, lives) if w > 0))
+        if not released:
+            break
+        zero -= released
+        favoured = [h for h, live in enumerate(lives) if not zero.isdisjoint(live)]
+    return zero
 
 
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
@@ -396,19 +438,14 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
         )
         points, lives = [values for values, _ in merged], [live for _, live in merged]
         target = tuple(assessment.items[j][1] for j in members)
-        zero = set(members)
-        favoured: list[int] = []
-        while zero:
-            weights = convex_combination(points, target, favoured)
-            if weights is None:
+        if len(members) == 1:  # the hull of scalars is an interval: no LP
+            if not min(points)[0] <= target[0] <= max(points)[0]:
                 return None
-            # Weights are re-checked nonnegative, so a member whose support
-            # holds a positive weight has Phi > 0 exactly.
-            released = zero & set().union(*(live for w, live in zip(weights, lives) if w > 0))
-            if not released:
-                break
-            zero -= released
-            favoured = [h for h, live in enumerate(lives) if not zero.isdisjoint(live)]
+            levels.append(members)
+            break
+        zero = _unreleased(points, lives, target, members)
+        if zero is None:
+            return None
         levels.append(members)
         members = tuple(sorted(zero))
     return levels
@@ -418,7 +455,7 @@ def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> Cohere
     """Decide coherence with Gilio's level algorithm.
 
     Returns the smallest failing subfamily (lexicographic within size) as
-    witness when incoherent.
+    witness when incoherent, with the separator of its hull LP.
     """
     _check_cap(assessment, cap)
     try:
@@ -426,10 +463,10 @@ def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> Cohere
             return CoherenceResult(True)
     except MissingSymbol:
         pass  # the subset loop raises it too, unless it stops at a witness first
-    witness = _first_failure(assessment, subsets_by_size(len(assessment)))
-    if witness is None:
+    failure = _first_failure(assessment, subsets_by_size(len(assessment)))
+    if failure is None:
         raise InternalError("a level has no hull solution, yet no subfamily fails")
-    return CoherenceResult(False, witness)
+    return failure
 
 
 def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Optional[DutchBook]:

@@ -3,7 +3,10 @@
 A small two-phase simplex with Bland's rule, sized for the tiny systems
 this package produces (tens of variables).  Everything is `Fraction`:
 feasibility verdicts here decide coherence, and coherence is sensitive to
-exact boundary cases, so floating point is never used.
+exact boundary cases, so floating point is never used.  The row
+multipliers read off the final tableau certify what the simplex reports:
+duals for an optimum, a Farkas vector for an infeasible system; both are
+re-checked exactly by the callers that rely on them.
 """
 
 from __future__ import annotations
@@ -69,22 +72,40 @@ def _iterate(
         _pivot(tableau, basis, leaving, entering)
 
 
+def _row_multipliers(
+    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], signs: list[int]
+) -> list[Fraction]:
+    """pi = c_B B^-1, with B^-1 read from the artificial columns of the
+    tableau, mapped back to the rows as given (un-negated)."""
+    m, n = len(basis), len(costs) - len(basis)
+    return [
+        signs[i] * sum(costs[basis[k]] * tableau[k][n + i] for k in range(m) if tableau[k][n + i])
+        for i in range(m)
+    ]
+
+
 def simplex_minimize(
-    matrix: Sequence[Vector], rhs: Vector, costs: Vector
-) -> tuple[str, Optional[list[Fraction]], Optional[Fraction]]:
+    matrix: Sequence[Vector], rhs: Vector, costs: Vector, *, multipliers: bool = False
+) -> tuple:
     """Minimize costs·x subject to matrix·x = rhs, x >= 0.
 
     Returns (status, solution, objective) with status one of
-    `optimal`, `infeasible`, `unbounded`.
+    `optimal`, `infeasible`, `unbounded`.  With `multipliers`, a fourth
+    entry holds one multiplier pi_i per row: at an optimum the duals
+    (costs_j - pi·A_j >= 0 for every column j, and pi·rhs equals the
+    objective); when infeasible a Farkas vector (pi·A_j <= 0 for every
+    column j, and pi·rhs > 0); None when unbounded.
     """
     m = len(matrix)
     n = len(costs)
     tableau: list[list[Fraction]] = []
+    signs: list[int] = []  # -1 on the rows negated to make rhs >= 0
     for i in range(m):
         row = [Fraction(v) for v in matrix[i]]
         if len(row) != n:
             raise DimensionMismatch("matrix row length does not match costs")
         value = Fraction(rhs[i])
+        signs.append(-1 if value < 0 else 1)
         if value < 0:
             row = [-v for v in row]
             value = -value
@@ -93,14 +114,19 @@ def simplex_minimize(
         tableau[i][n + i] = Fraction(1)
     basis = list(range(n, n + m))
     phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+
+    def result(status, solution=None, objective=None, pi=None):
+        return (status, solution, objective, pi) if multipliers else (status, solution, objective)
+
     status = _iterate(tableau, basis, phase1, n + m)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below
-        return ("unbounded", None, None)
+        return result("unbounded")
     infeasibility = sum(
         tableau[i][-1] for i in range(m) if basis[i] >= n
     )
     if infeasibility > 0:
-        return ("infeasible", None, None)
+        farkas = _row_multipliers(tableau, basis, phase1, signs) if multipliers else None
+        return result("infeasible", pi=farkas)
     # Drive remaining zero-value artificials out of the basis when possible.
     for i in range(m):
         if basis[i] >= n:
@@ -111,24 +137,55 @@ def simplex_minimize(
     phase2 = [Fraction(v) for v in costs] + [Fraction(0)] * m
     status = _iterate(tableau, basis, phase2, n)
     if status == "unbounded":
-        return ("unbounded", None, None)
+        return result("unbounded")
     solution = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
             solution[basis[i]] = tableau[i][-1]
     objective = sum(Fraction(costs[j]) * solution[j] for j in range(n))
-    return ("optimal", solution, objective)
+    duals = _row_multipliers(tableau, basis, phase2, signs) if multipliers else None
+    return result("optimal", solution, objective, duals)
+
+
+def certified_minimum(matrix: Sequence[Vector], rhs: Vector, costs: Vector) -> Fraction:
+    """The minimum of costs·x over matrix·x = rhs, x >= 0, for an LP known
+    to have one.  The optimum is re-checked exactly with its multipliers
+    pi: the solution is feasible and attains the objective, every reduced
+    cost costs_j - pi·A_j is >= 0, and pi·rhs equals the objective, so no
+    feasible x does better.  Anything else raises `InternalError`."""
+    status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
+    if status != "optimal":
+        raise InternalError(f"an LP with a known optimum ended {status}")
+    columns = range(len(costs))
+    if (
+        any(x < 0 for x in solution)
+        or any(sum(row[j] * solution[j] for j in columns) != b for row, b in zip(matrix, rhs))
+        or sum(costs[j] * solution[j] for j in columns) != objective
+        or any(costs[j] - sum(p * row[j] for p, row in zip(pi, matrix)) < 0 for j in columns)
+        or sum(p * b for p, b in zip(pi, rhs)) != objective
+    ):
+        raise InternalError("an LP optimum fails its exact re-check")
+    return objective
 
 
 def convex_combination(
-    points: Sequence[Vector], target: Vector, favoured: Sequence[int] = ()
-) -> Optional[list[Fraction]]:
+    points: Sequence[Vector],
+    target: Vector,
+    favoured: Sequence[int] = (),
+    *,
+    separate: bool = False,
+):
     """Weights expressing `target` as a convex combination of `points`,
     or None when `target` lies outside their convex hull.  Exact.  Among
     all such weights, those returned maximise the total weight on the
-    points indexed by `favoured`."""
+    points indexed by `favoured`.
+
+    With `separate`, the result is a pair (weights, separator) of which
+    one is None: a target outside the hull comes with the pair (s, t),
+    s·p + t <= 0 at every point p and s·target + t > 0, read off phase 1
+    of the same LP.  Weights and separator are re-checked exactly."""
     if not points:
-        return None
+        return (None, ((Fraction(0),) * len(target), Fraction(1))) if separate else None
     dim = len(target)
     for p in points:
         if len(p) != dim:
@@ -140,16 +197,27 @@ def convex_combination(
     costs = [Fraction(0)] * count
     for h in favoured:
         costs[h] = Fraction(-1)
-    status, solution, _ = simplex_minimize(matrix, rhs, costs)
-    if status != "optimal":
-        return None
+    if separate:
+        status, solution, _, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
+    else:
+        status, solution, _ = simplex_minimize(matrix, rhs, costs)
+    if status != "optimal":  # infeasible: the hull LP is bounded
+        if not separate:
+            return None
+        # Farkas: pi·(p, 1) <= 0 at every point and pi·(target, 1) > 0.
+        slopes, offset = tuple(pi[:dim]), pi[dim]
+        if any(sum(s * Fraction(v) for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
+            sum(s * v for s, v in zip(slopes, rhs)) + offset <= 0
+        ):
+            raise InternalError("the separator of an infeasible hull fails its exact re-check")
+        return None, (slopes, offset)
     # Exact re-verification of the certificate.
     if solution is None or any(w < 0 for w in solution) or sum(solution) != 1 or any(
         sum(w * Fraction(p[d]) for w, p in zip(solution, points)) != Fraction(target[d])
         for d in range(dim)
     ):
         raise InternalError("hull weights fail their exact re-check")
-    return solution
+    return (solution, None) if separate else solution
 
 
 def best_uniform_gain(

@@ -3,22 +3,36 @@
 Two closed forms are implemented directly: the product rule
 P[(B|K) ∧ (A|H)] = P[(B|K)|(A|H)] · P(A|H) forced by coherence, and the
 nested modus ponens bounds [x·y, x·y + 1 - x] for the conclusion P(C)
-from premises P(A|H) = x and P(C|(A|H)) = y.  The generic path computes
-the set of coherent extensions of any premise assessment to a new target
-quantity by exact rational bisection against the coherence oracle, then
-certifies candidate exact endpoints.  The oracle decides premises +
-(target = value) with the level algorithm of `coherence` on the combined
-family, usually with one hull LP; when an unassessed symbol stops the
-levels, the subset loop over the subfamilies that contain the target
-decides, so the oracle answers or raises exactly as that loop would.
-The closed forms are never substituted for the generic computation, so
-each can audit the other.
+from premises P(A|H) = x and P(C|(A|H)) = y.  The closed forms are never
+substituted for the generic computation, so each can audit the other.
 
-The generic sweep relies on coherent extensions forming an interval; for
-the families treated here that holds (the auxiliary prevision
-t = P[C|(¬A|H)] sweeping the interval in the nested case is recovered
-implicitly).  Should it ever fail, endpoint certification fails and an
-error is raised instead of returning a guess.
+The generic path computes the set of coherent extensions of a coherent
+premise assessment to a new target quantity T.  When T's payoff is
+a + b·z in its own symbol z, with 0 <= b < 1 wherever its bet stands,
+and z appears nowhere in the premises, T's row of the hull system reads
+N(y) = z·D(y) with N and D linear in the world weights y.  Each endpoint
+is then the optimum of a linear-fractional program over the hull,
+which the Charnes-Cooper transformation (Naval Res. Logist. Q. 9, 1962)
+turns into one exact LP: minimise or maximise N subject to the
+homogeneous premise rows and D = 1.  When the premises can put all their
+weight off T's support, T may keep weight zero, and the level step of
+Biazzo & Gilio (IJAR 24, 2000) repeats the LPs on the premises that get
+no weight there.  Both optima are re-checked exactly with their LP
+multipliers (primal and dual feasibility, equal objectives).
+
+Targets outside that shape take the exact rational bisection search
+against the coherence oracle, which then certifies candidate exact
+endpoints: chiefly a target whose symbol sits in a premise's own
+payoffs, such as the conjunction that (B|K)|(A|H) names, where the hull
+system is bilinear in the weights and z; the search stays until that
+case has a nonlinear treatment.  The oracle decides
+premises + (target = value) with the level algorithm of `coherence` on
+the combined family; when an unassessed symbol stops the levels, the
+subset loop over the subfamilies that contain the target decides, so the
+oracle answers or raises exactly as that loop would.  The search relies
+on the coherent extensions forming an interval; an endpoint that no
+candidate certifies keeps a `bisection(2^-k)` tag, and a search that
+finds no coherent probe raises instead of returning a guess.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ from .coherence import (
     Assessment,
     _first_failure,
     _levels,
+    _unreleased,
     check_coherence,
     family_cap,
     subsets_by_size,
@@ -43,6 +58,7 @@ from .crq import (
     iterated_simple,
     negate,
     payoff_at,
+    support,
 )
 from .errors import (
     CapExceeded,
@@ -52,8 +68,9 @@ from .errors import (
     OutOfRange,
     PreconditionFailed,
 )
-from .events import TRUE, AtomRegistry, Event, is_impossible
-from .polynomials import Rational
+from .events import TRUE, AtomRegistry, Constituent, Event, is_impossible
+from .linprog import certified_minimum
+from .polynomials import Poly, Rational
 
 DEFAULT_TOLERANCE_EXPONENT = 20
 
@@ -123,13 +140,20 @@ def extension_interval(
     """The interval of values v such that premises + (target = v) stays
     coherent.
 
-    Both endpoints are located by bisection with the exact coherence
-    oracle and then snapped to exact candidates (closed-form values and
-    premise combinations) when a candidate passes certification: the
-    endpoint itself is coherent and stepping one tolerance outside the
-    interval is not.  Certified endpoints are exact; otherwise the
-    endpoint carries a `bisection(2^-k)` tag and is coherent, within
-    2^-k of the true bound.
+    When the premises are coherent and the target is linear in its own
+    symbol z (see `_linear_target`), each endpoint is the optimum of one
+    Charnes-Cooper LP over the hull of the combined family's worlds, after
+    the level step has dropped the premises that can hold all the weight
+    off the target's support; both optima are re-checked exactly with
+    their LP multipliers and the interval is `certified-by-LP`.  For other
+    targets, such as the conjunction that the premise (B|K)|(A|H) names
+    in its own payoffs (z inside a premise row makes the hull system
+    bilinear in the weights and z), the endpoints are located by
+    bisection to 2^-tolerance_exponent with the coherence oracle and
+    snapped to exact candidates that pass certification: the endpoint is
+    coherent and one tolerance step outside it is not.  A search endpoint
+    that no candidate certifies is coherent, within the tolerance of the
+    true bound, and the interval is tagged `bisection(2^-k)`.
     """
     if not check_coherence(premises, cap=cap).coherent:
         raise IncoherentPremises("the premise assessment is not coherent")
@@ -138,6 +162,120 @@ def extension_interval(
         raise CapExceeded(
             f"family of size {len(premises) + 1} exceeds the cap of {limit}"
         )
+    payoffs = _linear_target(premises, target)
+    if payoffs is None:
+        return _search_interval(premises, target, tolerance_exponent)
+    return _lp_interval(premises, payoffs)
+
+
+def _linear_target(
+    premises: Assessment, target: CRQ
+) -> Optional[dict[Constituent, tuple[Fraction, Fraction]]]:
+    """The target's payoff a + b*z at each world where it stands, as the
+    pair (a, b), when the LP path covers the target; None otherwise.
+
+    Covered: the target's own symbol z occurs in no premise row, link or
+    valuation, neither the premises nor the target's rows leave an
+    unassessed symbol, the target's links agree with the premises', and
+    every live row has 0 <= b < 1, so that its weight in a hull solution
+    is positive exactly when the denominator sum(weight * (1 - b)) is."""
+    z = target.own_symbol
+    if (
+        target.registry is not premises.registry
+        or premises.free_symbols
+        or z in premises.valuation
+    ):
+        return None
+    links = {name: poly for crq, _ in premises.items for name, poly in crq.links}
+    polys = [poly for crq, _ in premises.items for _, poly in crq.rows] + list(links.values())
+    if z in links or any(z in poly.symbols() for poly in polys):
+        return None
+    if any(links.get(name, poly) != poly for name, poly in target.links):
+        return None
+    try:
+        live = support(target, premises.valuation)
+    except MissingSymbol:
+        return None
+    payoffs = {}
+    for world in live:
+        poly = target.payoff_poly(world).substitute(premises.valuation)
+        if not poly.symbols() <= {z} or poly.degree_in(z) > 1:
+            return None
+        a = poly.value({z: Fraction(0)})
+        b = poly.value({z: Fraction(1)}) - a
+        if not 0 <= b < 1:
+            return None
+        payoffs[world] = (a, b)
+    return payoffs or None
+
+
+def _lp_interval(
+    premises: Assessment, payoffs: dict[Constituent, tuple[Fraction, Fraction]]
+) -> ExtensionInterval:
+    """Both endpoints for a target with the given live payoffs a + b*z.
+
+    In a hull solution y of the combined family the target's row reads
+    N(y) = z * D(y) with N = sum(y * a) and D = sum(y * (1 - b)), where a
+    called-off world has a = 0 and b = 1.  If every solution of the
+    premises' rows gives the target weight, D > 0 and, scaled to D = 1
+    (Charnes & Cooper 1962), the coherent values are min N to max N over
+    y >= 0, the homogeneous premise rows sum(y * (v_i - p_i)) = 0 and
+    D = 1; the members left at weight zero by such a solution are
+    premises alone, which are coherent.  If some solution puts all weight
+    off the target's support, the target can stay at weight zero at this
+    level, and its values are those of the next level (Biazzo & Gilio
+    2000): the premises whose supports get zero weight in every such
+    solution, plus the target.  That level's values contain this one's,
+    since its family is a subfamily, and it has fewer premises, so the
+    loop ends; with no premise left, D = 1 is feasible."""
+    previsions = premises.previsions
+    cells = {}
+    for world in premises.registry.constituents():
+        live = frozenset(j for j, s in enumerate(premises.supports) if world in s)
+        if live or world in payoffs:
+            values = tuple(
+                Poly.coerce(row[world.index]).constant_value() for row in premises._cells
+            )
+            cells[world] = (values, live)
+    members = tuple(range(len(premises)))
+    while members:
+        off_target = dict.fromkeys(
+            (tuple(values[j] for j in members), live.intersection(members))
+            for world, (values, live) in cells.items()
+            if world not in payoffs and not live.isdisjoint(members)
+        )
+        if not off_target:
+            break
+        zero = _unreleased(
+            [values for values, _ in off_target],
+            [live for _, live in off_target],
+            tuple(previsions[j] for j in members),
+            members,
+        )
+        if zero is None:
+            break
+        members = tuple(sorted(zero))
+    columns = list(
+        dict.fromkeys(
+            (tuple(values[j] - previsions[j] for j in members),)
+            + payoffs.get(world, (Fraction(0), Fraction(1)))
+            for world, (values, live) in cells.items()
+            if world in payoffs or not live.isdisjoint(members)
+        )
+    )
+    matrix = [[deviations[k] for deviations, _, _ in columns] for k in range(len(members))]
+    matrix.append([1 - b for _, _, b in columns])
+    rhs = [Fraction(0)] * len(members) + [Fraction(1)]
+    lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])
+    upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])
+    return ExtensionInterval(lower, upper, "certified-by-LP")
+
+
+def _search_interval(
+    premises: Assessment, target: CRQ, tolerance_exponent: int
+) -> ExtensionInterval:
+    """Bisection against the coherence oracle, then endpoint snapping to
+    exact candidates (see `extension_interval`)."""
     tol = Fraction(1, 2**tolerance_exponent)
 
     def oracle(value: Fraction) -> bool:

@@ -205,6 +205,14 @@ def test_mp_rejects_malformed_value(x, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_extend_point_interval_from_a_partition(write, capsys):
+    doc = "atoms A B\nassess P(A & B) = 1/7\nassess P(A & !B) = 1/7\nquery extend A\n"
+    assert main(["extend", write(doc), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"lower": "2/7"' in out
+    assert json.loads(out)["upper"] == "2/7"
+
+
 def _corrupted(simplex_minimize):
     """The simplex with the right status and doubled, wrong weights."""
 
@@ -243,6 +251,52 @@ def test_certificate_check_survives_optimization(write):
     )
     done = subprocess.run(
         [sys.executable, "-O", "-c", script, write(NESTED_TRIPLE_DOC)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 4, done.stderr
+    assert "internal error" in done.stderr
+
+
+def _corrupted_multipliers(simplex_minimize):
+    """The simplex with the right status and solution and wrong row
+    multipliers: duals shifted by one, Farkas vectors negated."""
+
+    def corrupted(matrix, rhs, costs, multipliers=False):
+        if not multipliers:
+            return simplex_minimize(matrix, rhs, costs)
+        status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
+        if status == "optimal":
+            pi = [v + 1 for v in pi]
+        elif status == "infeasible":
+            pi = [-v for v in pi]
+        return status, solution, objective, pi
+
+    return corrupted
+
+
+@pytest.mark.parametrize(
+    "command, doc", [("extend", MP_DOC), ("check", OVERCOMMITTED_DOC)], ids=["endpoint", "separator"]
+)
+def test_multiplier_checks_survive_optimization(write, command, doc):
+    """Interval endpoints and incoherent verdicts are re-checked with their
+    LP multipliers under `python -O` too."""
+    script = (
+        "import sys\n"
+        "from coherekit import cli, linprog\n"
+        "from test_cli import _corrupted_multipliers\n"
+        "linprog.simplex_minimize = _corrupted_multipliers(linprog.simplex_minimize)\n"
+        "sys.exit(cli.main([sys.argv[1], sys.argv[2]]))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script, command, write(doc)],
         env=env,
         capture_output=True,
         text=True,

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from coherekit import linprog
+from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
     _levels,
@@ -22,12 +24,25 @@ from coherekit.coherence import (
     solve_sigma,
     subsets_by_size,
 )
-from coherekit.crq import conditional_event, conjunction, iterated, iterated_simple, negate
-from coherekit.errors import CoherekitError, EmptySupport
+from coherekit.crq import (
+    conditional_event,
+    conjunction,
+    iterated,
+    iterated_simple,
+    negate,
+    support,
+)
+from coherekit.errors import CoherekitError, EmptySupport, InternalError
 from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import Poly
-from coherekit.propagation import _coherent_with_target
+from coherekit.propagation import (
+    _coherent_with_target,
+    _linear_target,
+    _search_interval,
+    extension_interval,
+)
 from oracles import exhaustive_coherence, exhaustive_dutch_book
+from test_cli import MP_DOC, _corrupted_multipliers
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
 ATOMS = REGISTRY.atoms("A", "B", "C")
@@ -257,3 +272,134 @@ def test_two_level_family_incoherent_at_second_level():
     assert _levels(assessment) is None
     assert check_coherence(assessment).witness == (1,)
     assert exhaustive_coherence(assessment).witness == (1,)
+
+
+@settings(deadline=None, max_examples=150)
+@given(families())
+def test_incoherent_verdicts_carry_a_checked_separator(assessment):
+    """The witness's separator, re-checked here over every payoff point of
+    the witness (duplicates included)."""
+    try:
+        result = check_coherence(assessment)
+    except CoherekitError:
+        return
+    if result.coherent:
+        assert result.separator is None
+        return
+    slopes, offset = result.separator
+    table = build_points(assessment, result.witness)
+    assert len(slopes) == len(result.witness)
+    assert all(sum(s * v for s, v in zip(slopes, point)) + offset <= 0 for point in table.points)
+    assert sum(s * v for s, v in zip(slopes, table.previsions)) + offset > 0
+
+
+# -- extension intervals -----------------------------------------------------
+
+EPSILON = Fraction(1, 2**30)
+
+
+@st.composite
+def separable_extensions(draw):
+    """Coherent premises over three atoms, none with an unassessed symbol,
+    and a target whose own symbol no premise mentions: a conditional
+    event, an unconditional event, the conjunction of two premises, or
+    C|(A|H) on a premise A|H."""
+    base_a = conditional_event(draw(formulas), draw(possible), "pa", registry=REGISTRY)
+    base_b = conditional_event(draw(formulas), draw(possible), "pb", registry=REGISTRY)
+    pool = {
+        "a": base_a,
+        "b": base_b,
+        "not_a": negate(base_a, "na"),
+        "conj": conjunction(base_a, base_b, "cj"),
+        "c_given_a": iterated_simple(base_a, draw(formulas), "ca"),
+        "b_given_a": iterated(base_a, base_b, "mu", "cj"),
+        "other": conditional_event(draw(formulas), draw(possible), "po", registry=REGISTRY),
+    }
+    # Every premise symbol is assessed: (B|K)|(A|H) pays the conjunction's.
+    needs = {"conj": {"a", "b"}, "c_given_a": {"a"}, "b_given_a": {"a", "b", "conj"}}
+    kinds = draw(st.sets(st.sampled_from(sorted(pool)), min_size=1, max_size=3))
+    kinds |= {need for kind in kinds for need in needs.get(kind, ())}
+    kind = draw(st.sampled_from(["conditional", "unconditional", "conjunction", "c_given_a"]))
+    if kind == "conjunction":
+        kinds |= {"a", "b"}
+        target = conjunction(base_a, base_b, "t")
+    elif kind == "c_given_a":
+        kinds.add("a")
+        target = iterated_simple(base_a, draw(formulas), "t")
+    else:
+        condition = draw(possible) if kind == "conditional" else TRUE
+        target = conditional_event(draw(formulas), condition, "t", registry=REGISTRY)
+    # Mostly interior, so that intervals are often proper.
+    quarters = st.one_of(st.integers(1, 3), st.integers(0, 4)).map(lambda k: Fraction(k, 4))
+    premises = Assessment([(pool[k], draw(quarters)) for k in draw(st.permutations(sorted(kinds)))])
+    assume(exhaustive_coherence(premises).coherent)
+    # A target called off at every world is left to the search.
+    assume(support(target, premises.valuation))
+    return premises, target
+
+
+@settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.filter_too_much])
+@given(separable_extensions())
+def test_lp_endpoints_are_tight(case):
+    """Both LP endpoints are coherent extensions and 2^-30 beyond either
+    one (inside [0, 1]) is not; where the bisection search certifies its
+    endpoints, they are the same."""
+    premises, target = case
+    assert _linear_target(premises, target) is not None
+    interval = extension_interval(premises, target)
+    assert interval.exactness == "certified-by-LP"
+    assert interval.lower <= interval.upper
+    for endpoint in interval.as_tuple():
+        assert _coherent_with_target(premises, target, endpoint)
+    for outside in (interval.lower - EPSILON, interval.upper + EPSILON):
+        if 0 <= outside <= 1:
+            assert not _coherent_with_target(premises, target, outside)
+    try:
+        searched = _search_interval(premises, target, 20)
+    except CoherekitError:
+        return
+    if searched.exactness == "certified-by-LP":
+        assert searched.as_tuple() == interval.as_tuple()
+
+
+ZERO_REGISTRY = AtomRegistry(["A", "C", "H"])
+A, C, H = ZERO_REGISTRY.atoms("A", "C", "H")
+
+
+def _event(event, condition, symbol):
+    return conditional_event(event, condition, symbol, registry=ZERO_REGISTRY)
+
+
+@pytest.mark.parametrize(
+    "premises, target, expected",
+    [
+        ([(_event(H, TRUE, "h"), 0)], _event(A, H, "t"), (0, 1)),
+        (
+            [(_event(H, TRUE, "h"), 0), (_event(A, H, "ah"), Fraction(1, 3))],
+            _event(A & C, H, "t"),
+            (0, Fraction(1, 3)),
+        ),
+        # D = 1 is feasible (all weight on ¬A·H), yet all weight may also
+        # lie on ¬H, where A|H is called off: no bound follows.
+        ([(_event(A & H, TRUE, "ah"), 0)], _event(A, H, "t"), (0, 1)),
+    ],
+    ids=["P(H)=0", "P(H)=0,P(A|H)=1/3", "P(AH)=0"],
+)
+def test_zero_denominator_takes_the_next_level(premises, target, expected):
+    interval = extension_interval(Assessment(premises), target)
+    assert interval.as_tuple() == tuple(Fraction(v) for v in expected)
+    assert interval.exactness == "certified-by-LP"
+
+
+def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys):
+    """An LP endpoint or separator whose multipliers fail the exact
+    re-check is a fault of the library, never an interval or a verdict."""
+    monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(linprog.simplex_minimize))
+    with pytest.raises(InternalError):
+        extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
+    with pytest.raises(InternalError):
+        check_coherence(_zero_antecedent(Fraction(3, 2)))
+    doc = tmp_path / "mp.cohere"
+    doc.write_text(MP_DOC, encoding="utf-8")
+    assert main(["extend", str(doc)]) == 4
+    assert capsys.readouterr().err.startswith("internal error:")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from coherekit import linprog, propagation
 from coherekit.coherence import Assessment, check_coherence
 from coherekit.crq import conditional_event, conjunction, iterated, iterated_simple
 from coherekit.errors import IncoherentPremises, OutOfRange, PreconditionFailed
@@ -100,6 +101,13 @@ def test_extension_requires_coherent_premises():
         extension_interval(bad, conditional_event(target.registry.atom("A"), TRUE, "w"))
 
 
+def test_extension_rejects_a_target_from_another_registry():
+    premises, _ = mp_family(F(1, 2), F(1, 2))
+    other = AtomRegistry(["A", "C", "H"])
+    with pytest.raises(PreconditionFailed):
+        extension_interval(premises, conditional_event(other.atom("C"), TRUE, "z", registry=other))
+
+
 def test_extension_grid_agrees_with_closed_form():
     grid = [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)]
     for xv in grid:
@@ -109,6 +117,80 @@ def test_extension_grid_agrees_with_closed_form():
             closed = mp_bounds(xv, yv)
             assert interval.as_tuple() == closed.as_tuple(), (xv, yv)
             assert interval.exactness == "certified-by-LP"
+
+
+def _two_premises(first, second, second_value):
+    """{P(first) = 1/7, P(second) = second_value} over atoms A, B, and the
+    target P(A)."""
+    reg = AtomRegistry(["A", "B"])
+    a, b = reg.atoms("A", "B")
+    events = {"AB": a & b, "A!B": a & ~b, "B": b}
+    premises = Assessment(
+        [
+            (conditional_event(events[first], TRUE, "p", registry=reg), F(1, 7)),
+            (conditional_event(events[second], TRUE, "q", registry=reg), second_value),
+        ]
+    )
+    return premises, conditional_event(a, TRUE, "z", registry=reg)
+
+
+def test_extension_point_interval_from_a_partition():
+    """P(A) = P(AB) + P(A¬B) exactly; the bisection search found no
+    coherent probe for it and gave up."""
+    interval = extension_interval(*_two_premises("AB", "A!B", F(1, 7)))
+    assert interval.as_tuple() == (F(2, 7), F(2, 7))
+    assert interval.exactness == "certified-by-LP"
+
+
+def test_extension_upper_endpoint_is_exact():
+    """P(A) ranges over [P(AB), P(AB) + 1 - P(B)]; the bisection search
+    returned a dyadic upper endpoint within 2^-20 of 5/7."""
+    interval = extension_interval(*_two_premises("AB", "B", F(3, 7)))
+    assert interval.as_tuple() == (F(1, 7), F(5, 7))
+    assert interval.exactness == "certified-by-LP"
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_mp_grid_intervals_take_at_most_four_lps(monkeypatch):
+    """Each interval: the premises' coherence check and two LPs, no
+    oracle call; machine-independent, unlike a timing."""
+    oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
+    lps = _counted(monkeypatch, linprog, "simplex_minimize")
+    grid = [F(k, 4) for k in range(5)]
+    for xv in grid:
+        for yv in grid:
+            for classical in (False, True):
+                lps.clear()
+                interval = extension_interval(*mp_family(xv, yv, classical=classical))
+                assert interval.as_tuple() == mp_bounds(xv, yv).as_tuple()
+                assert len(lps) <= 4, (xv, yv, classical, len(lps))
+    assert oracle == []
+
+
+def test_product_rule_target_still_takes_the_search(monkeypatch):
+    """The conjunction's symbol sits in the premise's own payoff rows, so
+    the LP would be bilinear; the search answers, exactly."""
+    oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
+    reg = AtomRegistry(["A", "B", "H", "K"])
+    a, b, h, k = reg.atoms("A", "B", "H", "K")
+    ce_a = conditional_event(a, h, "x")
+    ce_b = conditional_event(b, k, "y")
+    premises = Assessment([(ce_a, F(1, 2)), (iterated(ce_a, ce_b, "mu", "zc"), F(1, 3))])
+    interval = extension_interval(premises, conjunction(ce_a, ce_b, "zc"))
+    assert interval.as_tuple() == (F(1, 6), F(1, 6))
+    assert interval.exactness == "certified-by-LP"
+    assert oracle
 
 
 # -- decomposition --------------------------------------------------------------
