@@ -115,7 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> BuiltDocument:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        reason = f"{error.reason} at byte {error.start}"
+        raise ParseError(f"{path} is not UTF-8 text: {reason}") from None
     return build(parse(text))
 
 

@@ -471,8 +471,10 @@ def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> Cohere
 
 def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Optional[DutchBook]:
     """Sure-win stakes on the witness of `check_coherence`, None when the
-    assessment is coherent: one stake LP maximizes the worst-case gain
-    over the witness's live worlds subject to unit stake bounds."""
+    assessment is coherent: the stakes in [-1, 1] that maximize the
+    worst-case gain over the witness's live worlds, read off the certified
+    multipliers of one LP (`best_uniform_gain`), the witness's hull system
+    with L1 slack, whose optimum is that gain."""
     witness = check_coherence(assessment, cap).witness
     if witness is None:
         return None

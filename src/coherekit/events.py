@@ -9,7 +9,7 @@ semantics); the registry cap keeps that enumeration at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import CapExceeded, PreconditionFailed, UnknownAtom
 
@@ -225,15 +225,6 @@ class Event:
                     return reg
         return None
 
-    def atoms_used(self) -> set[str]:
-        if self.kind == "atom":
-            return {self.args[0].name}
-        out: set[str] = set()
-        for sub in self.args:
-            if isinstance(sub, Event):
-                out |= sub.atoms_used()
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Event):
             return NotImplemented
@@ -351,19 +342,3 @@ def _const_value(e: Event) -> bool:
     if e.kind == "or":
         return _const_value(e.args[0]) or _const_value(e.args[1])
     raise UnknownAtom("atomic event has no constant value")
-
-
-def conjoin(events: Sequence[Event]) -> Event:
-    """Conjunction of a sequence of events (TRUE when empty)."""
-    out: Optional[Event] = None
-    for e in events:
-        out = e if out is None else out & e
-    return TRUE if out is None else out
-
-
-def disjoin(events: Sequence[Event]) -> Event:
-    """Disjunction of a sequence of events (FALSE when empty)."""
-    out: Optional[Event] = None
-    for e in events:
-        out = e if out is None else out | e
-    return FALSE if out is None else out

@@ -6,7 +6,9 @@ feasibility verdicts here decide coherence, and coherence is sensitive to
 exact boundary cases, so floating point is never used.  The row
 multipliers read off the final tableau certify what the simplex reports:
 duals for an optimum, a Farkas vector for an infeasible system; both are
-re-checked exactly by the callers that rely on them.
+re-checked exactly by the callers that rely on them.  The Dutch-book stake
+problem is solved as its dual, a hull system with L1 slack, through
+`certified_minimum`: the stakes are its multipliers.
 """
 
 from __future__ import annotations
@@ -147,12 +149,15 @@ def simplex_minimize(
     return result("optimal", solution, objective, duals)
 
 
-def certified_minimum(matrix: Sequence[Vector], rhs: Vector, costs: Vector) -> Fraction:
+def certified_minimum(
+    matrix: Sequence[Vector], rhs: Vector, costs: Vector
+) -> tuple[Fraction, list[Fraction]]:
     """The minimum of costs·x over matrix·x = rhs, x >= 0, for an LP known
-    to have one.  The optimum is re-checked exactly with its multipliers
-    pi: the solution is feasible and attains the objective, every reduced
-    cost costs_j - pi·A_j is >= 0, and pi·rhs equals the objective, so no
-    feasible x does better.  Anything else raises `InternalError`."""
+    to have one, and its row multipliers pi.  The optimum is re-checked
+    exactly with them: the solution is feasible and attains the objective,
+    every reduced cost costs_j - pi·A_j is >= 0, and pi·rhs equals the
+    objective, so no feasible x does better.  Anything else raises
+    `InternalError`."""
     status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     if status != "optimal":
         raise InternalError(f"an LP with a known optimum ended {status}")
@@ -165,7 +170,7 @@ def certified_minimum(matrix: Sequence[Vector], rhs: Vector, costs: Vector) -> F
         or sum(p * b for p, b in zip(pi, rhs)) != objective
     ):
         raise InternalError("an LP optimum fails its exact re-check")
-    return objective
+    return objective, pi
 
 
 def convex_combination(
@@ -223,53 +228,39 @@ def convex_combination(
 def best_uniform_gain(
     deviations: Sequence[Vector],
 ) -> tuple[Fraction, list[Fraction]]:
-    """Maximize e such that stakes·d_h >= e for every deviation vector d_h,
-    with each stake in [-1, 1].
+    """The largest e such that stakes·d_h >= e for every deviation vector
+    d_h, with each stake in [-1, 1], and stakes that attain it.
 
-    The optimum is always >= 0 (zero stakes give zero gain); it is strictly
-    positive exactly when the origin-side target is separable from the
-    deviation vectors, i.e. when no convex combination of the underlying
-    points reproduces the assessment.
+    Solved as its LP dual, the hull system with L1 slack: weights l_h >= 0
+    summing to 1 and slacks r+, r- >= 0 with sum_h l_h·d_h + r+ - r- = 0,
+    minimizing sum(r+ + r-), i.e. the L1 distance from the origin to the
+    hull of the d_h.  Its n + 1 row multipliers pi are re-checked by
+    `certified_minimum`; the stakes are -pi over the n member rows.  Dual
+    feasibility is exactly the unit stake bounds and stakes·d_h >= e, and
+    pi·rhs = e proves that no stakes do better.  The optimum is >= 0; it
+    is strictly positive exactly when the origin lies outside the hull,
+    i.e. when no convex combination of the underlying points reproduces
+    the assessment.
     """
     if not deviations:
         raise DimensionMismatch("no deviation vectors")
     n = len(deviations[0])
     m = len(deviations)
-    # Columns: p_i (n), q_i (n), e (1), surplus t_h (m), slack u_i (n), slack v_i (n)
-    cols = 2 * n + 1 + m + 2 * n
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for h in range(m):
-        row = [Fraction(0)] * cols
-        for i in range(n):
-            row[i] = Fraction(deviations[h][i])
-            row[n + i] = -Fraction(deviations[h][i])
-        row[2 * n] = Fraction(-1)
-        row[2 * n + 1 + h] = Fraction(-1)
-        matrix.append(row)
-        rhs.append(Fraction(0))
-    for i in range(n):
-        row = [Fraction(0)] * cols
-        row[i] = Fraction(1)
-        row[2 * n + 1 + m + i] = Fraction(1)
-        matrix.append(row)
-        rhs.append(Fraction(1))
-        row = [Fraction(0)] * cols
-        row[n + i] = Fraction(1)
-        row[2 * n + 1 + m + n + i] = Fraction(1)
-        matrix.append(row)
-        rhs.append(Fraction(1))
-    costs = [Fraction(0)] * cols
-    costs[2 * n] = Fraction(-1)  # maximize e
-    status, solution, _ = simplex_minimize(matrix, rhs, costs)
-    if status != "optimal" or solution is None:  # pragma: no cover - bounded and feasible
-        raise InternalError(f"stake search ended with status {status}")
-    stakes = [solution[i] - solution[n + i] for i in range(n)]
-    epsilon = solution[2 * n]
+    # Columns: l_h (m), r+_i (n), r-_i (n).  Rows: one per member, then sum l = 1.
+    matrix = [
+        [Fraction(d[i]) for d in deviations]
+        + [Fraction(int(k == i)) for k in range(n)]
+        + [Fraction(-int(k == i)) for k in range(n)]
+        for i in range(n)
+    ]
+    matrix.append([Fraction(1)] * m + [Fraction(0)] * (2 * n))
+    rhs = [Fraction(0)] * n + [Fraction(1)]
+    costs = [Fraction(0)] * m + [Fraction(1)] * (2 * n)
+    epsilon, pi = certified_minimum(matrix, rhs, costs)
+    stakes = [-p for p in pi[:n]]
     # Exact re-verification of the certificate.
     if any(not -1 <= s <= 1 for s in stakes) or any(
-        sum(stakes[i] * Fraction(deviations[h][i]) for i in range(n)) < epsilon
-        for h in range(m)
+        sum(s * Fraction(d[i]) for i, s in enumerate(stakes)) < epsilon for d in deviations
     ):
         raise InternalError("stakes fail their exact re-check")
     return epsilon, stakes

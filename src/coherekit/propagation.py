@@ -266,8 +266,8 @@ def _lp_interval(
     matrix = [[deviations[k] for deviations, _, _ in columns] for k in range(len(members))]
     matrix.append([1 - b for _, _, b in columns])
     rhs = [Fraction(0)] * len(members) + [Fraction(1)]
-    lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])
-    upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])
+    lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])[0]
+    upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])[0]
     return ExtensionInterval(lower, upper, "certified-by-LP")
 
 

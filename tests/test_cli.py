@@ -180,6 +180,16 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+def test_non_utf8_document(tmp_path, capsys):
+    path = tmp_path / "latin1.cohere"
+    path.write_bytes(b"atoms A\nassess P(A) = 1/2 \xff\n")
+    code = main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_cap_exit_code(write, capsys, monkeypatch):
     monkeypatch.setenv("COHERE_SUBSET_CAP", "2")
     code = main(["check", write(NESTED_TRIPLE_DOC)])

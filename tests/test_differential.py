@@ -392,13 +392,16 @@ def test_zero_denominator_takes_the_next_level(premises, target, expected):
 
 
 def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys):
-    """An LP endpoint or separator whose multipliers fail the exact
-    re-check is a fault of the library, never an interval or a verdict."""
+    """An LP endpoint, separator or stake vector whose multipliers fail the
+    exact re-check is a fault of the library, never an interval, a verdict
+    or a Dutch book."""
     monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(linprog.simplex_minimize))
     with pytest.raises(InternalError):
         extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
     with pytest.raises(InternalError):
         check_coherence(_zero_antecedent(Fraction(3, 2)))
+    with pytest.raises(InternalError):
+        linprog.best_uniform_gain([(Fraction(-1),), (Fraction(-2),)])
     doc = tmp_path / "mp.cohere"
     doc.write_text(MP_DOC, encoding="utf-8")
     assert main(["extend", str(doc)]) == 4

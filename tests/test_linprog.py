@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from coherekit import linprog
 from coherekit.errors import DimensionMismatch
 from coherekit.linprog import best_uniform_gain, convex_combination, simplex_minimize
+from oracles import primal_uniform_gain
 
 F = Fraction
 
@@ -102,3 +104,36 @@ def test_hull_membership_and_separation_are_dual():
             assert epsilon > 0
         else:
             assert epsilon == 0
+
+
+def test_stakes_from_hull_duals_match_the_primal():
+    """Randomized: the gain read off the hull system's optimum is the
+    primal stake LP's, and the stakes read off its multipliers are bounded
+    by 1 and attain it on every deviation vector."""
+    rng = random.Random(8)
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        count = rng.randint(1, 9)
+        deviations = [
+            tuple(F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(dim))
+            for _ in range(count)
+        ]
+        epsilon, stakes = best_uniform_gain(deviations)
+        assert epsilon == primal_uniform_gain(deviations)[0]
+        assert all(abs(s) <= 1 for s in stakes)
+        assert all(sum(s * v for s, v in zip(stakes, d)) >= epsilon for d in deviations)
+
+
+def test_stake_lp_is_the_hull_system(monkeypatch):
+    """n + 1 rows (one per member and the weights' sum) and m + 2n columns
+    (one weight per deviation vector and two L1 slacks per member)."""
+    shapes = []
+    solve = linprog.simplex_minimize
+
+    def recording(matrix, rhs, costs, **options):
+        shapes.append((len(matrix), len(costs)))
+        return solve(matrix, rhs, costs, **options)
+
+    monkeypatch.setattr(linprog, "simplex_minimize", recording)
+    best_uniform_gain([(F(-1), F(1, 2), F(0))] * 4 + [(F(1, 3), F(-2), F(1))])
+    assert shapes == [(3 + 1, 5 + 2 * 3)]
