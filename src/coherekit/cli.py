@@ -19,7 +19,8 @@ Subcommands:
 Exit codes: 0 success/coherent, 1 incoherent or Dutch book found,
 2 parse/validation error, 3 cap exceeded, 4 internal error (a failed
 certificate re-check or a bug: never a verdict).  The environment variable
-COHERE_SUBSET_CAP overrides the family-size cap.
+COHERE_SUBSET_CAP overrides the family-size cap; a value that is not an
+integer, or is below 1, exits 2.
 """
 
 from __future__ import annotations

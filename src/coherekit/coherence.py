@@ -66,16 +66,18 @@ _CORNER_LIMIT = 3  # unknown symbols allowed per payoff row
 
 
 def family_cap(override: Optional[int] = None) -> int:
-    """Configured family-size cap; COHERE_SUBSET_CAP overrides the default."""
+    """Configured family-size cap; COHERE_SUBSET_CAP, a positive integer,
+    overrides the default."""
     if override is not None:
         return override
     text = os.environ.get("COHERE_SUBSET_CAP", str(DEFAULT_FAMILY_CAP))
     try:
-        return int(text)
+        cap = int(text)
     except ValueError:
-        raise PreconditionFailed(
-            f"COHERE_SUBSET_CAP must be an integer, got {text!r}"
-        ) from None
+        cap = 0
+    if cap < 1:
+        raise PreconditionFailed(f"COHERE_SUBSET_CAP must be a positive integer, got {text!r}")
+    return cap
 
 
 class Assessment:

@@ -1,95 +1,107 @@
 """Exact linear programming over rationals.
 
-A small two-phase simplex with Bland's rule, sized for the tiny systems
-this package produces (tens of variables).  Everything is `Fraction`:
-feasibility verdicts here decide coherence, and coherence is sensitive to
-exact boundary cases, so floating point is never used.  The row
-multipliers read off the final tableau certify what the simplex reports:
-duals for an optimum, a Farkas vector for an infeasible system; both are
-re-checked exactly by the callers that rely on them.  The Dutch-book stake
-problem is solved as its dual, a hull system with L1 slack, through
-`certified_minimum`: the stakes are its multipliers.
+A small two-phase simplex with Bland's rule, sized for the systems this
+package produces (tens of rows, up to about a thousand columns).
+Feasibility verdicts here decide coherence, and coherence is sensitive to
+exact boundary cases, so floating point is never used.  Inputs and outputs
+are `Fraction`s; in between, pivots run fraction-free on an integer
+tableau with one common denominator (Bareiss's integer-preserving
+elimination), which is exact and spares the gcd of every `Fraction`
+operation.  The row multipliers read off the final tableau certify what
+the simplex reports: duals for an optimum, a Farkas vector for an
+infeasible system; both are re-checked exactly, in `Fraction`s, by the
+callers that rely on them.  The Dutch-book stake problem is solved as its
+dual, a hull system with L1 slack, through `certified_minimum`: the stakes
+are its multipliers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Sequence
 
 from .errors import DimensionMismatch, InternalError
 
 Vector = Sequence[Fraction]
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    pivot = tableau[row][col]
-    tableau[row] = [v / pivot for v in tableau[row]]
+def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
+    """Pivot an integer tableau on (row, col).  The tableau stands for its
+    entries divided by one common denominator d > 0, which is the entry of
+    every constraint row in its own basic column.  With p the pivot and f
+    a row's entry in the pivot column, every other row becomes
+    (a·p - f·b) / d, an exact division by Sylvester's identity (E. H.
+    Bareiss, Math. Comp. 22, 1968), and p is the new denominator; all rows
+    are negated when p < 0, so that it stays positive."""
+    denominator = tableau[row][basis[row]]
+    pivot_row = tableau[row]
+    pivot = pivot_row[col]
     for i, current in enumerate(tableau):
-        if i != row and current[col] != 0:
-            factor = current[col]
-            pivot_row = tableau[row]
-            tableau[i] = [a - factor * b for a, b in zip(current, pivot_row)]
+        factor = current[col]
+        if i == row or (not factor and pivot == denominator):
+            continue
+        if factor:
+            tableau[i] = [
+                (a * pivot - factor * b) // denominator for a, b in zip(current, pivot_row)
+            ]
+        else:
+            tableau[i] = [a * pivot // denominator for a in current]
+    if pivot < 0:
+        tableau[:] = [[-a for a in current] for current in tableau]
     basis[row] = col
 
 
-def _iterate(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    costs: list[Fraction],
-    allowed: int,
-) -> str:
-    """Run simplex to optimality; entering columns restricted to j < allowed.
+def _denominator(tableau: list[list[int]], basis: list[int]) -> int:
+    return tableau[0][basis[0]] if basis else 1
+
+
+def _cost_row(tableau: list[list[int]], basis: list[int], costs: list[int]) -> list[int]:
+    """The reduced costs d·c - c_B·M of integer `costs` (one per column) on
+    the constraint rows M, and -d·(c_B·x_B) in the rhs column."""
+    reduced = [_denominator(tableau, basis) * c for c in costs] + [0]
+    for current, column in zip(tableau, basis):
+        cost = costs[column]
+        if cost:
+            reduced = [r - cost * a for r, a in zip(reduced, current)]
+    return reduced
+
+
+def _iterate(tableau: list[list[int]], basis: list[int], allowed: int) -> str:
+    """Run simplex to optimality on the constraint rows and the reduced-cost
+    row last in `tableau`; entering columns restricted to j < allowed.
 
     Bland's rule (smallest eligible entering index, smallest basis index on
-    ratio ties) guarantees termination on degenerate tableaus.
+    ratio ties) guarantees termination on degenerate tableaus.  Ratios
+    share the denominator d and are compared by cross-multiplication.
     """
-    m = len(tableau)
+    rows = range(len(basis))
     while True:
-        basis_costs = [costs[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(allowed):
-            reduced = costs[j] - sum(
-                basis_costs[i] * tableau[i][j] for i in range(m) if tableau[i][j]
-            )
-            if reduced < 0:
-                entering = j
-                break
+        reduced = tableau[-1]
+        entering = next((j for j in range(allowed) if reduced[j] < 0), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
-        best: Optional[Fraction] = None
-        for i in range(m):
+        for i in rows:
             coeff = tableau[i][entering]
             if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
+                if leaving < 0:
+                    leaving = i
+                    continue
+                here = tableau[i][-1] * tableau[leaving][entering]
+                best = tableau[leaving][-1] * coeff
+                if here < best or (here == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
 
 
-def _row_multipliers(
-    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], signs: list[int]
-) -> list[Fraction]:
-    """pi = c_B B^-1, with B^-1 read from the artificial columns of the
-    tableau, mapped back to the rows as given (un-negated)."""
-    m, n = len(basis), len(costs) - len(basis)
-    return [
-        signs[i] * sum(costs[basis[k]] * tableau[k][n + i] for k in range(m) if tableau[k][n + i])
-        for i in range(m)
-    ]
-
-
 def simplex_minimize(
     matrix: Sequence[Vector], rhs: Vector, costs: Vector, *, multipliers: bool = False
 ) -> tuple:
-    """Minimize costs·x subject to matrix·x = rhs, x >= 0.
+    """Minimize costs·x subject to matrix·x = rhs, x >= 0, over entries that
+    are `Fraction`s or ints.
 
     Returns (status, solution, objective) with status one of
     `optimal`, `infeasible`, `unbounded`.  With `multipliers`, a fourth
@@ -97,38 +109,55 @@ def simplex_minimize(
     (costs_j - pi·A_j >= 0 for every column j, and pi·rhs equals the
     objective); when infeasible a Farkas vector (pi·A_j <= 0 for every
     column j, and pi·rhs > 0); None when unbounded.
+
+    Row i is negated when its rhs is negative (sign_i = -1) and scaled to
+    integers by s_i, the lcm of its denominators; the artificial columns
+    stay the identity and artificial i costs L / s_i in phase 1, with L
+    the lcm of all s_i.  That is the LP of unscaled artificials at cost 1
+    up to positive row, column and cost scalings, so Bland's rule takes
+    the same pivots, and the multipliers scale back exactly.
     """
     m = len(matrix)
     n = len(costs)
-    tableau: list[list[Fraction]] = []
-    signs: list[int] = []  # -1 on the rows negated to make rhs >= 0
+    tableau: list[list[int]] = []
+    signs: list[int] = []
+    scales: list[int] = []
     for i in range(m):
-        row = [Fraction(v) for v in matrix[i]]
-        if len(row) != n:
+        row = [*matrix[i], rhs[i]]
+        if len(row) != n + 1:
             raise DimensionMismatch("matrix row length does not match costs")
-        value = Fraction(rhs[i])
-        signs.append(-1 if value < 0 else 1)
-        if value < 0:
-            row = [-v for v in row]
-            value = -value
-        tableau.append(row + [Fraction(0)] * m + [value])
-    for i in range(m):
-        tableau[i][n + i] = Fraction(1)
+        sign = -1 if rhs[i] < 0 else 1
+        scale = lcm(*(v.denominator for v in row))
+        integers = [sign * v.numerator * (scale // v.denominator) for v in row]
+        tableau.append(integers[:n] + [0] * m + integers[n:])
+        tableau[i][n + i] = 1
+        signs.append(sign)
+        scales.append(scale)
     basis = list(range(n, n + m))
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    tableau.append(_cost_row(tableau, basis, [0] * n + weights))
 
     def result(status, solution=None, objective=None, pi=None):
         return (status, solution, objective, pi) if multipliers else (status, solution, objective)
 
-    status = _iterate(tableau, basis, phase1, n + m)
+    def row_multipliers(cost_scale: int, artificial_costs) -> list[Fraction]:
+        """pi_i = sign_i·s_i·(c'_{n+i} - r'_{n+i}) / cost_scale, from the
+        reduced costs r' of the scaled artificial columns."""
+        denominator = _denominator(tableau, basis)
+        reduced = tableau[-1]
+        return [
+            sign * Fraction(scale * (cost * denominator - reduced[n + i]), denominator * cost_scale)
+            for i, (sign, scale, cost) in enumerate(zip(signs, scales, artificial_costs))
+        ]
+
+    status = _iterate(tableau, basis, n + m)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below
         return result("unbounded")
-    infeasibility = sum(
-        tableau[i][-1] for i in range(m) if basis[i] >= n
-    )
-    if infeasibility > 0:
-        farkas = _row_multipliers(tableau, basis, phase1, signs) if multipliers else None
+    if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
+        farkas = row_multipliers(common, weights) if multipliers else None
         return result("infeasible", pi=farkas)
+    tableau.pop()
     # Drive remaining zero-value artificials out of the basis when possible.
     for i in range(m):
         if basis[i] >= n:
@@ -136,16 +165,18 @@ def simplex_minimize(
                 if tableau[i][j] != 0:
                     _pivot(tableau, basis, i, j)
                     break
-    phase2 = [Fraction(v) for v in costs] + [Fraction(0)] * m
-    status = _iterate(tableau, basis, phase2, n)
-    if status == "unbounded":
+    cost_scale = lcm(*(c.denominator for c in costs))
+    scaled_costs = [c.numerator * (cost_scale // c.denominator) for c in costs]
+    tableau.append(_cost_row(tableau, basis, scaled_costs + [0] * m))
+    if _iterate(tableau, basis, n) == "unbounded":
         return result("unbounded")
+    denominator = _denominator(tableau, basis)
     solution = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    objective = sum(Fraction(costs[j]) * solution[j] for j in range(n))
-    duals = _row_multipliers(tableau, basis, phase2, signs) if multipliers else None
+            solution[basis[i]] = Fraction(tableau[i][-1], denominator)
+    objective = Fraction(-tableau[-1][-1], denominator * cost_scale)
+    duals = row_multipliers(cost_scale, [0] * m) if multipliers else None
     return result("optimal", solution, objective, duals)
 
 
@@ -196,12 +227,12 @@ def convex_combination(
         if len(p) != dim:
             raise DimensionMismatch("point dimension does not match target")
     count = len(points)
-    matrix = [[Fraction(points[h][d]) for h in range(count)] for d in range(dim)]
-    matrix.append([Fraction(1)] * count)
-    rhs = [Fraction(v) for v in target] + [Fraction(1)]
-    costs = [Fraction(0)] * count
+    matrix = [[p[d] for p in points] for d in range(dim)]
+    matrix.append([1] * count)
+    rhs = [*target, 1]
+    costs = [0] * count
     for h in favoured:
-        costs[h] = Fraction(-1)
+        costs[h] = -1
     if separate:
         status, solution, _, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     else:
@@ -211,14 +242,14 @@ def convex_combination(
             return None
         # Farkas: pi·(p, 1) <= 0 at every point and pi·(target, 1) > 0.
         slopes, offset = tuple(pi[:dim]), pi[dim]
-        if any(sum(s * Fraction(v) for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
+        if any(sum(s * v for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
             sum(s * v for s, v in zip(slopes, rhs)) + offset <= 0
         ):
             raise InternalError("the separator of an infeasible hull fails its exact re-check")
         return None, (slopes, offset)
     # Exact re-verification of the certificate.
     if solution is None or any(w < 0 for w in solution) or sum(solution) != 1 or any(
-        sum(w * Fraction(p[d]) for w, p in zip(solution, points)) != Fraction(target[d])
+        sum(w * p[d] for w, p in zip(solution, points)) != target[d]
         for d in range(dim)
     ):
         raise InternalError("hull weights fail their exact re-check")
@@ -248,19 +279,19 @@ def best_uniform_gain(
     m = len(deviations)
     # Columns: l_h (m), r+_i (n), r-_i (n).  Rows: one per member, then sum l = 1.
     matrix = [
-        [Fraction(d[i]) for d in deviations]
-        + [Fraction(int(k == i)) for k in range(n)]
-        + [Fraction(-int(k == i)) for k in range(n)]
+        [d[i] for d in deviations]
+        + [int(k == i) for k in range(n)]
+        + [-int(k == i) for k in range(n)]
         for i in range(n)
     ]
-    matrix.append([Fraction(1)] * m + [Fraction(0)] * (2 * n))
-    rhs = [Fraction(0)] * n + [Fraction(1)]
-    costs = [Fraction(0)] * m + [Fraction(1)] * (2 * n)
+    matrix.append([1] * m + [0] * (2 * n))
+    rhs = [0] * n + [1]
+    costs = [0] * m + [1] * (2 * n)
     epsilon, pi = certified_minimum(matrix, rhs, costs)
     stakes = [-p for p in pi[:n]]
     # Exact re-verification of the certificate.
     if any(not -1 <= s <= 1 for s in stakes) or any(
-        sum(s * Fraction(d[i]) for i, s in enumerate(stakes)) < epsilon for d in deviations
+        sum(s * d[i] for i, s in enumerate(stakes)) < epsilon for d in deviations
     ):
         raise InternalError("stakes fail their exact re-check")
     return epsilon, stakes

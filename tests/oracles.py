@@ -21,6 +21,12 @@ before it read the stakes off the multipliers of the hull system: the
 primal over the stakes themselves, split into positive and negative
 parts, with a surplus column per deviation vector and a slack per stake
 bound.
+
+`fraction_simplex` is the two-phase simplex that `simplex_minimize` ran
+before it pivoted on an integer tableau: the same Bland's rule, but every
+entry a `Fraction`, each row divided by its pivot, and the reduced costs
+recomputed from the basis costs at every iteration.  The integer simplex
+must return exactly its tuples, multipliers included.
 """
 
 from fractions import Fraction
@@ -34,7 +40,7 @@ from coherekit.coherence import (
     solve_sigma,
     subsets_by_size,
 )
-from coherekit.errors import EmptySupport
+from coherekit.errors import DimensionMismatch, EmptySupport
 from coherekit.linprog import best_uniform_gain, simplex_minimize
 
 
@@ -102,3 +108,114 @@ def primal_uniform_gain(
     status, solution, _ = simplex_minimize(matrix, rhs, costs)
     assert status == "optimal", status
     return solution[2 * n], [solution[i] - solution[n + i] for i in range(n)]
+
+
+def _fraction_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    pivot = tableau[row][col]
+    tableau[row] = [v / pivot for v in tableau[row]]
+    for i, current in enumerate(tableau):
+        if i != row and current[col] != 0:
+            factor = current[col]
+            pivot_row = tableau[row]
+            tableau[i] = [a - factor * b for a, b in zip(current, pivot_row)]
+    basis[row] = col
+
+
+def _fraction_iterate(
+    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], allowed: int
+) -> str:
+    """Bland's rule: the smallest entering index with a negative reduced
+    cost, the smallest basis index among the rows that tie the ratio test."""
+    m = len(tableau)
+    while True:
+        basis_costs = [costs[basis[i]] for i in range(m)]
+        entering = -1
+        for j in range(allowed):
+            reduced = costs[j] - sum(
+                basis_costs[i] * tableau[i][j] for i in range(m) if tableau[i][j]
+            )
+            if reduced < 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        leaving = -1
+        best: Optional[Fraction] = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded"
+        _fraction_pivot(tableau, basis, leaving, entering)
+
+
+def _fraction_multipliers(
+    tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], signs: list[int]
+) -> list[Fraction]:
+    """pi = c_B B^-1, with B^-1 read from the artificial columns, mapped
+    back to the rows as given (un-negated)."""
+    m, n = len(basis), len(costs) - len(basis)
+    return [
+        signs[i] * sum(costs[basis[k]] * tableau[k][n + i] for k in range(m) if tableau[k][n + i])
+        for i in range(m)
+    ]
+
+
+def fraction_simplex(
+    matrix: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+    costs: Sequence[Fraction],
+    *,
+    multipliers: bool = False,
+) -> tuple:
+    """`simplex_minimize` on a dense `Fraction` tableau: minimize costs·x
+    subject to matrix·x = rhs, x >= 0, with the same return values."""
+    m = len(matrix)
+    n = len(costs)
+    tableau: list[list[Fraction]] = []
+    signs: list[int] = []  # -1 on the rows negated to make rhs >= 0
+    for i in range(m):
+        row = [Fraction(v) for v in matrix[i]]
+        if len(row) != n:
+            raise DimensionMismatch("matrix row length does not match costs")
+        value = Fraction(rhs[i])
+        signs.append(-1 if value < 0 else 1)
+        if value < 0:
+            row = [-v for v in row]
+            value = -value
+        tableau.append(row + [Fraction(0)] * m + [value])
+    for i in range(m):
+        tableau[i][n + i] = Fraction(1)
+    basis = list(range(n, n + m))
+    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
+
+    def result(status, solution=None, objective=None, pi=None):
+        return (status, solution, objective, pi) if multipliers else (status, solution, objective)
+
+    status = _fraction_iterate(tableau, basis, phase1, n + m)
+    if status != "optimal":  # pragma: no cover - phase 1 is bounded below
+        return result("unbounded")
+    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) > 0:
+        farkas = _fraction_multipliers(tableau, basis, phase1, signs) if multipliers else None
+        return result("infeasible", pi=farkas)
+    # Drive remaining zero-value artificials out of the basis when possible.
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if tableau[i][j] != 0:
+                    _fraction_pivot(tableau, basis, i, j)
+                    break
+    phase2 = [Fraction(v) for v in costs] + [Fraction(0)] * m
+    if _fraction_iterate(tableau, basis, phase2, n) == "unbounded":
+        return result("unbounded")
+    solution = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            solution[basis[i]] = tableau[i][-1]
+    objective = sum(Fraction(costs[j]) * solution[j] for j in range(n))
+    duals = _fraction_multipliers(tableau, basis, phase2, signs) if multipliers else None
+    return result("optimal", solution, objective, duals)

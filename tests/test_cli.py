@@ -204,6 +204,14 @@ def test_non_integer_cap_exit_code(write, capsys, monkeypatch):
     assert "COHERE_SUBSET_CAP" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_non_positive_cap_exit_code(cap, write, capsys, monkeypatch):
+    """A cap below 1 is an invalid setting, not a family that exceeds it."""
+    monkeypatch.setenv("COHERE_SUBSET_CAP", cap)
+    assert main(["check", write("atoms A H\nassess P(A given H) = 1/2\n")]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_zero_denominator_exit_code(write, capsys):
     assert main(["check", write("atoms A\nassess P(A) = 1/0\n")]) == 2
     assert "zero denominator" in capsys.readouterr().err

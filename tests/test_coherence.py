@@ -465,6 +465,18 @@ def test_coherent_independent_families_take_at_most_n_hull_lps(monkeypatch, coun
     assert lps <= count
 
 
+def test_eight_independent_conditionals_sharing_h():
+    """A level LP over 257 distinct payoff points (every 0/1 pattern of the
+    A_i on H, and the previsions themselves on ¬H) decides the family
+    coherent; with one prevision above 1 that member alone is the witness."""
+    items = _independent_given(8, ["H"] * 8)
+    assert check_coherence(Assessment(items)).coherent
+    items[3] = (items[3][0], F(5, 4))
+    result = check_coherence(Assessment(items))
+    assert not result.coherent
+    assert result.witness == (3,)
+
+
 def test_unbacked_incoherent_level_is_an_internal_error(monkeypatch):
     """An incoherent level verdict needs a failing subfamily; without one
     the library is at fault, and says so with no verdict."""

@@ -1,6 +1,7 @@
 """Differential tests of the coherence engine against the exhaustive
 hull sweep and stake search of `oracles.py`, on random families over
-three atoms.
+three atoms, and of the integer simplex against the `Fraction` tableau
+it replaced, on random linear programs.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -11,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from coherekit import linprog
 from coherekit.cli import main
@@ -41,7 +42,8 @@ from coherekit.propagation import (
     _search_interval,
     extension_interval,
 )
-from oracles import exhaustive_coherence, exhaustive_dutch_book
+import oracles
+from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_simplex
 from test_cli import MP_DOC, _corrupted_multipliers
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
@@ -406,3 +408,76 @@ def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys
     doc.write_text(MP_DOC, encoding="utf-8")
     assert main(["extend", str(doc)]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+# Zero in a third of the draws, else small numerators over mixed and
+# large prime denominators.
+lp_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 12, 999983])),
+)
+
+
+@st.composite
+def linear_programs(draw):
+    """1-5 rows, 1-8 columns; right-hand sides of either sign; in half of
+    the systems with two or more rows, the last row repeats or negates the
+    first, so artificials can stay basic at zero after phase 1."""
+    rows = draw(st.integers(1, 5))
+    columns = draw(st.integers(1, 8))
+    vectors = st.lists(lp_entries, min_size=columns, max_size=columns)
+    matrix = [draw(vectors) for _ in range(rows)]
+    rhs = draw(st.lists(lp_entries, min_size=rows, max_size=rows))
+    if rows > 1 and draw(st.booleans()):
+        sign = draw(st.sampled_from([1, -1]))
+        matrix[-1] = [sign * v for v in matrix[0]]
+        rhs[-1] = sign * rhs[0]
+    return matrix, rhs, draw(vectors)
+
+
+def _solve_recording_pivots(solve, module, name, lp, **options):
+    pivots = []
+    pivot = getattr(module, name)
+
+    def recording(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    setattr(module, name, recording)
+    try:
+        return solve(*lp, **options), pivots
+    finally:
+        setattr(module, name, pivot)
+
+
+def _ints(*rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_programs())
+@example((_ints([1], [1]), [Fraction(1), Fraction(2)], [Fraction(0)]))  # infeasible
+@example((_ints([1, -1]), [Fraction(0)], [Fraction(-1), Fraction(0)]))  # unbounded
+@example(  # a negative rhs
+    (_ints([-1, 2], [1, 1]), [Fraction(-3), Fraction(5)], [Fraction(1), Fraction(2)])
+)
+@example(  # mixed denominators
+    (
+        [[Fraction(1, 3), Fraction(2, 999983)], [Fraction(1, 2), Fraction(5, 12)]],
+        [Fraction(1, 5), Fraction(1)],
+        [Fraction(1, 12), Fraction(-1)],
+    )
+)
+def test_integer_simplex_matches_the_fraction_tableau(lp):
+    """Status, solution, objective and multipliers (duals, or the Farkas
+    vector of an infeasible system) are the `Fraction` tableau's, and so
+    is every pivot."""
+    got, path = _solve_recording_pivots(
+        linprog.simplex_minimize, linprog, "_pivot", lp, multipliers=True
+    )
+    expected, oracle_path = _solve_recording_pivots(
+        fraction_simplex, oracles, "_fraction_pivot", lp, multipliers=True
+    )
+    assert got == expected
+    assert path == oracle_path
+    assert linprog.simplex_minimize(*lp) == expected[:3]

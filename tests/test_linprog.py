@@ -7,8 +7,13 @@ import pytest
 
 from coherekit import linprog
 from coherekit.errors import DimensionMismatch
-from coherekit.linprog import best_uniform_gain, convex_combination, simplex_minimize
-from oracles import primal_uniform_gain
+from coherekit.linprog import (
+    best_uniform_gain,
+    certified_minimum,
+    convex_combination,
+    simplex_minimize,
+)
+from oracles import fraction_simplex, primal_uniform_gain
 
 F = Fraction
 
@@ -40,6 +45,46 @@ def test_simplex_unbounded():
     # min -x s.t. x - y = 0 (x = y can grow without bound)
     status, _, _ = simplex_minimize([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
     assert status == "unbounded"
+
+
+def test_rank_deficient_rows_drive_out_on_a_negative_pivot(monkeypatch):
+    """x + y = 1 twice and negated, x - y = 1: rank 2 in four rows, so
+    artificials stay basic at zero after phase 1, and one is driven out on
+    a negative pivot, after which the tableau is negated to keep its
+    denominator positive."""
+    matrix = [[F(1), F(1)], [F(1), F(1)], [F(-1), F(-1)], [F(1), F(-1)]]
+    rhs = [F(1), F(1), F(-1), F(1)]
+    costs = [F(1), F(1)]
+    positive = []
+    pivot = linprog._pivot
+
+    def recording(tableau, basis, row, col):
+        positive.append(tableau[row][col] > 0)
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(linprog, "_pivot", recording)
+    result = simplex_minimize(matrix, rhs, costs, multipliers=True)
+    assert False in positive
+    assert result == fraction_simplex(matrix, rhs, costs, multipliers=True)
+    status, solution, objective, _ = result
+    assert (status, solution, objective) == ("optimal", [F(1), F(0)], F(1))
+    assert all(sum(a * x for a, x in zip(row, solution)) == b for row, b in zip(matrix, rhs))
+    assert certified_minimum(matrix, rhs, costs)[0] == objective
+
+
+def test_large_prime_denominators_match_the_fraction_tableau():
+    """Row scales near 10^18 and a common denominator across three of them."""
+    matrix = [
+        [F(1, 999983), F(2, 999979), F(-3, 999961), F(1, 3)],
+        [F(1), F(1), F(1), F(1)],
+        [F(5, 7), F(-1, 999983), F(1, 2), F(0)],
+    ]
+    rhs = [F(1, 999961), F(1), F(1, 3)]
+    costs = [F(1, 999979), F(-1, 3), F(2, 999983), F(-1, 999961)]
+    result = simplex_minimize(matrix, rhs, costs, multipliers=True)
+    assert result[0] == "optimal"
+    assert result == fraction_simplex(matrix, rhs, costs, multipliers=True)
+    assert certified_minimum(matrix, rhs, costs) == (result[2], result[3])
 
 
 def test_convex_combination_inside_triangle():
