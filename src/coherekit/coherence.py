@@ -8,6 +8,12 @@ points generated by the possible worlds where at least one bet of the
 subfamily stands (the all-subfamilies characterization).  At a world
 where a bet is called off its coordinate is its own prevision.
 
+An `Assessment` builds its payoff matrix once, from the payoff rows of
+its members: each row's polynomial is substituted once and fills the
+member's live worlds in the row's region, held as int bitmasks over the
+worlds.  Every subfamily's point table is a projection of that matrix
+onto the subfamily's members at the union of their live worlds.
+
 `check_coherence` decides this with Gilio's level algorithm (Biazzo &
 Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
 Level 0 solves the hull system of the whole family; LPs on the same
@@ -15,19 +21,20 @@ points that maximise the weight on the supports of the members still at
 weight zero release every member whose support can get weight, and level
 k + 1 solves the system of the members left at zero.  The family is
 coherent when every level is solvable and no member, or no live world,
-is left; a level of one member needs no LP, since the hull of scalars
-is the interval between the least and the greatest.  This is the
-all-subfamilies test: a level-k solution giving weight to a member of a
-subfamily S of the level, restricted to S's worlds and renormalised, is
-a hull witness for S, because at the other worlds every coordinate of S
-is called off and deviates from its prevision by 0; the other
-subfamilies are those of the next level.  So at most n levels give the
-verdict, and the subset loop `_first_failure` runs only to name an
-incoherent family's smallest failing subfamily as its witness, certified
-by the separator (Farkas) that the multipliers of its infeasible hull LP
-give.  A sure-win stake vector over a subfamily's live worlds exists
-exactly when its hull membership fails (a point outside the hull of
-finitely many points is strictly separable from them), so
+is left.  This is the all-subfamilies test: a level-k solution giving
+weight to a member of a subfamily S of the level, restricted to S's
+worlds and renormalised, is a hull witness for S, because at the other
+worlds every coordinate of S is called off and deviates from its
+prevision by 0; the other subfamilies are those of the next level.  So
+at most n levels give the verdict, and the subset loop `_first_failure`
+runs only to name an incoherent family's smallest failing subfamily as
+its witness, certified by a separator: the Farkas multipliers of its
+infeasible hull LP.  A subfamily of one member needs no LP, in a level
+or in the subset loop: the hull of scalars is the interval between the
+least and the greatest, and a prevision outside it is separated at the
+nearer end.  A sure-win stake vector over a subfamily's live worlds
+exists exactly when its hull membership fails (a point outside the hull
+of finitely many points is strictly separable from them), so
 `find_dutch_book` places its stakes on that witness.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
@@ -49,7 +56,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .crq import CRQ, support
-from .linprog import best_uniform_gain, convex_combination
+from .linprog import best_uniform_gain, check_separator, convex_combination
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -63,6 +70,9 @@ from .polynomials import Poly, Rational
 
 DEFAULT_FAMILY_CAP = 12
 _CORNER_LIMIT = 3  # unknown symbols allowed per payoff row
+
+# A payoff cell: an exact value, or a polynomial in unassessed symbols.
+Cell = Union[Fraction, Poly]
 
 
 def family_cap(override: Optional[int] = None) -> int:
@@ -87,6 +97,13 @@ class Assessment:
     quantity's own symbol gets its assessed prevision, and linked symbols
     (negations, sums) are solved for in both directions.  Symbols left
     over are the free ones handled by exact elimination.
+
+    The payoff matrix is built once, here: `cells[i][k]` is member i's
+    payoff at world k with the valuation substituted, a `Fraction`, or a
+    `Poly` when unassessed symbols remain, and the prevision where the
+    bet is called off.  `live_masks[i]` is the bitmask (bit k = world k)
+    of the worlds in `supports[i]`, where member i's bet stands.  Every
+    subfamily's point table is a projection of this matrix.
     """
 
     def __init__(self, items: Sequence[tuple[CRQ, Rational]]):
@@ -113,17 +130,27 @@ class Assessment:
         self.supports: tuple[frozenset[Constituent], ...] = tuple(
             support(crq, self.valuation) for crq, _ in self.items
         )
-        worlds = registry.constituents()
-        self._cells: list[list[Union[Poly, Fraction]]] = []
-        for i, (crq, value) in enumerate(self.items):
-            live = self.supports[i]
-            row: list[Union[Poly, Fraction]] = []
-            for c in worlds:
-                if c in live:
-                    row.append(crq.payoff_poly(c).substitute(self.valuation))
-                else:
-                    row.append(value)
-            self._cells.append(row)
+        self.live_masks: tuple[int, ...] = tuple(
+            sum(1 << c.index for c in live) for live in self.supports
+        )
+        # The payoff matrix, built row by row: a payoff row's polynomial is
+        # substituted once and fills the member's live worlds in its region
+        # (the rows partition the worlds); called-off worlds hold the
+        # prevision.
+        worlds = len(registry.constituents())
+        cells: list[tuple[Cell, ...]] = []
+        for (crq, value), live in zip(self.items, self.live_masks):
+            row: list[Cell] = [value] * worlds
+            for event, poly in crq.rows:
+                region = event.mask(registry) & live
+                if not region:
+                    continue
+                reduced = poly.substitute(self.valuation)
+                cell = reduced.constant_value() if reduced.is_constant() else reduced
+                for k in _bits(region):
+                    row[k] = cell
+            cells.append(tuple(row))
+        self.cells: tuple[tuple[Cell, ...], ...] = tuple(cells)
 
     def _derive_valuation(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -159,6 +186,14 @@ class Assessment:
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _solve_affine(
@@ -287,16 +322,24 @@ def _normalize_subset(assessment: Assessment, subset: Iterable[int]) -> tuple[in
 def _subset_entries(
     assessment: Assessment, subset: tuple[int, ...]
 ) -> list[PointEntry]:
-    live_union = frozenset().union(*(assessment.supports[i] for i in subset))
-    worlds = [c for c in assessment.registry.constituents() if c in live_union]
-    raw: list[tuple[Constituent, tuple[Poly, ...]]] = []
-    for c in worlds:
-        vec = tuple(Poly.coerce(assessment._cells[i][c.index]) for i in subset)
-        raw.append((c, vec))
-    # Guard the exact elimination of unknown symbols.
-    owners: dict[str, tuple[Poly, ...]] = {}
-    for _, vec in raw:
-        frees = {sym for poly in vec for sym in poly.symbols()}
+    """The payoff matrix projected onto `subset`'s members, at the worlds
+    where one of them stands; unknown symbols are guarded and expanded to
+    endpoint rows where a world's vector holds one."""
+    live = 0
+    for i in subset:
+        live |= assessment.live_masks[i]
+    rows = [assessment.cells[i] for i in subset]
+    worlds = assessment.registry.constituents()
+    owners: dict[str, tuple[Cell, ...]] = {}
+    entries: list[PointEntry] = []
+    for k in _bits(live):
+        vec = tuple(row[k] for row in rows)
+        polys = [cell for cell in vec if isinstance(cell, Poly)]
+        if not polys:
+            entries.append(PointEntry(worlds[k], vec))
+            continue
+        # Guard the exact elimination of unknown symbols.
+        frees = {sym for poly in polys for sym in poly.symbols()}
         for sym in frees:
             if sym in owners and owners[sym] != vec:
                 raise MissingSymbol(
@@ -309,24 +352,19 @@ def _subset_entries(
                 "too many unknown prevision symbols in one payoff row: "
                 + ", ".join(sorted(frees))
             )
-        for poly in vec:
+        for poly in polys:
             if not poly.is_affine_in(frees):
                 raise MissingSymbol(
                     "payoff is nonlinear in unknown prevision symbol(s) "
                     + ", ".join(sorted(frees))
                 )
-    entries: list[PointEntry] = []
-    for c, vec in raw:
-        frees = sorted({sym for poly in vec for sym in poly.symbols()})
-        if not frees:
-            entries.append(
-                PointEntry(c, tuple(poly.constant_value() for poly in vec))
+        names = sorted(frees)
+        for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(names)):
+            corner_map = dict(zip(names, corner))
+            values = tuple(
+                cell.value(corner_map) if isinstance(cell, Poly) else cell for cell in vec
             )
-            continue
-        for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(frees)):
-            corner_map = dict(zip(frees, corner))
-            values = tuple(poly.value(corner_map) for poly in vec)
-            entries.append(PointEntry(c, values, tuple(sorted(corner_map.items()))))
+            entries.append(PointEntry(worlds[k], values, tuple(sorted(corner_map.items()))))
     return entries
 
 
@@ -377,20 +415,43 @@ def _check_cap(assessment: Assessment, cap: Optional[int]) -> None:
         )
 
 
+def _scalar_separator(
+    points: Sequence[tuple[Fraction, ...]], target: tuple[Fraction, ...]
+) -> Optional[Separator]:
+    """The hull of one member's scalar points is the interval from the
+    least to the greatest, so no LP is needed: None when the prevision
+    lies in it, else the separator ((-1,), least) below it or ((1,),
+    -greatest) above it, re-checked exactly."""
+    (prevision,) = target
+    least = min(value for value, in points)
+    greatest = max(value for value, in points)
+    if prevision < least:
+        separator: Separator = ((Fraction(-1),), least)
+    elif prevision > greatest:
+        separator = ((Fraction(1),), -greatest)
+    else:
+        return None
+    check_separator(points, target, separator)
+    return separator
+
+
 def _first_failure(
     assessment: Assessment, subsets: Iterable[tuple[int, ...]]
 ) -> Optional[CoherenceResult]:
     """The incoherent result for the first of `subsets` whose previsions
-    lie outside the hull of its payoff points, with that hull LP's
-    separator, or None.  Subfamilies whose bets are all called off at
-    every world impose no constraint and are skipped."""
+    lie outside the hull of its payoff points, with that hull's separator,
+    or None.  Subfamilies whose bets are all called off at every world
+    impose no constraint and are skipped."""
     for subset in subsets:
         entries = _subset_entries(assessment, subset)
         if not entries:
             continue
         target = tuple(assessment.items[i][1] for i in subset)
         points = list(dict.fromkeys(e.values for e in entries))
-        _, separator = convex_combination(points, target, separate=True)
+        if len(subset) == 1:
+            separator = _scalar_separator(points, target)
+        else:
+            _, separator = convex_combination(points, target, separate=True)
         if separator is not None:
             return CoherenceResult(False, subset, separator)
     return None
@@ -434,14 +495,15 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
             break
         # Phi_j sums the weights of the worlds where member j stands, so
         # only points with the same values and live members may merge.
+        masks = assessment.live_masks
         merged = dict.fromkeys(
-            (e.values, frozenset(j for j in members if e.constituent in assessment.supports[j]))
+            (e.values, frozenset(j for j in members if masks[j] >> e.constituent.index & 1))
             for e in entries
         )
         points, lives = [values for values, _ in merged], [live for _, live in merged]
         target = tuple(assessment.items[j][1] for j in members)
-        if len(members) == 1:  # the hull of scalars is an interval: no LP
-            if not min(points)[0] <= target[0] <= max(points)[0]:
+        if len(members) == 1:
+            if _scalar_separator(points, target) is not None:
                 return None
             levels.append(members)
             break

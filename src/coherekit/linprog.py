@@ -241,19 +241,30 @@ def convex_combination(
         if not separate:
             return None
         # Farkas: pi·(p, 1) <= 0 at every point and pi·(target, 1) > 0.
-        slopes, offset = tuple(pi[:dim]), pi[dim]
-        if any(sum(s * v for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
-            sum(s * v for s, v in zip(slopes, rhs)) + offset <= 0
-        ):
-            raise InternalError("the separator of an infeasible hull fails its exact re-check")
-        return None, (slopes, offset)
-    # Exact re-verification of the certificate.
-    if solution is None or any(w < 0 for w in solution) or sum(solution) != 1 or any(
-        sum(w * p[d] for w, p in zip(solution, points)) != target[d]
-        for d in range(dim)
-    ):
+        separator = (tuple(pi[:dim]), pi[dim])
+        check_separator(points, target, separator)
+        return None, separator
+    # Exact re-verification of the certificate; the weights off their
+    # support add nothing to the target.
+    if solution is None or any(w < 0 for w in solution) or sum(solution) != 1:
+        raise InternalError("hull weights fail their exact re-check")
+    weighted = [(w, p) for w, p in zip(solution, points) if w]
+    if any(sum(w * p[d] for w, p in weighted) != target[d] for d in range(dim)):
         raise InternalError("hull weights fail their exact re-check")
     return (solution, None) if separate else solution
+
+
+def check_separator(
+    points: Sequence[Vector], target: Vector, separator: tuple[Vector, Fraction]
+) -> None:
+    """Re-check a separator (s, t) of `target` from `points` exactly:
+    s·p + t <= 0 at every point and s·target + t > 0; `InternalError`
+    otherwise."""
+    slopes, offset = separator
+    if any(sum(s * v for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
+        sum(s * v for s, v in zip(slopes, target)) + offset <= 0
+    ):
+        raise InternalError("the separator of an infeasible hull fails its exact re-check")
 
 
 def best_uniform_gain(

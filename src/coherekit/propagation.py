@@ -70,7 +70,7 @@ from .errors import (
 )
 from .events import TRUE, AtomRegistry, Constituent, Event, is_impossible
 from .linprog import certified_minimum
-from .polynomials import Poly, Rational
+from .polynomials import Rational
 
 DEFAULT_TOLERANCE_EXPONENT = 20
 
@@ -229,14 +229,13 @@ def _lp_interval(
     since its family is a subfamily, and it has fewer premises, so the
     loop ends; with no premise left, D = 1 is feasible."""
     previsions = premises.previsions
-    cells = {}
+    cells = {}  # the premises leave no free symbol, so every cell is a Fraction
     for world in premises.registry.constituents():
-        live = frozenset(j for j, s in enumerate(premises.supports) if world in s)
+        live = frozenset(
+            j for j, mask in enumerate(premises.live_masks) if mask >> world.index & 1
+        )
         if live or world in payoffs:
-            values = tuple(
-                Poly.coerce(row[world.index]).constant_value() for row in premises._cells
-            )
-            cells[world] = (values, live)
+            cells[world] = (tuple(row[world.index] for row in premises.cells), live)
     members = tuple(range(len(premises)))
     while members:
         off_target = dict.fromkeys(

@@ -22,6 +22,15 @@ primal over the stakes themselves, split into positive and negative
 parts, with a surplus column per deviation vector and a slack per stake
 bound.
 
+`payoff_cells` is the payoff matrix as `Assessment` built it before it
+went row by row: at every world where a member's bet stands, the payoff
+polynomial looked up at that world with the valuation substituted, and
+the prevision where it is called off.  `point_table` is a subfamily's
+point table as `build_points` read it off those cells before the tables
+became projections of the assessment's own matrix: every cell coerced to
+`Poly`, the unknown-symbol guard run over all live worlds, then one entry
+per world, or one per endpoint corner where unknown symbols remain.
+
 `fraction_simplex` is the two-phase simplex that `simplex_minimize` ran
 before it pivoted on an integer tableau: the same Bland's rule, but every
 entry a `Fraction`, each row divided by its pivot, and the reduced costs
@@ -29,19 +38,24 @@ recomputed from the basis costs at every iteration.  The integer simplex
 must return exactly its tuples, multipliers included.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from coherekit.coherence import (
+    _CORNER_LIMIT,
     Assessment,
     CoherenceResult,
     DutchBook,
+    PointEntry,
+    PointTable,
     build_points,
     solve_sigma,
     subsets_by_size,
 )
-from coherekit.errors import DimensionMismatch, EmptySupport
+from coherekit.errors import DimensionMismatch, EmptySupport, MissingSymbol
 from coherekit.linprog import best_uniform_gain, simplex_minimize
+from coherekit.polynomials import Poly
 
 
 def exhaustive_coherence(
@@ -108,6 +122,64 @@ def primal_uniform_gain(
     status, solution, _ = simplex_minimize(matrix, rhs, costs)
     assert status == "optimal", status
     return solution[2 * n], [solution[i] - solution[n + i] for i in range(n)]
+
+
+def payoff_cells(assessment: Assessment) -> list[list[Poly]]:
+    """cells[i][k]: member i's payoff at world k, world by world."""
+    worlds = assessment.registry.constituents()
+    return [
+        [
+            crq.payoff_poly(c).substitute(assessment.valuation) if c in live else Poly.coerce(value)
+            for c in worlds
+        ]
+        for (crq, value), live in zip(assessment.items, assessment.supports)
+    ]
+
+
+def point_table(
+    assessment: Assessment, subset: tuple[int, ...], cells: Sequence[Sequence[Poly]]
+) -> PointTable:
+    """The point table of `subset` over the worlds where one of its bets
+    stands, read off `cells`; it has no entries when there are none."""
+    live = frozenset().union(*(assessment.supports[i] for i in subset))
+    raw = [
+        (c, tuple(cells[i][c.index] for i in subset))
+        for c in assessment.registry.constituents()
+        if c in live
+    ]
+    owners: dict[str, tuple[Poly, ...]] = {}
+    for _, vec in raw:
+        frees = {sym for poly in vec for sym in poly.symbols()}
+        for sym in frees:
+            if sym in owners and owners[sym] != vec:
+                raise MissingSymbol(
+                    f"prevision symbol {sym} is not assessed and appears in "
+                    "several distinct payoff rows; it cannot be eliminated"
+                )
+            owners.setdefault(sym, vec)
+        if len(frees) > _CORNER_LIMIT:
+            raise MissingSymbol(
+                "too many unknown prevision symbols in one payoff row: "
+                + ", ".join(sorted(frees))
+            )
+        for poly in vec:
+            if not poly.is_affine_in(frees):
+                raise MissingSymbol(
+                    "payoff is nonlinear in unknown prevision symbol(s) "
+                    + ", ".join(sorted(frees))
+                )
+    entries = []
+    for c, vec in raw:
+        frees = sorted({sym for poly in vec for sym in poly.symbols()})
+        if not frees:
+            entries.append(PointEntry(c, tuple(poly.constant_value() for poly in vec)))
+            continue
+        for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(frees)):
+            corner_map = dict(zip(frees, corner))
+            values = tuple(poly.value(corner_map) for poly in vec)
+            entries.append(PointEntry(c, values, tuple(sorted(corner_map.items()))))
+    previsions = tuple(assessment.items[i][1] for i in subset)
+    return PointTable(subset, tuple(entries), previsions)
 
 
 def _fraction_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

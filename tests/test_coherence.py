@@ -21,6 +21,7 @@ from coherekit.coherence import (
     subsets_by_size,
 )
 from coherekit.crq import (
+    CRQ,
     conditional_event,
     conjunction,
     iterated,
@@ -36,6 +37,7 @@ from coherekit.errors import (
     PreconditionFailed,
 )
 from coherekit.events import TRUE, AtomRegistry
+from coherekit.linprog import check_separator
 from coherekit.polynomials import ONE, Poly
 from oracles import exhaustive_dutch_book
 
@@ -442,13 +444,17 @@ def _independent_given(count, condition_names):
     ]
 
 
+def _sweep_family():
+    """Five A_i|H and (A0|H) ∧ (A1|H) over 64 worlds."""
+    items = _independent_given(5, ["H"] * 5)
+    both = conjunction(items[0][0], items[1][0], "z")
+    return items + [(both, F(1, 5))]
+
+
 def test_coherent_six_member_family_takes_one_hull_lp(monkeypatch):
     """Five A_i|H and (A0|H) ∧ (A1|H) inside its Fréchet bounds: 63
     subfamilies, decided by the whole family's system alone."""
-    items = _independent_given(5, ["H"] * 5)
-    both = conjunction(items[0][0], items[1][0], "z")
-    assessment = Assessment(items + [(both, F(1, 5))])
-    result, lps = _hull_lps(monkeypatch, assessment)
+    result, lps = _hull_lps(monkeypatch, Assessment(_sweep_family()))
     assert result.coherent
     assert lps == 1
 
@@ -463,6 +469,51 @@ def test_coherent_independent_families_take_at_most_n_hull_lps(monkeypatch, coun
     result, lps = _hull_lps(monkeypatch, Assessment(_independent_given(count, conditions)))
     assert result.coherent
     assert lps <= count
+
+
+def test_assessment_substitutes_each_payoff_row_at_most_once(monkeypatch):
+    """The payoff matrix is built row by row: one substitution per member
+    and payoff row (none for a row where the bet is called off), never one
+    per world."""
+    items = _sweep_family()
+    real = Poly.substitute
+    calls = 0
+
+    def counting(self, valuation):
+        nonlocal calls
+        calls += 1
+        return real(self, valuation)
+
+    def per_world(self, world):
+        raise AssertionError("payoff looked up world by world")
+
+    monkeypatch.setattr(Poly, "substitute", counting)
+    monkeypatch.setattr(CRQ, "payoff_poly", per_world)
+    assessment = Assessment(items)
+    assert len(assessment.registry.constituents()) == 64
+    assert calls <= sum(len(crq.rows) for crq, _ in items)
+
+
+@pytest.mark.parametrize(
+    "prevision, separator",
+    [(F(3, 2), ((F(1),), F(-1))), (F(-1, 2), ((F(-1),), F(0)))],
+    ids=["above", "below"],
+)
+def test_one_member_witness_takes_no_hull_lp(monkeypatch, prevision, separator):
+    """A one-member subfamily's hull is the interval of its payoffs, so its
+    separator needs no LP, in the levels or in the witness sweep."""
+    reg = AtomRegistry(["A", "H"])
+    a, h = reg.atoms("A", "H")
+    assessment = Assessment([(conditional_event(a, h, "p"), prevision)])
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("hull LP on one member")
+
+    monkeypatch.setattr(coherence, "convex_combination", no_lp)
+    result = check_coherence(assessment)
+    assert result.witness == (0,)
+    assert result.separator == separator
+    check_separator(build_points(assessment, (0,)).points, assessment.previsions, separator)
 
 
 def test_eight_independent_conditionals_sharing_h():

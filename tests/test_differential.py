@@ -1,7 +1,8 @@
 """Differential tests of the coherence engine against the exhaustive
 hull sweep and stake search of `oracles.py`, on random families over
-three atoms, and of the integer simplex against the `Fraction` tableau
-it replaced, on random linear programs.
+three atoms, of the assessment's payoff matrix and point tables against
+their world-by-world construction, and of the integer simplex against
+the `Fraction` tableau it replaced, on random linear programs.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -18,6 +19,7 @@ from coherekit import linprog
 from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
+    PointTable,
     _levels,
     build_points,
     check_coherence,
@@ -176,6 +178,31 @@ def test_engine_matches_exhaustive_stake_search(assessment):
 @given(families())
 def test_levels_match_exhaustive_hull_sweep(assessment):
     assert _outcome(check_coherence, assessment) == _outcome(exhaustive_coherence, assessment)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(member_lists(), member_lists(free_inner=True)).map(Assessment))
+def test_payoff_matrix_matches_world_by_world_oracle(assessment):
+    """The row-wise matrix equals the world-by-world one, its constant cells
+    are `Fraction`s, the live masks are the supports, and every point table
+    (corner rows included) or `MissingSymbol` message is the one read off
+    the oracle's cells."""
+    cells = oracles.payoff_cells(assessment)
+    assert [[Poly.coerce(cell) for cell in row] for row in assessment.cells] == cells
+    assert all(
+        isinstance(cell, Fraction) or not cell.is_constant()
+        for row in assessment.cells
+        for cell in row
+    )
+    for mask, live in zip(assessment.live_masks, assessment.supports):
+        assert mask == sum(1 << world.index for world in live)
+    for subset in subsets_by_size(len(assessment)):
+        expected = _outcome_with_message(oracles.point_table, assessment, subset, cells)
+        got = _outcome_with_message(build_points, assessment, subset)
+        if isinstance(expected, PointTable) and not expected.entries:
+            assert got[0] is EmptySupport
+        else:
+            assert got == expected
 
 
 @st.composite
@@ -396,12 +423,15 @@ def test_zero_denominator_takes_the_next_level(premises, target, expected):
 def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys):
     """An LP endpoint, separator or stake vector whose multipliers fail the
     exact re-check is a fault of the library, never an interval, a verdict
-    or a Dutch book."""
+    or a Dutch book.  A one-member witness's separator comes from the
+    interval of its points, with no LP multipliers to corrupt."""
     monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(linprog.simplex_minimize))
     with pytest.raises(InternalError):
         extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
+    assert check_coherence(_zero_antecedent(Fraction(3, 2))).separator == ((1,), -1)
+    overcommitted = [(_event(A, H, "a"), Fraction(3, 4)), (_event(~A, H, "na"), Fraction(3, 4))]
     with pytest.raises(InternalError):
-        check_coherence(_zero_antecedent(Fraction(3, 2)))
+        check_coherence(Assessment(overcommitted))
     with pytest.raises(InternalError):
         linprog.best_uniform_gain([(Fraction(-1),), (Fraction(-2),)])
     doc = tmp_path / "mp.cohere"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from coherekit import linprog
-from coherekit.errors import DimensionMismatch
+from coherekit.errors import DimensionMismatch, InternalError
 from coherekit.linprog import (
     best_uniform_gain,
     certified_minimum,
@@ -109,6 +109,20 @@ def test_convex_combination_outside():
 def test_convex_combination_single_point():
     assert convex_combination([(F(3, 7),)], (F(3, 7),)) is not None
     assert convex_combination([(F(3, 7),)], (F(3, 7) + F(1, 10**9),)) is None
+
+
+def test_hull_weights_that_miss_the_target_fail_the_recheck(monkeypatch):
+    """Weights that are nonnegative and sum to 1 but put their mass on the
+    wrong points do not reproduce the target."""
+    real = linprog.simplex_minimize
+
+    def reversed_weights(matrix, rhs, costs):
+        status, solution, objective = real(matrix, rhs, costs)
+        return status, solution[::-1], objective
+
+    monkeypatch.setattr(linprog, "simplex_minimize", reversed_weights)
+    with pytest.raises(InternalError):
+        convex_combination([(F(0),), (F(1),)], (F(1, 4),))
 
 
 def test_convex_combination_dimension_mismatch():
