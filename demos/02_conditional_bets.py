@@ -23,7 +23,7 @@ price = Fraction(1, 3)
 print(f"\nwith x = {price}:")
 for world in registry.constituents():
     value = payoff_at(bet, world, {"x": price})
-    tag = "" if world in support(bet, {"x": price}) else "   (called off)"
+    tag = "" if support(bet, {"x": price}) >> world.index & 1 else "   (called off)"
     print(f"   {world.label():<8} pays {value}{tag}")
 
 opposite = negate(bet, "xn")

@@ -17,10 +17,10 @@ Subcommands:
   assessment.
 
 Exit codes: 0 success/coherent, 1 incoherent or Dutch book found,
-2 parse/validation error, 3 cap exceeded, 4 internal error (a failed
-certificate re-check or a bug: never a verdict).  The environment variable
-COHERE_SUBSET_CAP overrides the family-size cap; a value that is not an
-integer, or is below 1, exits 2.
+2 parse/validation error (input nested too deeply included), 3 cap
+exceeded, 4 internal error (a failed certificate re-check or a bug: never
+a verdict).  The environment variable COHERE_SUBSET_CAP overrides the
+family-size cap; a value that is not an integer, or is below 1, exits 2.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INVALID
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
+        return EXIT_INVALID
+    except RecursionError:  # only expressions, events and definitions nest
+        print("error: the input is nested too deeply", file=sys.stderr)
         return EXIT_INVALID
     except Exception as error:  # InternalError, or a bug: not a verdict
         kind = "" if isinstance(error, InternalError) else f"{type(error).__name__}: "
@@ -310,14 +313,13 @@ def _print_family_table(built: BuiltDocument, as_json: bool) -> int:
         name for crq in built.members for name in crq.symbols()
     )
     worlds = assessment.registry.constituents()
-    supports = assessment.supports
     cells = []
     for c in worlds:
         row = []
-        for i, (crq, _) in enumerate(assessment.items):
+        for (crq, _), live in zip(assessment.items, assessment.live_masks):
             poly = crq.payoff_poly(c).substitute(assessment.valuation)
             text = poly.render(aliases)
-            if c not in supports[i]:
+            if not live >> c.index & 1:
                 text += " *"
             row.append(text)
         cells.append(row)

@@ -53,6 +53,8 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .crq import CRQ, support
@@ -101,9 +103,10 @@ class Assessment:
     The payoff matrix is built once, here: `cells[i][k]` is member i's
     payoff at world k with the valuation substituted, a `Fraction`, or a
     `Poly` when unassessed symbols remain, and the prevision where the
-    bet is called off.  `live_masks[i]` is the bitmask (bit k = world k)
-    of the worlds in `supports[i]`, where member i's bet stands.  Every
-    subfamily's point table is a projection of this matrix.
+    bet is called off.  Sets of worlds and of members are int bitmasks:
+    `live_masks[i]` has bit k set when member i's bet stands at world k
+    (its `support`), and `live_members[k]`, its transpose, has bit i set.
+    Every subfamily's point table is a projection of this matrix.
     """
 
     def __init__(self, items: Sequence[tuple[CRQ, Rational]]):
@@ -127,17 +130,18 @@ class Assessment:
         )
         # Called-off analysis per member (fails fast when an inner
         # prevision needed by the support rule is not determined).
-        self.supports: tuple[frozenset[Constituent], ...] = tuple(
+        self.live_masks: tuple[int, ...] = tuple(
             support(crq, self.valuation) for crq, _ in self.items
         )
-        self.live_masks: tuple[int, ...] = tuple(
-            sum(1 << c.index for c in live) for live in self.supports
+        worlds = len(registry.constituents())
+        self.live_members: tuple[int, ...] = tuple(
+            sum(1 << i for i, live in enumerate(self.live_masks) if live >> k & 1)
+            for k in range(worlds)
         )
         # The payoff matrix, built row by row: a payoff row's polynomial is
         # substituted once and fills the member's live worlds in its region
         # (the rows partition the worlds); called-off worlds hold the
         # prevision.
-        worlds = len(registry.constituents())
         cells: list[tuple[Cell, ...]] = []
         for (crq, value), live in zip(self.items, self.live_masks):
             row: list[Cell] = [value] * worlds
@@ -245,14 +249,6 @@ class PointTable:
     @property
     def dimension(self) -> int:
         return len(self.subset)
-
-    @property
-    def constituents(self) -> tuple[Constituent, ...]:
-        seen: list[Constituent] = []
-        for entry in self.entries:
-            if not seen or seen[-1] is not entry.constituent:
-                seen.append(entry.constituent)
-        return tuple(seen)
 
     @property
     def points(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -459,16 +455,17 @@ def _first_failure(
 
 def _unreleased(
     points: Sequence[tuple[Fraction, ...]],
-    lives: Sequence[frozenset[int]],
+    lives: Sequence[int],
     target: tuple[Fraction, ...],
-    members: Iterable[int],
-) -> Optional[set[int]]:
-    """The members whose live points get zero weight in every solution of
-    the hull system, or None when it has none.  `lives[h]` holds the
-    members live at point h.  The first solution releases every member
-    whose points hold weight; LPs maximising the weight on the points of
-    the members still at zero release the others that can get weight."""
-    zero = set(members)
+    members: int,
+) -> Optional[int]:
+    """The mask of the members whose live points get zero weight in every
+    solution of the hull system, or None when it has none.  `lives[h]` is
+    the mask of the members live at point h.  The first solution releases
+    every member whose points hold weight; LPs maximising the weight on
+    the points of the members still at zero release the others that can
+    get weight."""
+    zero = members
     favoured: list[int] = []
     while zero:
         weights = convex_combination(points, target, favoured)
@@ -476,42 +473,38 @@ def _unreleased(
             return None
         # Weights are re-checked nonnegative, so a member whose support
         # holds a positive weight has Phi > 0 exactly.
-        released = zero & set().union(*(live for w, live in zip(weights, lives) if w > 0))
+        released = zero & reduce(or_, (live for w, live in zip(weights, lives) if w > 0), 0)
         if not released:
             break
-        zero -= released
-        favoured = [h for h, live in enumerate(lives) if not zero.isdisjoint(live)]
+        zero ^= released
+        favoured = [h for h, live in enumerate(lives) if live & zero]
     return zero
 
 
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
     """Gilio's levels I_0 ⊃ I_1 ⊃ ...: the member sets whose hull systems
     were solved, or None when one of them has no solution."""
-    members = tuple(range(len(assessment)))
+    members = (1 << len(assessment)) - 1
     levels: list[tuple[int, ...]] = []
     while members:
-        entries = _subset_entries(assessment, members)
+        indices = tuple(_bits(members))
+        entries = _subset_entries(assessment, indices)
         if not entries:
             break
         # Phi_j sums the weights of the worlds where member j stands, so
         # only points with the same values and live members may merge.
-        masks = assessment.live_masks
         merged = dict.fromkeys(
-            (e.values, frozenset(j for j in members if masks[j] >> e.constituent.index & 1))
+            (e.values, assessment.live_members[e.constituent.index] & members)
             for e in entries
         )
         points, lives = [values for values, _ in merged], [live for _, live in merged]
-        target = tuple(assessment.items[j][1] for j in members)
-        if len(members) == 1:
-            if _scalar_separator(points, target) is not None:
-                return None
-            levels.append(members)
-            break
-        zero = _unreleased(points, lives, target, members)
-        if zero is None:
+        target = tuple(assessment.items[j][1] for j in indices)
+        levels.append(indices)
+        if len(indices) == 1:
+            return None if _scalar_separator(points, target) else levels
+        members = _unreleased(points, lives, target, members)
+        if members is None:
             return None
-        levels.append(members)
-        members = tuple(sorted(zero))
     return levels
 
 

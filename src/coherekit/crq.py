@@ -3,8 +3,8 @@
 A CRQ is a payoff table: a partition of the sure event into regions, each
 paying a polynomial in prevision symbols.  A bet on the quantity at price
 p (its own prevision symbol) is *called off* at the worlds in its off-set;
-the `support` of the quantity is the complementary set of worlds where the
-bet stands.
+the `support` of the quantity is the mask (bit k = world k) of the
+complementary set of worlds, where the bet stands.
 
 Constructors cover: plain conditional events `A|H` (pays 1 on AH, 0 on
 ¬A·H, and its own prevision on ¬H), conjunctions `(A|H) ∧ (B|K)`,
@@ -28,7 +28,6 @@ from .events import (
     AtomRegistry,
     Constituent,
     Event,
-    constituents_of,
     evaluate,
     implies,
     is_impossible,
@@ -417,8 +416,9 @@ def _merge_links(*link_groups: Sequence[tuple[str, Poly]]) -> tuple[tuple[str, P
 # -- support (called-off analysis) -----------------------------------------
 
 
-def support(q: CRQ, valuation: Valuation) -> frozenset[Constituent]:
-    """The possible worlds at which a bet on `q` is *not* called off.
+def support(q: CRQ, valuation: Valuation) -> int:
+    """The possible worlds at which a bet on `q` is *not* called off, as a
+    world mask over `q.registry` (bit k = world k, as in `Event.mask`).
 
     Plain conditionals are live exactly on their conditioning event; a
     conjunction is live on H∨K.  An event-consequent iterated conditional
@@ -428,10 +428,8 @@ def support(q: CRQ, valuation: Valuation) -> frozenset[Constituent]:
     its own prevision symbol.
     """
     shape = q.shape
-    if isinstance(shape, (ConditionalEventShape, PlainShape, NestedEventShape)):
-        return constituents_of(shape.condition, q.registry)
-    if isinstance(shape, ConjunctionShape):
-        return constituents_of(q.condition_event(), q.registry)
+    if isinstance(shape, (ConditionalEventShape, PlainShape, NestedEventShape, ConjunctionShape)):
+        return q.condition_event().mask(q.registry)
     if isinstance(shape, NegationShape):
         return support(shape.operand, valuation)
     if isinstance(shape, SumShape):
@@ -441,16 +439,16 @@ def support(q: CRQ, valuation: Valuation) -> frozenset[Constituent]:
         x = _inner_prevision(inner, valuation)
         a, h = inner.shape.consequent, inner.shape.condition
         live = a & h if x == 0 else (a & h) | ~h
-        return constituents_of(live, q.registry)
+        return live.mask(q.registry)
     if isinstance(shape, IteratedShape):
         _inner_prevision(shape.inner, valuation)  # required to be determined
         subst = {name: Fraction(v) for name, v in valuation.items() if name != q.own_symbol}
         own = Poly.sym(q.own_symbol)
-        live: frozenset[Constituent] = frozenset()
+        mask = 0
         for event, poly in q.rows:
             if (poly - own).substitute(subst) != ZERO:
-                live |= constituents_of(event, q.registry)
-        return live
+                mask |= event.mask(q.registry)
+        return mask
     raise PreconditionFailed(f"unknown shape {type(shape).__name__}")
 
 

@@ -333,6 +333,10 @@ def parse_value(text: str, line_no: int = 0, column: int = 0) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}", line_no, column) from None
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ParseError(
+            f"value has too many digits ({len(text)} characters)", line_no, column
+        ) from None
 
 
 def parse_expression(text: str, line_no: int = 1) -> Expr:

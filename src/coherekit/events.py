@@ -159,12 +159,12 @@ class Event:
     every constituent of their registry.
     """
 
-    __slots__ = ("kind", "args", "_masks")
+    __slots__ = ("kind", "args", "_mask")
 
     def __init__(self, kind: str, args: tuple = ()):
         self.kind = kind
         self.args = args
-        self._masks: dict[int, int] = {}
+        self._mask: Optional[tuple[AtomRegistry, int]] = None
 
     # -- construction -------------------------------------------------
 
@@ -182,22 +182,22 @@ class Event:
     # -- semantics ----------------------------------------------------
 
     def mask(self, registry: AtomRegistry) -> int:
-        """Truth bitmask over the registry's constituents (bit k = world k)."""
-        # The cache key is the registry's id; that is only stable while the
-        # registry is guaranteed alive, i.e. when this event references one
-        # of its atoms.  Constant-only formulas are computed directly.  A
-        # cached mask cannot go stale: computing any mask freezes the
-        # registry, so its atom count (and hence the mask width) is fixed.
-        cacheable = self.registry() is not None
-        if cacheable:
-            cached = self._masks.get(id(registry))
-            if cached is not None:
-                return cached
+        """Truth bitmask over the registry's constituents (bit k = world k).
+
+        The last mask is cached with the registry object it was computed
+        for and reused only for that object.  It cannot go stale: a mask
+        whose width depends on the atom count freezes the registry.  The
+        shared constants `TRUE` and `FALSE` are not cached, so that they
+        keep no registry alive.
+        """
         if self.kind == "true":
-            m = registry.full_mask()
-        elif self.kind == "false":
-            m = 0
-        elif self.kind == "atom":
+            return registry.full_mask()
+        if self.kind == "false":
+            return 0
+        cached = self._mask
+        if cached is not None and cached[0] is registry:
+            return cached[1]
+        if self.kind == "atom":
             atom = self.args[0]
             if atom.registry is not registry:
                 raise UnknownAtom(
@@ -210,8 +210,7 @@ class Event:
             m = self.args[0].mask(registry) & self.args[1].mask(registry)
         else:  # or
             m = self.args[0].mask(registry) | self.args[1].mask(registry)
-        if cacheable:
-            self._masks[id(registry)] = m
+        self._mask = (registry, m)
         return m
 
     def registry(self) -> Optional[AtomRegistry]:

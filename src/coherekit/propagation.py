@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 
 from .coherence import (
     Assessment,
+    _bits,
     _first_failure,
     _levels,
     _unreleased,
@@ -68,7 +69,7 @@ from .errors import (
     OutOfRange,
     PreconditionFailed,
 )
-from .events import TRUE, AtomRegistry, Constituent, Event, is_impossible
+from .events import TRUE, AtomRegistry, Event, is_impossible
 from .linprog import certified_minimum
 from .polynomials import Rational
 
@@ -170,9 +171,9 @@ def extension_interval(
 
 def _linear_target(
     premises: Assessment, target: CRQ
-) -> Optional[dict[Constituent, tuple[Fraction, Fraction]]]:
-    """The target's payoff a + b*z at each world where it stands, as the
-    pair (a, b), when the LP path covers the target; None otherwise.
+) -> Optional[dict[int, tuple[Fraction, Fraction]]]:
+    """The target's payoff a + b*z at each world index where it stands, as
+    the pair (a, b), when the LP path covers the target; None otherwise.
 
     Covered: the target's own symbol z occurs in no premise row, link or
     valuation, neither the premises nor the target's rows leave an
@@ -197,20 +198,23 @@ def _linear_target(
     except MissingSymbol:
         return None
     payoffs = {}
-    for world in live:
-        poly = target.payoff_poly(world).substitute(premises.valuation)
+    for event, poly in target.rows:
+        region = event.mask(target.registry) & live
+        if not region:
+            continue
+        poly = poly.substitute(premises.valuation)
         if not poly.symbols() <= {z} or poly.degree_in(z) > 1:
             return None
         a = poly.value({z: Fraction(0)})
         b = poly.value({z: Fraction(1)}) - a
         if not 0 <= b < 1:
             return None
-        payoffs[world] = (a, b)
+        payoffs.update(dict.fromkeys(_bits(region), (a, b)))
     return payoffs or None
 
 
 def _lp_interval(
-    premises: Assessment, payoffs: dict[Constituent, tuple[Fraction, Fraction]]
+    premises: Assessment, payoffs: dict[int, tuple[Fraction, Fraction]]
 ) -> ExtensionInterval:
     """Both endpoints for a target with the given live payoffs a + b*z.
 
@@ -229,42 +233,38 @@ def _lp_interval(
     since its family is a subfamily, and it has fewer premises, so the
     loop ends; with no premise left, D = 1 is feasible."""
     previsions = premises.previsions
-    cells = {}  # the premises leave no free symbol, so every cell is a Fraction
-    for world in premises.registry.constituents():
-        live = frozenset(
-            j for j, mask in enumerate(premises.live_masks) if mask >> world.index & 1
-        )
-        if live or world in payoffs:
-            cells[world] = (tuple(row[world.index] for row in premises.cells), live)
-    members = tuple(range(len(premises)))
+    cells = premises.cells  # the premises leave no free symbol: every cell is a Fraction
+    members = (1 << len(premises)) - 1
     while members:
+        indices = tuple(_bits(members))
         off_target = dict.fromkeys(
-            (tuple(values[j] for j in members), live.intersection(members))
-            for world, (values, live) in cells.items()
-            if world not in payoffs and not live.isdisjoint(members)
+            (tuple(cells[j][k] for j in indices), live & members)
+            for k, live in enumerate(premises.live_members)
+            if k not in payoffs and live & members
         )
         if not off_target:
             break
         zero = _unreleased(
             [values for values, _ in off_target],
             [live for _, live in off_target],
-            tuple(previsions[j] for j in members),
+            tuple(previsions[j] for j in indices),
             members,
         )
         if zero is None:
             break
-        members = tuple(sorted(zero))
+        members = zero
+    indices = tuple(_bits(members))
     columns = list(
         dict.fromkeys(
-            (tuple(values[j] - previsions[j] for j in members),)
-            + payoffs.get(world, (Fraction(0), Fraction(1)))
-            for world, (values, live) in cells.items()
-            if world in payoffs or not live.isdisjoint(members)
+            (tuple(cells[j][k] - previsions[j] for j in indices),)
+            + payoffs.get(k, (Fraction(0), Fraction(1)))
+            for k, live in enumerate(premises.live_members)
+            if k in payoffs or live & members
         )
     )
-    matrix = [[deviations[k] for deviations, _, _ in columns] for k in range(len(members))]
+    matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
     matrix.append([1 - b for _, _, b in columns])
-    rhs = [Fraction(0)] * len(members) + [Fraction(1)]
+    rhs = [Fraction(0)] * len(indices) + [Fraction(1)]
     lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])[0]
     upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])[0]
     return ExtensionInterval(lower, upper, "certified-by-LP")

@@ -129,10 +129,12 @@ def payoff_cells(assessment: Assessment) -> list[list[Poly]]:
     worlds = assessment.registry.constituents()
     return [
         [
-            crq.payoff_poly(c).substitute(assessment.valuation) if c in live else Poly.coerce(value)
+            crq.payoff_poly(c).substitute(assessment.valuation)
+            if live >> c.index & 1
+            else Poly.coerce(value)
             for c in worlds
         ]
-        for (crq, value), live in zip(assessment.items, assessment.supports)
+        for (crq, value), live in zip(assessment.items, assessment.live_masks)
     ]
 
 
@@ -141,11 +143,13 @@ def point_table(
 ) -> PointTable:
     """The point table of `subset` over the worlds where one of its bets
     stands, read off `cells`; it has no entries when there are none."""
-    live = frozenset().union(*(assessment.supports[i] for i in subset))
+    live = 0
+    for i in subset:
+        live |= assessment.live_masks[i]
     raw = [
         (c, tuple(cells[i][c.index] for i in subset))
         for c in assessment.registry.constituents()
-        if c in live
+        if live >> c.index & 1
     ]
     owners: dict[str, tuple[Poly, ...]] = {}
     for _, vec in raw:

@@ -38,7 +38,7 @@ from coherekit.crq import (
     reduce_nested,
     support,
 )
-from coherekit.events import TRUE, AtomRegistry, constituents_of
+from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import ONE, ZERO, Poly
 from coherekit.propagation import (
     extension_interval,
@@ -205,10 +205,8 @@ def test_acceptance_6_table_fidelity():
         assert got_event == want_event
         assert got_poly == want_poly
     for xv in (F(1, 4), F(1, 2), F(1)):
-        assert support(simple, {"x": xv}) == constituents_of(
-            (sa & sh) | ~sh, simple_reg
-        )
-    assert support(simple, {"x": F(0)}) == constituents_of(sa & sh, simple_reg)
+        assert support(simple, {"x": xv}) == ((sa & sh) | ~sh).mask(simple_reg)
+    assert support(simple, {"x": F(0)}) == (sa & sh).mask(simple_reg)
     _report(6, "payoff tables and called-off sets match symbolically", started)
 
 

@@ -223,6 +223,42 @@ def test_mp_rejects_malformed_value(x, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter reads integers of any length",
+)
+def test_value_with_too_many_digits_exit_code(write, capsys):
+    """int() refuses strings longer than sys.get_int_max_str_digits()
+    (4300 by default), in a document value and in `cohere mp`."""
+    value = "1/" + "9" * (sys.get_int_max_str_digits() + 700)
+    assert main(["check", write(f"atoms A H\nassess P(A given H) = {value}\n")]) == 2
+    assert main(["mp", "--x", value, "--y", "1/2"]) == 2
+    message = f"value has too many digits ({len(value)} characters)"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: 2:23: {message}",
+        f"error: {message}",
+    ]
+
+
+NESTED_TOO_DEEPLY = {
+    "parentheses": "atoms A H\nassess P(" + "(" * 3000 + "A" + ")" * 3000 + " given H) = 1/2\n",
+    "negations": "atoms A H\nassess P(" + "!" * 3000 + "A given H) = 1/2\n",
+    "conjuncts": "atoms A H\nassess P(" + " & ".join(["A"] * 5000) + " given H) = 1/2\n",
+    "definitions": "atoms A H\ndefine D1 = A\n"
+    + "".join(f"define D{k} = D{k - 1} & A\n" for k in range(2, 1501))
+    + "assess P(D1500 given H) = 1/2\n",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "dutchbook", "table"])
+@pytest.mark.parametrize("shape", sorted(NESTED_TOO_DEEPLY))
+def test_deeply_nested_input_exit_code(shape, command, write, capsys):
+    """Only expressions, events and definitions recurse with the depth of
+    the input; too deep a nesting is invalid input, not an internal error."""
+    assert main([command, write(NESTED_TOO_DEEPLY[shape])]) == 2
+    assert capsys.readouterr().err == "error: the input is nested too deeply\n"
+
+
 def test_extend_point_interval_from_a_partition(write, capsys):
     doc = "atoms A B\nassess P(A & B) = 1/7\nassess P(A & !B) = 1/7\nquery extend A\n"
     assert main(["extend", write(doc), "--json"]) == 0

@@ -1,5 +1,8 @@
 """Event algebra: constituents, evaluation, implication, impossibility."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,3 +181,35 @@ def test_existing_atom_after_freeze():
     again = reg.atom("A")
     assert again == a
     assert again.mask(reg) == 0b10
+
+
+def test_mask_cache_is_keyed_by_registry():
+    """An event reuses its last mask only for the registry it was computed
+    for: constants differ in width, atoms belong to one registry, and a
+    cached mask equals the mask of a freshly built formula.  The shared
+    constants keep no registry alive."""
+    small, large = AtomRegistry(["A"]), AtomRegistry(["A", "B", "C"])
+    everywhere = ~FALSE
+    for event in (TRUE, everywhere):
+        assert event.mask(small) == 0b11
+        assert event.mask(large) == (1 << 8) - 1
+        assert event.mask(small) == 0b11
+    last = AtomRegistry(["A", "B"])
+    assert (TRUE.mask(last), FALSE.mask(last)) == (0b1111, 0)
+    gone = weakref.ref(last)
+    del last
+    gc.collect()
+    assert gone() is None
+    reg1, reg2 = AtomRegistry(["A", "B"]), AtomRegistry(["A", "B"])
+    a = reg1.atom("A")
+    assert a.mask(reg1) == 0b1100
+    with pytest.raises(UnknownAtom):
+        a.mask(reg2)
+    assert a.mask(reg1) == 0b1100
+
+    def formula():
+        return (reg1.atom("A") & ~reg1.atom("B")) | FALSE
+
+    cached = formula()
+    first = cached.mask(reg1)
+    assert cached.mask(reg1) == first == formula().mask(reg1) == 0b0100
