@@ -29,6 +29,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -174,8 +175,8 @@ def _cmd_dutchbook(args) -> int:
     else:
         print("dutch book found")
         for index, stake in zip(book.subset, book.stakes):
-            print(f"  stake {stake} on {names[index]}")
-        print(f"  guaranteed gain: {book.guaranteed_gain}")
+            print(f"  stake {_text(stake)} on {names[index]}")
+        print(f"  guaranteed gain: {_text(book.guaranteed_gain)}")
     return EXIT_OK if book is None else EXIT_INCOHERENT
 
 
@@ -186,8 +187,8 @@ def _book_payload(book: Optional[DutchBook], names: list[str]) -> dict:
         "dutch_book": {
             "subset": list(book.subset),
             "members": [names[i] for i in book.subset],
-            "stakes": [str(s) for s in book.stakes],
-            "epsilon": str(book.guaranteed_gain),
+            "stakes": [_text(s) for s in book.stakes],
+            "epsilon": _text(book.guaranteed_gain),
         }
     }
 
@@ -211,8 +212,8 @@ def _cmd_extend(args) -> int:
             json.dumps(
                 {
                     "target": target.own_symbol,
-                    "lower": str(interval.lower),
-                    "upper": str(interval.upper),
+                    "lower": _text(interval.lower),
+                    "upper": _text(interval.upper),
                     "exactness": interval.exactness,
                 },
                 indent=2,
@@ -220,8 +221,8 @@ def _cmd_extend(args) -> int:
         )
     else:
         print(f"target {target.own_symbol}")
-        print(f"lower {interval.lower}")
-        print(f"upper {interval.upper}")
+        print(f"lower {_text(interval.lower)}")
+        print(f"upper {_text(interval.upper)}")
         print(f"exactness {interval.exactness}")
     return EXIT_OK
 
@@ -239,8 +240,8 @@ def _cmd_mp(args) -> int:
     if not agreed:
         print(
             "error: closed-form bounds "
-            f"[{closed.lower}, {closed.upper}] disagree with the engine "
-            f"[{engine.lower}, {engine.upper}] ({engine.exactness})",
+            f"[{_text(closed.lower)}, {_text(closed.upper)}] disagree with the engine "
+            f"[{_text(engine.lower)}, {_text(engine.upper)}] ({engine.exactness})",
             file=sys.stderr,
         )
         return EXIT_INVALID
@@ -248,11 +249,11 @@ def _cmd_mp(args) -> int:
         print(
             json.dumps(
                 {
-                    "x": str(x),
-                    "y": str(y),
+                    "x": _text(x),
+                    "y": _text(y),
                     "classical": args.classical,
-                    "lower": str(closed.lower),
-                    "upper": str(closed.upper),
+                    "lower": _text(closed.lower),
+                    "upper": _text(closed.upper),
                     "exactness": closed.exactness,
                     "engine_cross_check": "agreed",
                 },
@@ -260,7 +261,7 @@ def _cmd_mp(args) -> int:
             )
         )
     else:
-        print(f"conclusion bounds: [{closed.lower}, {closed.upper}]")
+        print(f"conclusion bounds: [{_text(closed.lower)}, {_text(closed.upper)}]")
         print("engine cross-check: agreed (certified-by-LP)")
     return EXIT_OK
 
@@ -368,12 +369,41 @@ def _aliases(symbols) -> dict[str, str]:
 
 
 def _parse_tolerance(text: str) -> int:
-    match = re.fullmatch(r"2\^-(\d+)", text.strip())
-    if match:
+    match = re.fullmatch(r"(?:2\^-)?(\d+)", text.strip())
+    if not match:
+        raise ParseError(f"cannot parse tolerance {text!r}; use the form 2^-20")
+    try:
         return int(match.group(1))
-    if text.strip().isdigit():
-        return int(text.strip())
-    raise ParseError(f"cannot parse tolerance {text!r}; use the form 2^-20")
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        digits = len(match.group(1))
+        raise ParseError(f"tolerance exponent has too many digits ({digits})") from None
+
+
+# Digits per conversion in `_text`, well below the interpreter's default
+# limit of 4300 on one int-to-str conversion.
+_BLOCK_DIGITS = 1000
+_BLOCK = 10**_BLOCK_DIGITS
+
+
+def _text(value: Fraction) -> str:
+    """`str(value)`, also when a numerator or denominator has more digits
+    than one int-to-str conversion allows (`sys.get_int_max_str_digits`):
+    products of long input values print in full."""
+    if value.denominator == 1:
+        return _digits(value.numerator)
+    return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+
+
+def _digits(number: int) -> str:
+    """The decimal digits of `number`, converted `_BLOCK_DIGITS` at a time."""
+    if number < 0:
+        return "-" + _digits(-number)
+    blocks = []
+    while number >= _BLOCK:
+        number, low = divmod(number, _BLOCK)
+        blocks.append(str(low).zfill(_BLOCK_DIGITS))
+    blocks.append(str(number))
+    return "".join(reversed(blocks))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,8 +11,13 @@ where a bet is called off its coordinate is its own prevision.
 An `Assessment` builds its payoff matrix once, from the payoff rows of
 its members: each row's polynomial is substituted once and fills the
 member's live worlds in the row's region, held as int bitmasks over the
-worlds.  Every subfamily's point table is a projection of that matrix
-onto the subfamily's members at the union of their live worlds.
+worlds.  The matrix is integer: member i's payoffs times one common
+denominator D_i.  Every subfamily's point table is a projection of it
+onto the subfamily's members at the union of their live worlds; points
+are deduplicated as int tuples and enter the simplex as integer rows,
+with target D_i·p_i, which scales row i of the hull system and leaves
+its solutions as they are.  `build_points` reads the same projection as
+`Fraction`s.
 
 `check_coherence` decides this with Gilio's level algorithm (Biazzo &
 Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
@@ -29,13 +34,14 @@ prevision by 0; the other subfamilies are those of the next level.  So
 at most n levels give the verdict, and the subset loop `_first_failure`
 runs only to name an incoherent family's smallest failing subfamily as
 its witness, certified by a separator: the Farkas multipliers of its
-infeasible hull LP.  A subfamily of one member needs no LP, in a level
-or in the subset loop: the hull of scalars is the interval between the
-least and the greatest, and a prevision outside it is separated at the
-nearer end.  A sure-win stake vector over a subfamily's live worlds
-exists exactly when its hull membership fails (a point outside the hull
-of finitely many points is strictly separable from them), so
-`find_dutch_book` places its stakes on that witness.
+infeasible hull LP, mapped back from integer coordinates as (s_i·D_i, t)
+and re-checked on the `Fraction` payoffs.  A subfamily of one member
+needs no LP, in a level or in the subset loop: the hull of scalars is
+the interval between the least and the greatest, and a prevision outside
+it is separated at the nearer end.  A sure-win stake vector over a
+subfamily's live worlds exists exactly when its hull membership fails (a
+point outside the hull of finitely many points is strictly separable
+from them), so `find_dutch_book` places its stakes on that witness.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
 prevision of B|K inside the table of (B|K)|(A|H) when B|K itself is not
@@ -54,6 +60,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -73,8 +80,9 @@ from .polynomials import Poly, Rational
 DEFAULT_FAMILY_CAP = 12
 _CORNER_LIMIT = 3  # unknown symbols allowed per payoff row
 
-# A payoff cell: an exact value, or a polynomial in unassessed symbols.
-Cell = Union[Fraction, Poly]
+# A payoff cell in integer form: an exact value times its member's
+# denominator, or a polynomial in unassessed symbols.
+Cell = Union[int, Poly]
 
 
 def family_cap(override: Optional[int] = None) -> int:
@@ -100,10 +108,15 @@ class Assessment:
     (negations, sums) are solved for in both directions.  Symbols left
     over are the free ones handled by exact elimination.
 
-    The payoff matrix is built once, here: `cells[i][k]` is member i's
-    payoff at world k with the valuation substituted, a `Fraction`, or a
-    `Poly` when unassessed symbols remain, and the prevision where the
-    bet is called off.  Sets of worlds and of members are int bitmasks:
+    The payoff matrix is built once, here, in integer form: member i has
+    one common denominator `scales[i]` = D_i, the lcm of the denominators
+    of its prevision, of its constant payoffs and of the coefficients of
+    its polynomial payoffs.  `scaled[i][k]` is D_i times member i's
+    payoff at world k with the valuation substituted, an int, or the
+    `Poly` itself when unassessed symbols remain (scaled once a corner
+    substitutes its symbols; `symbolic[i]` masks those worlds); where the
+    bet is called off it is `scaled_previsions[i]`, D_i times the
+    prevision.  Sets of worlds and of members are int bitmasks:
     `live_masks[i]` has bit k set when member i's bet stands at world k
     (its `support`), and `live_members[k]`, its transpose, has bit i set.
     Every subfamily's point table is a projection of this matrix.
@@ -141,20 +154,46 @@ class Assessment:
         # The payoff matrix, built row by row: a payoff row's polynomial is
         # substituted once and fills the member's live worlds in its region
         # (the rows partition the worlds); called-off worlds hold the
-        # prevision.
-        cells: list[tuple[Cell, ...]] = []
+        # prevision.  A row's integer value is taken once the member's
+        # denominator is known, not once per world.
+        scaled: list[tuple[Cell, ...]] = []
+        scales: list[int] = []
+        scaled_previsions: list[int] = []
+        symbolic: list[int] = []
         for (crq, value), live in zip(self.items, self.live_masks):
-            row: list[Cell] = [value] * worlds
+            regions: list[tuple[int, Union[Fraction, Poly]]] = []
+            scale = value.denominator
             for event, poly in crq.rows:
                 region = event.mask(registry) & live
                 if not region:
                     continue
                 reduced = poly.substitute(self.valuation)
-                cell = reduced.constant_value() if reduced.is_constant() else reduced
+                if reduced.is_constant():
+                    constant = reduced.constant_value()
+                    scale = lcm(scale, constant.denominator)
+                    regions.append((region, constant))
+                else:
+                    scale = lcm(scale, *(c.denominator for c in reduced.terms.values()))
+                    regions.append((region, reduced))
+            prevision = value.numerator * (scale // value.denominator)
+            row: list[Cell] = [prevision] * worlds
+            polys = 0
+            for region, payoff in regions:
+                if isinstance(payoff, Poly):
+                    polys |= region
+                    cell: Cell = payoff
+                else:
+                    cell = payoff.numerator * (scale // payoff.denominator)
                 for k in _bits(region):
                     row[k] = cell
-            cells.append(tuple(row))
-        self.cells: tuple[tuple[Cell, ...], ...] = tuple(cells)
+            scaled.append(tuple(row))
+            scales.append(scale)
+            scaled_previsions.append(prevision)
+            symbolic.append(polys)
+        self.scales: tuple[int, ...] = tuple(scales)
+        self.scaled: tuple[tuple[Cell, ...], ...] = tuple(scaled)
+        self.scaled_previsions: tuple[int, ...] = tuple(scaled_previsions)
+        self.symbolic: tuple[int, ...] = tuple(symbolic)
 
     def _derive_valuation(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -315,25 +354,35 @@ def _normalize_subset(assessment: Assessment, subset: Iterable[int]) -> tuple[in
     return tuple(sorted(indices))
 
 
-def _subset_entries(
-    assessment: Assessment, subset: tuple[int, ...]
-) -> list[PointEntry]:
-    """The payoff matrix projected onto `subset`'s members, at the worlds
-    where one of them stands; unknown symbols are guarded and expanded to
-    endpoint rows where a world's vector holds one."""
+# A payoff point in integer form: the world index, the point with member
+# j's payoff times its denominator D_j, and the endpoint assignment of the
+# unknown symbols it was substituted at, or None.
+IntegerEntry = tuple[int, tuple[int, ...], Optional[tuple[tuple[str, Fraction], ...]]]
+
+
+def _subset_entries(assessment: Assessment, subset: tuple[int, ...]) -> list[IntegerEntry]:
+    """The integer payoff matrix projected onto `subset`'s members, at the
+    worlds where one of them stands; unknown symbols are guarded and
+    expanded to endpoint rows, scaled after substitution, where a world's
+    vector holds one."""
     live = 0
+    symbolic = 0
     for i in subset:
         live |= assessment.live_masks[i]
-    rows = [assessment.cells[i] for i in subset]
-    worlds = assessment.registry.constituents()
+        symbolic |= assessment.symbolic[i]
+    columns = list(zip(*(assessment.scaled[i] for i in subset)))
+    symbolic &= live
+    if not symbolic:
+        return [(k, columns[k], None) for k in _bits(live)]
+    scales = [assessment.scales[i] for i in subset]
     owners: dict[str, tuple[Cell, ...]] = {}
-    entries: list[PointEntry] = []
+    entries: list[IntegerEntry] = []
     for k in _bits(live):
-        vec = tuple(row[k] for row in rows)
-        polys = [cell for cell in vec if isinstance(cell, Poly)]
-        if not polys:
-            entries.append(PointEntry(worlds[k], vec))
+        vec = columns[k]
+        if not symbolic >> k & 1:
+            entries.append((k, vec, None))
             continue
+        polys = [cell for cell in vec if isinstance(cell, Poly)]
         # Guard the exact elimination of unknown symbols.
         frees = {sym for poly in polys for sym in poly.symbols()}
         for sym in frees:
@@ -357,22 +406,40 @@ def _subset_entries(
         names = sorted(frees)
         for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(names)):
             corner_map = dict(zip(names, corner))
-            values = tuple(
-                cell.value(corner_map) if isinstance(cell, Poly) else cell for cell in vec
+            # D_j clears the denominators of the coefficients, and a corner
+            # sums some of them.
+            point = tuple(
+                (cell.value(corner_map) * scale).numerator if isinstance(cell, Poly) else cell
+                for cell, scale in zip(vec, scales)
             )
-            entries.append(PointEntry(worlds[k], values, tuple(sorted(corner_map.items()))))
+            entries.append((k, point, tuple(sorted(corner_map.items()))))
     return entries
+
+
+def _fractions(point: Sequence[int], scales: Sequence[int]) -> tuple[Fraction, ...]:
+    """The payoffs of an integer point: each coordinate over its D_j."""
+    return tuple(Fraction(value, scale) for value, scale in zip(point, scales))
 
 
 def build_points(assessment: Assessment, subset: Iterable[int]) -> PointTable:
     """The payoff points of a subfamily, one per live world (expanded to
-    endpoint rows when unknown symbols were eliminated)."""
+    endpoint rows when unknown symbols were eliminated): the integer
+    projection of `_subset_entries` read as `Fraction`s."""
     indices = _normalize_subset(assessment, subset)
     entries = _subset_entries(assessment, indices)
     if not entries:
         raise EmptySupport("every bet of the subfamily is called off everywhere")
+    worlds = assessment.registry.constituents()
+    scales = [assessment.scales[i] for i in indices]
     previsions = tuple(assessment.items[i][1] for i in indices)
-    return PointTable(indices, tuple(entries), previsions)
+    return PointTable(
+        indices,
+        tuple(
+            PointEntry(worlds[k], _fractions(point, scales), corner)
+            for k, point, corner in entries
+        ),
+        previsions,
+    )
 
 
 def solve_sigma(
@@ -412,23 +479,22 @@ def _check_cap(assessment: Assessment, cap: Optional[int]) -> None:
 
 
 def _scalar_separator(
-    points: Sequence[tuple[Fraction, ...]], target: tuple[Fraction, ...]
+    points: Sequence[tuple[int, ...]], target: tuple[int, ...], scale: int
 ) -> Optional[Separator]:
     """The hull of one member's scalar points is the interval from the
-    least to the greatest, so no LP is needed: None when the prevision
-    lies in it, else the separator ((-1,), least) below it or ((1,),
-    -greatest) above it, re-checked exactly."""
+    least to the greatest, so no LP is needed.  With points and prevision
+    in integer form (times the member's denominator `scale`): None when
+    the prevision lies in that interval, else the separator of the
+    payoffs themselves, ((-1,), least) below it or ((1,), -greatest)
+    above it."""
     (prevision,) = target
     least = min(value for value, in points)
     greatest = max(value for value, in points)
     if prevision < least:
-        separator: Separator = ((Fraction(-1),), least)
-    elif prevision > greatest:
-        separator = ((Fraction(1),), -greatest)
-    else:
-        return None
-    check_separator(points, target, separator)
-    return separator
+        return ((Fraction(-1),), Fraction(least, scale))
+    if prevision > greatest:
+        return ((Fraction(1),), Fraction(-greatest, scale))
+    return None
 
 
 def _first_failure(
@@ -437,18 +503,30 @@ def _first_failure(
     """The incoherent result for the first of `subsets` whose previsions
     lie outside the hull of its payoff points, with that hull's separator,
     or None.  Subfamilies whose bets are all called off at every world
-    impose no constraint and are skipped."""
+    impose no constraint and are skipped.  The hull LP runs on the integer
+    points; its separator (s, t) maps back to the payoffs as (s_j·D_j, t)
+    and is re-checked on them as `Fraction`s."""
     for subset in subsets:
         entries = _subset_entries(assessment, subset)
         if not entries:
             continue
-        target = tuple(assessment.items[i][1] for i in subset)
-        points = list(dict.fromkeys(e.values for e in entries))
+        scales = [assessment.scales[i] for i in subset]
+        target = tuple(assessment.scaled_previsions[i] for i in subset)
+        points = list(dict.fromkeys(point for _, point, _ in entries))
         if len(subset) == 1:
-            separator = _scalar_separator(points, target)
+            separator = _scalar_separator(points, target, scales[0])
         else:
-            _, separator = convex_combination(points, target, separate=True)
+            _, scaled = convex_combination(points, target, separate=True)
+            separator = scaled and (
+                tuple(s * scale for s, scale in zip(scaled[0], scales)),
+                scaled[1],
+            )
         if separator is not None:
+            check_separator(
+                [_fractions(point, scales) for point in points],
+                tuple(assessment.items[i][1] for i in subset),
+                separator,
+            )
             return CoherenceResult(False, subset, separator)
     return None
 
@@ -472,8 +550,8 @@ def _unreleased(
         if weights is None:
             return None
         # Weights are re-checked nonnegative, so a member whose support
-        # holds a positive weight has Phi > 0 exactly.
-        released = zero & reduce(or_, (live for w, live in zip(weights, lives) if w > 0), 0)
+        # holds a nonzero weight has Phi > 0 exactly.
+        released = zero & reduce(or_, (live for w, live in zip(weights, lives) if w), 0)
         if not released:
             break
         zero ^= released
@@ -493,15 +571,14 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
             break
         # Phi_j sums the weights of the worlds where member j stands, so
         # only points with the same values and live members may merge.
-        merged = dict.fromkeys(
-            (e.values, assessment.live_members[e.constituent.index] & members)
-            for e in entries
-        )
-        points, lives = [values for values, _ in merged], [live for _, live in merged]
-        target = tuple(assessment.items[j][1] for j in indices)
+        live_members = assessment.live_members
+        merged = dict.fromkeys((point, live_members[k] & members) for k, point, _ in entries)
+        points, lives = [point for point, _ in merged], [live for _, live in merged]
+        target = tuple(assessment.scaled_previsions[j] for j in indices)
         levels.append(indices)
         if len(indices) == 1:
-            return None if _scalar_separator(points, target) else levels
+            scale = assessment.scales[indices[0]]
+            return None if _scalar_separator(points, target, scale) else levels
         members = _unreleased(points, lives, target, members)
         if members is None:
             return None

@@ -1,29 +1,37 @@
 """Exact linear programming over rationals.
 
-A small two-phase simplex with Bland's rule, sized for the systems this
-package produces (tens of rows, up to about a thousand columns).
-Feasibility verdicts here decide coherence, and coherence is sensitive to
-exact boundary cases, so floating point is never used.  Inputs and outputs
-are `Fraction`s; in between, pivots run fraction-free on an integer
-tableau with one common denominator (Bareiss's integer-preserving
-elimination), which is exact and spares the gcd of every `Fraction`
-operation.  The row multipliers read off the final tableau certify what
+A small two-phase simplex, sized for the systems this package produces
+(tens of rows, up to a few thousand columns).  It enters on the most
+negative reduced cost (Dantzig's rule) and switches to Bland's rule for
+the rest of a phase after `DEGENERATE_LIMIT` degenerate pivots, so that
+it terminates.  Feasibility verdicts here decide coherence, and
+coherence is sensitive to exact boundary cases, so floating point is
+never used.  Inputs are `Fraction`s or ints, outputs `Fraction`s; in
+between, pivots run fraction-free on an integer tableau with one common
+denominator (Bareiss's integer-preserving elimination), which is exact
+and spares the gcd of every `Fraction` operation.  A row of ints, such
+as the integer-scaled payoff points of `coherence`, enters the tableau
+as it is.  The row multipliers read off the final tableau certify what
 the simplex reports: duals for an optimum, a Farkas vector for an
-infeasible system; both are re-checked exactly, in `Fraction`s, by the
-callers that rely on them.  The Dutch-book stake problem is solved as its
-dual, a hull system with L1 slack, through `certified_minimum`: the stakes
-are its multipliers.
+infeasible system; both are re-checked exactly by the callers that rely
+on them.  The Dutch-book stake problem is solved as its dual, a hull
+system with L1 slack, through `certified_minimum`: the stakes are its
+multipliers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatch, InternalError
 
 Vector = Sequence[Fraction]
+
+# Degenerate pivots after which `_iterate` trades Dantzig's rule for Bland's.
+DEGENERATE_LIMIT = 50
 
 
 def _pivot(tableau: list[list[int]], basis: list[int], row: int, col: int) -> None:
@@ -71,14 +79,24 @@ def _iterate(tableau: list[list[int]], basis: list[int], allowed: int) -> str:
     """Run simplex to optimality on the constraint rows and the reduced-cost
     row last in `tableau`; entering columns restricted to j < allowed.
 
-    Bland's rule (smallest eligible entering index, smallest basis index on
-    ratio ties) guarantees termination on degenerate tableaus.  Ratios
-    share the denominator d and are compared by cross-multiplication.
+    Dantzig's rule enters on the most negative reduced cost, the smallest
+    index among ties.  A degenerate pivot (a zero ratio) leaves the
+    objective where it was, so Dantzig's rule can cycle; after
+    `DEGENERATE_LIMIT` of them the run switches for good to Bland's rule
+    (the smallest eligible entering index), which terminates.  Both leave
+    on the least ratio, the smallest basis index among ties.  Reduced costs
+    and ratios share the denominator d, so they compare as integers, the
+    ratios by cross-multiplication.
     """
     rows = range(len(basis))
+    degenerate = 0
     while True:
         reduced = tableau[-1]
-        entering = next((j for j in range(allowed) if reduced[j] < 0), -1)
+        if degenerate < DEGENERATE_LIMIT:
+            least = min(reduced[:allowed], default=0)
+            entering = reduced.index(least) if least < 0 else -1
+        else:
+            entering = next((j for j in range(allowed) if reduced[j] < 0), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
@@ -94,7 +112,17 @@ def _iterate(tableau: list[list[int]], basis: list[int], allowed: int) -> str:
                     leaving = i
         if leaving < 0:
             return "unbounded"
+        if not tableau[leaving][-1]:
+            degenerate += 1
         _pivot(tableau, basis, leaving, entering)
+
+
+def _integers(values: Sequence, sign: int = 1) -> tuple[int, list[int]]:
+    """(s, sign·s·values): s = 1 for ints, else the lcm of the denominators."""
+    if set(map(type, values)) == {int}:
+        return 1, list(values) if sign > 0 else [-v for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [sign * v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_minimize(
@@ -111,11 +139,16 @@ def simplex_minimize(
     column j, and pi·rhs > 0); None when unbounded.
 
     Row i is negated when its rhs is negative (sign_i = -1) and scaled to
-    integers by s_i, the lcm of its denominators; the artificial columns
-    stay the identity and artificial i costs L / s_i in phase 1, with L
-    the lcm of all s_i.  That is the LP of unscaled artificials at cost 1
-    up to positive row, column and cost scalings, so Bland's rule takes
-    the same pivots, and the multipliers scale back exactly.
+    integers by s_i, the lcm of its denominators (1 for a row of ints);
+    the artificial columns stay the identity and artificial i costs L / s_i
+    in phase 1, with L the lcm of all s_i.  That is the LP of unscaled
+    artificials at cost 1 up to positive row, column and cost scalings, so
+    the multipliers scale back exactly.  Artificial i's reduced cost scales
+    by 1 / s_i, every other column's by the same factor, and Dantzig's
+    choice depends on that; so an artificial that leaves the basis never
+    re-enters (phase 1 enters original columns only, which still ends at
+    a zero minimum exactly when the system is feasible).  The rules then
+    choose the same pivots as on the unscaled LP.
     """
     m = len(matrix)
     n = len(costs)
@@ -127,8 +160,7 @@ def simplex_minimize(
         if len(row) != n + 1:
             raise DimensionMismatch("matrix row length does not match costs")
         sign = -1 if rhs[i] < 0 else 1
-        scale = lcm(*(v.denominator for v in row))
-        integers = [sign * v.numerator * (scale // v.denominator) for v in row]
+        scale, integers = _integers(row, sign)
         tableau.append(integers[:n] + [0] * m + integers[n:])
         tableau[i][n + i] = 1
         signs.append(sign)
@@ -151,7 +183,7 @@ def simplex_minimize(
             for i, (sign, scale, cost) in enumerate(zip(signs, scales, artificial_costs))
         ]
 
-    status = _iterate(tableau, basis, n + m)
+    status = _iterate(tableau, basis, n)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below
         return result("unbounded")
     if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
@@ -165,8 +197,7 @@ def simplex_minimize(
                 if tableau[i][j] != 0:
                     _pivot(tableau, basis, i, j)
                     break
-    cost_scale = lcm(*(c.denominator for c in costs))
-    scaled_costs = [c.numerator * (cost_scale // c.denominator) for c in costs]
+    cost_scale, scaled_costs = _integers(costs)
     tableau.append(_cost_row(tableau, basis, scaled_costs + [0] * m))
     if _iterate(tableau, basis, n) == "unbounded":
         return result("unbounded")
@@ -192,12 +223,20 @@ def certified_minimum(
     status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     if status != "optimal":
         raise InternalError(f"an LP with a known optimum ended {status}")
-    columns = range(len(costs))
+    # The primal checks need only the nonzero entries of the solution; the
+    # dual checks run on the multipliers times their common denominator.
+    support = [j for j, x in enumerate(solution) if x]
+    scale = lcm(*(p.denominator for p in pi))
+    combination = [0] * len(costs)
+    for p, row in zip(pi, matrix):
+        if p:
+            integer = p.numerator * (scale // p.denominator)
+            combination = [c + integer * a for c, a in zip(combination, row)]
     if (
-        any(x < 0 for x in solution)
-        or any(sum(row[j] * solution[j] for j in columns) != b for row, b in zip(matrix, rhs))
-        or sum(costs[j] * solution[j] for j in columns) != objective
-        or any(costs[j] - sum(p * row[j] for p, row in zip(pi, matrix)) < 0 for j in columns)
+        any(solution[j] < 0 for j in support)
+        or any(sum(row[j] * solution[j] for j in support) != b for row, b in zip(matrix, rhs))
+        or sum(costs[j] * solution[j] for j in support) != objective
+        or any(scale * c < v for c, v in zip(costs, combination))
         or sum(p * b for p, b in zip(pi, rhs)) != objective
     ):
         raise InternalError("an LP optimum fails its exact re-check")
@@ -223,12 +262,10 @@ def convex_combination(
     if not points:
         return (None, ((Fraction(0),) * len(target), Fraction(1))) if separate else None
     dim = len(target)
-    for p in points:
-        if len(p) != dim:
-            raise DimensionMismatch("point dimension does not match target")
+    if set(map(len, points)) != {dim}:
+        raise DimensionMismatch("point dimension does not match target")
     count = len(points)
-    matrix = [[p[d] for p in points] for d in range(dim)]
-    matrix.append([1] * count)
+    matrix = [*zip(*points), [1] * count]
     rhs = [*target, 1]
     costs = [0] * count
     for h in favoured:
@@ -244,12 +281,19 @@ def convex_combination(
         separator = (tuple(pi[:dim]), pi[dim])
         check_separator(points, target, separator)
         return None, separator
-    # Exact re-verification of the certificate; the weights off their
-    # support add nothing to the target.
-    if solution is None or any(w < 0 for w in solution) or sum(solution) != 1:
+    # Exact re-verification of the certificate, on the weights times their
+    # common denominator; the zero weights add nothing to the sum or to
+    # the target.
+    if solution is None:
         raise InternalError("hull weights fail their exact re-check")
     weighted = [(w, p) for w, p in zip(solution, points) if w]
-    if any(sum(w * p[d] for w, p in weighted) != target[d] for d in range(dim)):
+    scale = lcm(*(w.denominator for w, _ in weighted))
+    weighted = [(w.numerator * (scale // w.denominator), p) for w, p in weighted]
+    if (
+        any(w < 0 for w, _ in weighted)
+        or sum(w for w, _ in weighted) != scale
+        or any(sum(w * p[d] for w, p in weighted) != scale * target[d] for d in range(dim))
+    ):
         raise InternalError("hull weights fail their exact re-check")
     return (solution, None) if separate else solution
 
@@ -261,8 +305,11 @@ def check_separator(
     s·p + t <= 0 at every point and s·target + t > 0; `InternalError`
     otherwise."""
     slopes, offset = separator
-    if any(sum(s * v for s, v in zip(slopes, p)) + offset > 0 for p in points) or (
-        sum(s * v for s, v in zip(slopes, target)) + offset <= 0
+    # The same inequalities times the common denominator of (s, t).
+    scale = lcm(*(v.denominator for v in (*slopes, offset)))
+    *slopes, offset = [v.numerator * (scale // v.denominator) for v in (*slopes, offset)]
+    if any(sum(map(mul, slopes, p)) + offset > 0 for p in points) or (
+        sum(map(mul, slopes, target)) + offset <= 0
     ):
         raise InternalError("the separator of an infeasible hull fails its exact re-check")
 

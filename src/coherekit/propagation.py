@@ -28,8 +28,9 @@ system is bilinear in the weights and z; the search stays until that
 case has a nonlinear treatment.  The oracle decides
 premises + (target = value) with the level algorithm of `coherence` on
 the combined family; when an unassessed symbol stops the levels, the
-subset loop over the subfamilies that contain the target decides, so the
-oracle answers or raises exactly as that loop would.  The search relies
+subset loop over every subfamily of the combined family decides: the
+value is incoherent when one of them fails, and the oracle raises only
+when none fails and one cannot be decided.  The search relies
 on the coherent extensions forming an interval; an endpoint that no
 candidate certifies keeps a `bisection(2^-k)` tag, and a search that
 finds no coherent probe raises instead of returning a guess.
@@ -232,8 +233,11 @@ def _lp_interval(
     solution, plus the target.  That level's values contain this one's,
     since its family is a subfamily, and it has fewer premises, so the
     loop ends; with no premise left, D = 1 is feasible."""
-    previsions = premises.previsions
-    cells = premises.cells  # the premises leave no free symbol: every cell is a Fraction
+    # The premises leave no free symbol, so every cell is an int; premise
+    # j's row and prevision are scaled by its denominator D_j, which
+    # scales its row of the system and leaves the optima as they are.
+    previsions = premises.scaled_previsions
+    cells = premises.scaled
     members = (1 << len(premises)) - 1
     while members:
         indices = tuple(_bits(members))
@@ -257,14 +261,14 @@ def _lp_interval(
     columns = list(
         dict.fromkeys(
             (tuple(cells[j][k] - previsions[j] for j in indices),)
-            + payoffs.get(k, (Fraction(0), Fraction(1)))
+            + payoffs.get(k, (0, 1))
             for k, live in enumerate(premises.live_members)
             if k in payoffs or live & members
         )
     )
     matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
     matrix.append([1 - b for _, _, b in columns])
-    rhs = [Fraction(0)] * len(indices) + [Fraction(1)]
+    rhs = [0] * len(indices) + [1]
     lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])[0]
     upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])[0]
     return ExtensionInterval(lower, upper, "certified-by-LP")
@@ -308,16 +312,27 @@ def _search_interval(
 def _coherent_with_target(premises: Assessment, target: CRQ, value: Fraction) -> bool:
     """Coherence of premises + (target = value), decided by the levels of
     the combined family.  When its rows leave an unassessed symbol that
-    cannot be eliminated, the subset loop decides instead, over the
-    subfamilies that contain the target (the premises are coherent), and
-    raises `MissingSymbol` only where it reaches such a subfamily."""
+    cannot be eliminated, the subset loop decides instead, over every
+    subfamily: a premise row that names the target's symbol pays its value
+    once it is assessed, so a subfamily of premises alone can fail
+    although the premises are coherent.  One failing subfamily makes the
+    value incoherent; one that raises `MissingSymbol` decides nothing,
+    and its error is raised only when no subfamily fails."""
     combined = Assessment(tuple(premises.items) + ((target, value),))
     try:
         return _levels(combined) is not None
     except MissingSymbol:
-        anchor = len(premises)
-        subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
-        return _first_failure(combined, subsets) is None
+        pass
+    undecided: Optional[MissingSymbol] = None
+    for subset in subsets_by_size(len(combined)):
+        try:
+            if _first_failure(combined, [subset]) is not None:
+                return False
+        except MissingSymbol as error:
+            undecided = undecided or error
+    if undecided is not None:
+        raise undecided
+    return True
 
 
 def _endpoint_candidates(premises: Assessment, target: CRQ) -> list[Fraction]:

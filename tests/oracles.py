@@ -32,10 +32,12 @@ became projections of the assessment's own matrix: every cell coerced to
 per world, or one per endpoint corner where unknown symbols remain.
 
 `fraction_simplex` is the two-phase simplex that `simplex_minimize` ran
-before it pivoted on an integer tableau: the same Bland's rule, but every
-entry a `Fraction`, each row divided by its pivot, and the reduced costs
-recomputed from the basis costs at every iteration.  The integer simplex
-must return exactly its tuples, multipliers included.
+before it pivoted on an integer tableau: the same pivot rules (Dantzig's,
+then Bland's after `DEGENERATE_LIMIT` degenerate pivots, and no
+artificial re-entering in phase 1), but every entry a `Fraction`, each
+row divided by its pivot, and the reduced costs recomputed from the
+basis costs at every iteration.  The integer simplex must return exactly
+its tuples, multipliers included, after the same pivots.
 """
 
 import itertools
@@ -54,7 +56,7 @@ from coherekit.coherence import (
     subsets_by_size,
 )
 from coherekit.errors import DimensionMismatch, EmptySupport, MissingSymbol
-from coherekit.linprog import best_uniform_gain, simplex_minimize
+from coherekit.linprog import DEGENERATE_LIMIT, best_uniform_gain, simplex_minimize
 from coherekit.polynomials import Poly
 
 
@@ -200,19 +202,25 @@ def _fraction_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, c
 def _fraction_iterate(
     tableau: list[list[Fraction]], basis: list[int], costs: list[Fraction], allowed: int
 ) -> str:
-    """Bland's rule: the smallest entering index with a negative reduced
-    cost, the smallest basis index among the rows that tie the ratio test."""
+    """Dantzig's rule (the most negative reduced cost, the smallest index
+    among ties) until `DEGENERATE_LIMIT` pivots at a zero ratio, Bland's
+    rule (the smallest entering index with a negative reduced cost) from
+    then on; the smallest basis index among the rows that tie the ratio
+    test under either."""
     m = len(tableau)
+    degenerate = 0
     while True:
         basis_costs = [costs[basis[i]] for i in range(m)]
         entering = -1
+        least = Fraction(0)
         for j in range(allowed):
             reduced = costs[j] - sum(
                 basis_costs[i] * tableau[i][j] for i in range(m) if tableau[i][j]
             )
-            if reduced < 0:
-                entering = j
-                break
+            if reduced < least:
+                entering, least = j, reduced
+                if degenerate >= DEGENERATE_LIMIT:
+                    break
         if entering < 0:
             return "optimal"
         leaving = -1
@@ -226,6 +234,8 @@ def _fraction_iterate(
                     leaving = i
         if leaving < 0:
             return "unbounded"
+        if best == 0:
+            degenerate += 1
         _fraction_pivot(tableau, basis, leaving, entering)
 
 
@@ -272,7 +282,8 @@ def fraction_simplex(
     def result(status, solution=None, objective=None, pi=None):
         return (status, solution, objective, pi) if multipliers else (status, solution, objective)
 
-    status = _fraction_iterate(tableau, basis, phase1, n + m)
+    # An artificial that leaves the basis never re-enters.
+    status = _fraction_iterate(tableau, basis, phase1, n)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below
         return result("unbounded")
     if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) > 0:

@@ -240,6 +240,60 @@ def test_value_with_too_many_digits_exit_code(write, capsys):
     ]
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter reads integers of any length",
+)
+def test_tolerance_with_too_many_digits_exit_code(write, capsys):
+    exponent = "9" * (sys.get_int_max_str_digits() + 700)
+    for tol in (f"2^-{exponent}", exponent):
+        assert main(["extend", write(MP_DOC), "--tol", tol]) == 2
+        error = f"error: tolerance exponent has too many digits ({len(exponent)})\n"
+        assert capsys.readouterr().err == error
+
+
+# 1/10^2500: each input value is short enough to read, but the products
+# that the commands print have 5001-digit denominators, more than one
+# int-to-str conversion allows by default.
+LONG = "1/1" + "0" * 2500
+LONG_SQUARED = "1/1" + "0" * 5000
+
+
+def test_mp_prints_long_products(capsys):
+    assert main(["mp", "--x", LONG, "--y", LONG]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"conclusion bounds: [{LONG_SQUARED}, ")
+    assert main(["mp", "--x", LONG, "--y", LONG, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["x"], payload["lower"]) == (LONG, LONG_SQUARED)
+    # x·y + 1 - x = (10^5000 - 10^2500 + 1) / 10^5000
+    assert payload["upper"] == "9" * 2500 + "0" * 2499 + "1/1" + "0" * 5000
+
+
+def test_extend_prints_long_products(write, capsys):
+    doc = write(MP_DOC.replace("1/2", LONG))
+    assert main(["extend", doc, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lower"] == LONG_SQUARED
+    assert main(["extend", doc]) == 0
+    assert f"lower {LONG_SQUARED}\n" in capsys.readouterr().out
+
+
+def test_dutchbook_prints_long_products(write, capsys):
+    """P(A|H) = P((B|K)|(A|H)) = 1/10^2500 force the conjunction to
+    1/10^5000; at 0 the sure gain is that product."""
+    doc = write(
+        "atoms A B H K\n"
+        f"assess P(A given H) = {LONG}\n"
+        f"assess P((B given K) given (A given H)) = {LONG}\n"
+        "assess P((A given H) and (B given K)) = 0\n"
+    )
+    assert main(["dutchbook", doc, "--json"]) == 1
+    book = json.loads(capsys.readouterr().out)["dutch_book"]
+    assert book["epsilon"] == LONG_SQUARED
+    assert main(["dutchbook", doc]) == 1
+    assert f"guaranteed gain: {LONG_SQUARED}\n" in capsys.readouterr().out
+
+
 NESTED_TOO_DEEPLY = {
     "parentheses": "atoms A H\nassess P(" + "(" * 3000 + "A" + ")" * 3000 + " given H) = 1/2\n",
     "negations": "atoms A H\nassess P(" + "!" * 3000 + "A given H) = 1/2\n",

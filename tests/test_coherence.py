@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from coherekit import coherence
+from coherekit import coherence, linprog
 from coherekit.coherence import (
     Assessment,
     CoherenceResult,
@@ -526,6 +526,24 @@ def test_eight_independent_conditionals_sharing_h():
     result = check_coherence(Assessment(items))
     assert not result.coherent
     assert result.witness == (3,)
+
+
+def test_ten_independent_conditionals_take_few_pivots(monkeypatch):
+    """One level LP over 1025 distinct payoff points and 11 rows: Bland's
+    rule took 502 pivots on it, Dantzig's takes a few per row."""
+    real = linprog._pivot
+    pivots = 0
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        real(*args)
+
+    monkeypatch.setattr(linprog, "_pivot", counting)
+    result, lps = _hull_lps(monkeypatch, Assessment(_independent_given(10, ["H"] * 10)))
+    assert result.coherent
+    assert lps == 1
+    assert pivots <= 30
 
 
 def test_unbacked_incoherent_level_is_an_internal_error(monkeypatch):

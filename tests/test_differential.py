@@ -11,6 +11,7 @@ eighths that may fall outside [0, 1].
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from coherekit.coherence import (
     Assessment,
     PointTable,
     _levels,
+    _subset_entries,
     build_points,
     check_coherence,
     find_dutch_book,
@@ -35,7 +37,7 @@ from coherekit.crq import (
     negate,
     support,
 )
-from coherekit.errors import CoherekitError, EmptySupport, InternalError
+from coherekit.errors import CoherekitError, EmptySupport, InternalError, MissingSymbol
 from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import Poly
 from coherekit.propagation import (
@@ -187,24 +189,41 @@ def test_levels_match_exhaustive_hull_sweep(assessment):
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(member_lists(), member_lists(free_inner=True)).map(Assessment))
 def test_payoff_matrix_matches_world_by_world_oracle(assessment):
-    """The row-wise matrix equals the world-by-world one, its constant cells
-    are `Fraction`s, and every point table
-    (corner rows included) or `MissingSymbol` message is the one read off
-    the oracle's cells."""
+    """The row-wise integer matrix, divided by the member's denominator D_i,
+    equals the world-by-world one; D_i is the lcm of the denominators in
+    the member's prevision and payoffs, and its constant cells are ints.
+    Every point table (corner rows included) or `MissingSymbol` message is
+    the one read off the oracle's cells, and so are the integer points of
+    every subfamily divided by the D_i."""
     cells = oracles.payoff_cells(assessment)
-    assert [[Poly.coerce(cell) for cell in row] for row in assessment.cells] == cells
+    scales = assessment.scales
+    assert [
+        [cell if isinstance(cell, Poly) else Poly.const(Fraction(cell, scale)) for cell in row]
+        for row, scale in zip(assessment.scaled, scales)
+    ] == cells
     assert all(
-        isinstance(cell, Fraction) or not cell.is_constant()
-        for row in assessment.cells
-        for cell in row
+        type(cell) is int or not cell.is_constant() for row in assessment.scaled for cell in row
     )
+    for row, (_, prevision), scale, scaled_prevision in zip(
+        cells, assessment.items, scales, assessment.scaled_previsions
+    ):
+        denominators = [c.denominator for poly in row for c in poly.terms.values()]
+        assert scale == lcm(prevision.denominator, *denominators)
+        assert scaled_prevision == prevision * scale
     for subset in subsets_by_size(len(assessment)):
         expected = _outcome_with_message(oracles.point_table, assessment, subset, cells)
         got = _outcome_with_message(build_points, assessment, subset)
         if isinstance(expected, PointTable) and not expected.entries:
             assert got[0] is EmptySupport
-        else:
-            assert got == expected
+            continue
+        assert got == expected
+        if isinstance(expected, PointTable):
+            entries = _subset_entries(assessment, subset)
+            assert all(type(v) is int for _, point, _ in entries for v in point)
+            assert [
+                (k, tuple(Fraction(v, scales[i]) for v, i in zip(point, subset)), corner)
+                for k, point, corner in entries
+            ] == [(e.constituent.index, e.values, e.corner) for e in expected.entries]
 
 
 @st.composite
@@ -262,20 +281,73 @@ def extensions(draw):
 
 @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
 @given(extensions())
-def test_extension_oracle_matches_target_subset_sweep(case):
-    """`_coherent_with_target` against the sweep of the subfamilies that
-    contain the target."""
-    premises, target, value = case
-    anchor = len(premises)
+def test_extension_oracle_matches_combined_family_sweep(case):
+    """`_coherent_with_target` against the sweep of every subfamily of the
+    combined family, premises alone included, since assessing the target
+    can change what a premise pays: incoherent when one fails its hull
+    test; a subfamily that cannot be decided is raised only when none
+    fails."""
 
     def sweep(premises, target, value):
         combined = Assessment(tuple(premises.items) + ((target, value),))
-        subsets = (s for s in subsets_by_size(len(combined)) if anchor in s)
-        return exhaustive_coherence(combined, subsets).coherent
+        undecided = None
+        for subset in subsets_by_size(len(combined)):
+            try:
+                if not exhaustive_coherence(combined, [subset]).coherent:
+                    return False
+            except MissingSymbol as error:
+                undecided = undecided or error
+        if undecided is not None:
+            raise undecided
+        return True
 
     assert _outcome_with_message(_coherent_with_target, *case) == (
         _outcome_with_message(sweep, *case)
     )
+
+
+def test_assessed_target_can_make_a_premise_incoherent():
+    """P((A|¬C)|(A|C)) = 0 and P(A|C) = 0 are coherent, with the prevision
+    pb of A|¬C unassessed.  With the target A|¬C at 1/8, the first premise
+    pays pb = 1/8 at its only live worlds (A∧C), so it alone fails: the
+    combined family is incoherent with witness (0,), although every
+    subfamily that contains the target passes."""
+    a = conditional_event(ATOMS[0], ATOMS[2], "pa", registry=REGISTRY)
+    b = conditional_event(ATOMS[0], ~ATOMS[2], "pb", registry=REGISTRY)
+    premises = Assessment([(iterated(a, b, "mu", "cj"), Fraction(0)), (a, Fraction(0))])
+    assert check_coherence(premises).coherent
+    value = Fraction(1, 8)
+    combined = Assessment(tuple(premises.items) + ((b, value),))
+    assert exhaustive_coherence(combined).witness == (0,)
+    with_target = (s for s in subsets_by_size(3) if 2 in s)
+    assert exhaustive_coherence(combined, with_target).coherent
+    assert not _coherent_with_target(premises, b, value)
+
+
+def test_undecidable_premise_subfamily_leaves_the_failing_pair_to_decide():
+    """Premises C|(¬(C|B)) = 7/8 (inner ¬(C|B)), C|B = 1 and
+    ((A∨B)|B)|(C|B) = 0, with the conjunction prevision cj unassessed;
+    the negation link fixes ¬(C|B) at 0.  Assessed at 5/8 instead, it
+    moves the first premise's payoffs, and cj then appears in two distinct
+    rows of a premise pair, which cannot be decided.  The pair {C|B,
+    ¬(C|B)} fails all the same, so the value is incoherent and the
+    extension interval is [0, 0]."""
+    a = conditional_event(ATOMS[2], ATOMS[1], "pa", registry=REGISTRY)
+    not_a = negate(a, "na")
+    b = conditional_event(ATOMS[0] | ATOMS[1], ATOMS[1], "pb", registry=REGISTRY)
+    premises = Assessment(
+        [
+            (iterated_simple(not_a, ATOMS[0], "cna"), Fraction(7, 8)),
+            (a, Fraction(1)),
+            (iterated(a, b, "mu", "cj"), Fraction(0)),
+        ]
+    )
+    combined = Assessment(tuple(premises.items) + ((not_a, Fraction(5, 8)),))
+    with pytest.raises(MissingSymbol):
+        exhaustive_coherence(combined)
+    assert not _coherent_with_target(premises, not_a, Fraction(5, 8))
+    interval = extension_interval(premises, not_a)
+    assert (interval.as_tuple(), interval.exactness) == ((0, 0), "certified-by-LP")
 
 
 def _zero_antecedent(p):

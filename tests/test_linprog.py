@@ -13,6 +13,7 @@ from coherekit.linprog import (
     convex_combination,
     simplex_minimize,
 )
+import oracles
 from oracles import fraction_simplex, primal_uniform_gain
 
 F = Fraction
@@ -85,6 +86,80 @@ def test_large_prime_denominators_match_the_fraction_tableau():
     assert result[0] == "optimal"
     assert result == fraction_simplex(matrix, rhs, costs, multipliers=True)
     assert certified_minimum(matrix, rhs, costs) == (result[2], result[3])
+
+
+# Beale's LP (Math. Programming, 1955), on which Dantzig's rule cycles,
+# embedded so that phase 2 starts in its cycling basis: the first three
+# columns are Beale's slacks; the fourth row, at rhs 0, turns the phase-1
+# reduced costs into Beale's costs, and the last column keeps the system
+# feasible.  Columns x1..x8, rows:
+#   x1 + x4/4 - 8 x5 - x6 + 9 x7 - 2 x8 = 0
+#   x2 + x4/2 - 12 x5 - x6/2 + 3 x7 - 2 x8 = 0
+#   2 x3 + 2 x6 = 2
+#   -x1 - x2 - 2 x3 - 18 x7 + 2 x8 = 0
+BEALE = (
+    [
+        [F(1), F(0), F(0), F(1, 4), F(-8), F(-1), F(9), F(-2)],
+        [F(0), F(1), F(0), F(1, 2), F(-12), F(-1, 2), F(3), F(-2)],
+        [F(0), F(0), F(2), F(0), F(0), F(2), F(0), F(0)],
+        [F(-1), F(-1), F(-2), F(0), F(0), F(0), F(-18), F(2)],
+    ],
+    [F(0), F(0), F(2), F(0)],
+    [F(0), F(0), F(0), F(-3, 4), F(20), F(-1, 2), F(6), F(5)],
+)
+
+
+def _pivots(monkeypatch, lp, limit=None):
+    """simplex_minimize's result on `lp` and its pivots (row, column), or
+    None for the result when they pass 100 (a cycle)."""
+    if limit is not None:
+        monkeypatch.setattr(linprog, "DEGENERATE_LIMIT", limit)
+    path = []
+    pivot = linprog._pivot
+
+    class Cycled(Exception):
+        pass
+
+    def recording(tableau, basis, row, col):
+        path.append((row, col))
+        if len(path) > 100:
+            raise Cycled
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(linprog, "_pivot", recording)
+    try:
+        return simplex_minimize(*lp, multipliers=True), path
+    except Cycled:
+        return None, path
+
+
+def test_dantzig_rule_cycles_on_beale_without_the_fallback(monkeypatch):
+    result, path = _pivots(monkeypatch, BEALE, limit=10**9)
+    assert result is None
+    assert path[6:12] == path[:6]  # x4, x5, x6, x7, x1, x2 enter, and again
+
+
+def test_bland_fallback_ends_beale_at_its_optimum(monkeypatch):
+    """After DEGENERATE_LIMIT degenerate pivots the rule switches to
+    Bland's and ends at the optimum 1/4, certified by its duals; the
+    `Fraction` tableau takes the same path."""
+    result, path = _pivots(monkeypatch, BEALE)
+    assert linprog.DEGENERATE_LIMIT < len(path) <= 100
+    status, solution, objective, _ = result
+    assert (status, objective) == ("optimal", F(1, 4))
+    assert solution == [F(3, 2), 0, 0, 4, 0, 1, 0, F(3, 4)]
+    monkeypatch.undo()
+    assert certified_minimum(*BEALE)[0] == objective
+    oracle_path = []
+    pivot = oracles._fraction_pivot
+
+    def recording(tableau, basis, row, col):
+        oracle_path.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    monkeypatch.setattr(oracles, "_fraction_pivot", recording)
+    assert result == fraction_simplex(*BEALE, multipliers=True)
+    assert oracle_path == path
 
 
 def test_convex_combination_inside_triangle():
