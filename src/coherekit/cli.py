@@ -4,9 +4,10 @@ Subcommands:
 
 * ``cohere check FILE [--json]`` - coherence verdict for the assessments
   in FILE (exit 0 coherent, 1 incoherent).
-* ``cohere extend FILE --target EXPR [--tol 2^-K] [--json]`` - interval of
-  coherent previsions for a new target quantity; ``--tol`` is read only
-  by the bisection search that targets outside the exact LP path take.
+* ``cohere extend FILE [--target EXPR] [--tol 2^-K] [--json]`` - interval
+  of coherent previsions for a new target quantity, by default the file's
+  ``query extend`` target; ``--tol`` is read only by the bisection search
+  that targets outside the exact LP path take.
 * ``cohere mp --x P/Q --y P/Q [--classical] [--json]`` - closed-form
   conclusion bounds from premises x and y, cross-checked against the
   generic engine; the command fails loudly if the two disagree.
@@ -26,6 +27,7 @@ family-size cap; a value that is not an integer, or is below 1, exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -68,7 +70,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process: parsing leaves it as it was, and each call of `main` gets a
+    fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cohere",
         description="Coherence checking and prevision propagation for "

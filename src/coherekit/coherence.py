@@ -49,8 +49,10 @@ part of the family) are treated as unknown previsions ranging over [0,1]
 and eliminated exactly: each one may appear in only a single distinct
 payoff row of a subfamily, affinely, in which case replacing that moving
 row by its endpoint rows is an exact reformulation of the hull test.
-When the rows of a level break that rule, the subset loop decides, so a
-family raises `MissingSymbol` exactly where the loop reaches it.
+When the rows of a level break that rule, the subset loop decides: it
+skips the subfamilies whose rows break it, names the first of the others
+that fails as the witness, and raises `MissingSymbol` only when none
+fails.
 """
 
 from __future__ import annotations
@@ -503,11 +505,19 @@ def _first_failure(
     """The incoherent result for the first of `subsets` whose previsions
     lie outside the hull of its payoff points, with that hull's separator,
     or None.  Subfamilies whose bets are all called off at every world
-    impose no constraint and are skipped.  The hull LP runs on the integer
-    points; its separator (s, t) maps back to the payoffs as (s_j·D_j, t)
-    and is re-checked on them as `Fraction`s."""
+    impose no constraint and are skipped.  So are those whose rows leave
+    an unassessed symbol that cannot be eliminated, which decide nothing:
+    the first one's `MissingSymbol` is raised only when no subfamily
+    fails.  The hull LP runs on the integer points; its separator (s, t)
+    maps back to the payoffs as (s_j·D_j, t) and is re-checked on them as
+    `Fraction`s."""
+    undecided: Optional[MissingSymbol] = None
     for subset in subsets:
-        entries = _subset_entries(assessment, subset)
+        try:
+            entries = _subset_entries(assessment, subset)
+        except MissingSymbol as error:
+            undecided = undecided or error
+            continue
         if not entries:
             continue
         scales = [assessment.scales[i] for i in subset]
@@ -528,6 +538,8 @@ def _first_failure(
                 separator,
             )
             return CoherenceResult(False, subset, separator)
+    if undecided is not None:
+        raise undecided
     return None
 
 
@@ -588,15 +600,18 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
 def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> CoherenceResult:
     """Decide coherence with Gilio's level algorithm.
 
-    Returns the smallest failing subfamily (lexicographic within size) as
-    witness when incoherent, with the separator of its hull LP.
+    When incoherent, the witness is the first subfamily of least size
+    (lexicographic within size) that is certified to fail, with the
+    separator of its hull LP; subfamilies that cannot be decided because
+    an unassessed symbol cannot be eliminated are skipped, and the first
+    one's `MissingSymbol` is raised only when no subfamily fails.
     """
     _check_cap(assessment, cap)
     try:
         if _levels(assessment) is not None:
             return CoherenceResult(True)
     except MissingSymbol:
-        pass  # the subset loop raises it too, unless it stops at a witness first
+        pass  # the subset loop raises it too, unless some subfamily fails
     failure = _first_failure(assessment, subsets_by_size(len(assessment)))
     if failure is None:
         raise InternalError("a level has no hull solution, yet no subfamily fails")

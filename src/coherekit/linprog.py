@@ -13,10 +13,10 @@ and spares the gcd of every `Fraction` operation.  A row of ints, such
 as the integer-scaled payoff points of `coherence`, enters the tableau
 as it is.  The row multipliers read off the final tableau certify what
 the simplex reports: duals for an optimum, a Farkas vector for an
-infeasible system; both are re-checked exactly by the callers that rely
-on them.  The Dutch-book stake problem is solved as its dual, a hull
-system with L1 slack, through `certified_minimum`: the stakes are its
-multipliers.
+infeasible system; both are re-checked exactly, on integers, by the
+callers that rely on them.  The Dutch-book stake problem is solved as its
+dual, a hull system with L1 slack, through `certified_minimum`: the
+stakes are its multipliers.
 """
 
 from __future__ import annotations
@@ -219,25 +219,42 @@ def certified_minimum(
     exactly with them: the solution is feasible and attains the objective,
     every reduced cost costs_j - pi·A_j is >= 0, and pi·rhs equals the
     objective, so no feasible x does better.  Anything else raises
-    `InternalError`."""
+    `InternalError`.
+
+    The checks run on integers: each row with its rhs, the costs, the
+    solution and the multipliers, each times the lcm of its own
+    denominators."""
     status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     if status != "optimal":
         raise InternalError(f"an LP with a known optimum ended {status}")
-    # The primal checks need only the nonzero entries of the solution; the
-    # dual checks run on the multipliers times their common denominator.
-    support = [j for j, x in enumerate(solution) if x]
-    scale = lcm(*(p.denominator for p in pi))
-    combination = [0] * len(costs)
-    for p, row in zip(pi, matrix):
+    n = len(costs)
+    rows = [_integers([*row, b]) for row, b in zip(matrix, rhs)]
+    cost_scale, integer_costs = _integers(costs)
+    # Primal: x = X / x_scale, with only the nonzero entries of X.
+    support = [(j, x) for j, x in enumerate(solution) if x]
+    x_scale = lcm(*(x.denominator for _, x in support))
+    support = [(j, x.numerator * (x_scale // x.denominator)) for j, x in support]
+    # Dual: pi = P / pi_scale; row i enters the combination as
+    # P_i·(common / s_i) times its integer form, which is
+    # pi_scale·common·(pi·A_j) in column j and pi_scale·common·(pi·rhs)
+    # in the rhs column.
+    pi_scale = lcm(*(p.denominator for p in pi))
+    common = lcm(*(scale for scale, _ in rows))
+    combination = [0] * (n + 1)
+    for p, (scale, row) in zip(pi, rows):
         if p:
-            integer = p.numerator * (scale // p.denominator)
-            combination = [c + integer * a for c, a in zip(combination, row)]
+            factor = p.numerator * (pi_scale // p.denominator) * (common // scale)
+            combination = [c + factor * a for c, a in zip(combination, row)]
+    dual_scale = pi_scale * common
     if (
-        any(solution[j] < 0 for j in support)
-        or any(sum(row[j] * solution[j] for j in support) != b for row, b in zip(matrix, rhs))
-        or sum(costs[j] * solution[j] for j in support) != objective
-        or any(scale * c < v for c, v in zip(costs, combination))
-        or sum(p * b for p, b in zip(pi, rhs)) != objective
+        any(x < 0 for _, x in support)
+        or any(
+            sum(row[j] * x for j, x in support) != row[n] * x_scale for _, row in rows
+        )
+        or sum(integer_costs[j] * x for j, x in support) * objective.denominator
+        != objective.numerator * cost_scale * x_scale
+        or any(dual_scale * c < cost_scale * v for c, v in zip(integer_costs, combination))
+        or combination[n] * objective.denominator != objective.numerator * dual_scale
     ):
         raise InternalError("an LP optimum fails its exact re-check")
     return objective, pi
@@ -347,9 +364,14 @@ def best_uniform_gain(
     costs = [0] * m + [1] * (2 * n)
     epsilon, pi = certified_minimum(matrix, rhs, costs)
     stakes = [-p for p in pi[:n]]
-    # Exact re-verification of the certificate.
-    if any(not -1 <= s <= 1 for s in stakes) or any(
-        sum(s * d[i] for i, s in enumerate(stakes)) < epsilon for d in deviations
+    # Exact re-verification of the certificate, on integers: the stakes
+    # times the lcm of their denominators, and each deviation vector times
+    # the lcm of its own.
+    scale, integer_stakes = _integers(stakes)
+    if any(abs(s) > scale for s in integer_stakes) or any(
+        sum(map(mul, integer_stakes, d)) * epsilon.denominator
+        < epsilon.numerator * scale * d_scale
+        for d_scale, d in map(_integers, deviations)
     ):
         raise InternalError("stakes fail their exact re-check")
     return epsilon, stakes

@@ -105,16 +105,39 @@ class Poly:
     # -- evaluation ---------------------------------------------------
 
     def substitute(self, valuation: Mapping[str, Union["Poly", Rational]]) -> "Poly":
-        """Replace assigned symbols; unassigned symbols stay symbolic."""
-        out = Poly.const(0)
+        """Replace assigned symbols; unassigned symbols stay symbolic.
+
+        A numeric value is folded into its term's coefficient, and the
+        terms are summed in one dict; a term with a `Poly`-valued symbol
+        is expanded as a product of polynomials."""
+        terms: dict[tuple, Fraction] = {}
         for mono, coef in self.terms.items():
-            term = Poly.const(coef)
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
+            kept = []
+            factors = []
             for sym, power in mono:
-                base = Poly.coerce(valuation[sym]) if sym in valuation else Poly.sym(sym)
-                for _ in range(power):
-                    term = term * base
-            out = out + term
-        return out
+                if sym not in valuation:
+                    kept.append((sym, power))
+                    continue
+                value = valuation[sym]
+                if isinstance(value, Poly):
+                    factors.extend([value] * power)
+                    continue
+                if type(value) is not Fraction and type(value) is not int:
+                    value = Fraction(value)  # as `Poly.const` reads it
+                coef *= value if power == 1 else value**power
+            kept_mono = tuple(kept)
+            if factors:
+                product = Poly({kept_mono: coef})
+                for factor in factors:
+                    product = product * factor
+                expanded = product.terms.items()
+            else:
+                expanded = ((kept_mono, coef),)
+            for key, coefficient in expanded:
+                terms[key] = terms[key] + coefficient if key in terms else coefficient
+        return Poly(terms)
 
     def value(self, valuation: Mapping[str, Rational]) -> Fraction:
         """Exact rational evaluation; every symbol must be assigned."""

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .coherence import (
@@ -257,21 +258,30 @@ def _lp_interval(
         if zero is None:
             break
         members = zero
+    # Scaled by the common denominator D_T of the target's payoffs, the
+    # row D = 1 reads sum(y * D_T·(1 - b)) = D_T and the costs are D_T·a,
+    # all ints, so the optima are D_T times the endpoints.  A world where
+    # the target is called off has a = 0 and b = 1, so (0, 0).
+    scale = lcm(*(v.denominator for pair in set(payoffs.values()) for v in pair))
+    target_cells = {
+        k: (a.numerator * (scale // a.denominator), scale - b.numerator * (scale // b.denominator))
+        for k, (a, b) in payoffs.items()
+    }
     indices = tuple(_bits(members))
     columns = list(
         dict.fromkeys(
             (tuple(cells[j][k] - previsions[j] for j in indices),)
-            + payoffs.get(k, (0, 1))
+            + target_cells.get(k, (0, 0))
             for k, live in enumerate(premises.live_members)
-            if k in payoffs or live & members
+            if k in target_cells or live & members
         )
     )
     matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
-    matrix.append([1 - b for _, _, b in columns])
-    rhs = [0] * len(indices) + [1]
+    matrix.append([denominator for _, _, denominator in columns])
+    rhs = [0] * len(indices) + [scale]
     lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])[0]
     upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])[0]
-    return ExtensionInterval(lower, upper, "certified-by-LP")
+    return ExtensionInterval(lower / scale, upper / scale, "certified-by-LP")
 
 
 def _search_interval(
@@ -323,16 +333,7 @@ def _coherent_with_target(premises: Assessment, target: CRQ, value: Fraction) ->
         return _levels(combined) is not None
     except MissingSymbol:
         pass
-    undecided: Optional[MissingSymbol] = None
-    for subset in subsets_by_size(len(combined)):
-        try:
-            if _first_failure(combined, [subset]) is not None:
-                return False
-        except MissingSymbol as error:
-            undecided = undecided or error
-    if undecided is not None:
-        raise undecided
-    return True
+    return _first_failure(combined, subsets_by_size(len(combined))) is None
 
 
 def _endpoint_candidates(premises: Assessment, target: CRQ) -> list[Fraction]:

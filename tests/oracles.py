@@ -3,6 +3,8 @@
 `exhaustive_coherence` is the all-subfamilies test that `check_coherence`
 ran before the level algorithm: solve the hull system of every
 subfamily, smallest first, and report the first one outside its hull.
+A subfamily whose table cannot be built for an unassessed symbol decides
+nothing and is skipped; its error is raised only when none fails.
 It is built from `build_points` and `solve_sigma` alone, so it never
 touches the level code.
 
@@ -38,11 +40,16 @@ artificial re-entering in phase 1), but every entry a `Fraction`, each
 row divided by its pivot, and the reduced costs recomputed from the
 basis costs at every iteration.  The integer simplex must return exactly
 its tuples, multipliers included, after the same pivots.
+
+`composed_substitute` is `Poly.substitute` as it was before it folded
+numeric values into the coefficients: every term rebuilt as a product of
+`Poly` factors, a numeric value coerced to a constant `Poly`, and the
+terms summed `Poly` by `Poly`.
 """
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from coherekit.coherence import (
     _CORNER_LIMIT,
@@ -64,25 +71,20 @@ def exhaustive_coherence(
     assessment: Assessment, subsets: Optional[Iterable[tuple[int, ...]]] = None
 ) -> CoherenceResult:
     """The first of `subsets` (default: all, smallest first) whose hull
-    system has no solution, as the witness of an incoherent result."""
+    system has no solution, as the witness of an incoherent result.  A
+    subfamily whose table cannot be built for an unassessed symbol decides
+    nothing: the first such `MissingSymbol` is raised only when no
+    subfamily fails."""
     if subsets is None:
         subsets = subsets_by_size(len(assessment))
-    for subset in subsets:
-        try:
-            table = build_points(assessment, subset)
-        except EmptySupport:
-            continue
+    for subset, table in _decided_tables(assessment, subsets):
         if solve_sigma(table) is None:
             return CoherenceResult(False, subset)
     return CoherenceResult(True)
 
 
 def exhaustive_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
-    for subset in subsets_by_size(len(assessment)):
-        try:
-            table = build_points(assessment, subset)
-        except EmptySupport:
-            continue
+    for subset, table in _decided_tables(assessment, subsets_by_size(len(assessment))):
         deviations = [
             tuple(value - prevision for value, prevision in zip(point, table.previsions))
             for point in table.points
@@ -91,6 +93,24 @@ def exhaustive_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
         if epsilon > 0:
             return DutchBook(subset, tuple(stakes), epsilon)
     return None
+
+
+def _decided_tables(
+    assessment: Assessment, subsets: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], PointTable]]:
+    """The point table of each of `subsets` that has live worlds and can
+    be built; once they are exhausted, the first `MissingSymbol` met is
+    raised.  A caller that stops at a failing subfamily never sees it."""
+    undecided = None
+    for subset in subsets:
+        try:
+            yield subset, build_points(assessment, subset)
+        except EmptySupport:
+            continue
+        except MissingSymbol as error:
+            undecided = undecided or error
+    if undecided is not None:
+        raise undecided
 
 
 def primal_uniform_gain(
@@ -306,3 +326,15 @@ def fraction_simplex(
     objective = sum(Fraction(costs[j]) * solution[j] for j in range(n))
     duals = _fraction_multipliers(tableau, basis, phase2, signs) if multipliers else None
     return result("optimal", solution, objective, duals)
+
+
+def composed_substitute(poly: Poly, valuation) -> Poly:
+    out = Poly.const(0)
+    for mono, coef in poly.terms.items():
+        term = Poly.const(coef)
+        for sym, power in mono:
+            base = Poly.coerce(valuation[sym]) if sym in valuation else Poly.sym(sym)
+            for _ in range(power):
+                term = term * base
+        out = out + term
+    return out

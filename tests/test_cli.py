@@ -412,3 +412,39 @@ def test_multiplier_checks_survive_optimization(write, command, doc):
     )
     assert done.returncode == 4, done.stderr
     assert "internal error" in done.stderr
+
+
+def _fresh_process(argv):
+    """Exit code and standard output of `cohere ARGV` in a new interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "coherekit.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout
+
+
+def test_consecutive_calls_match_fresh_processes(write, capsys):
+    """The parser is built once per process, and each call of `main` still
+    reads only its own arguments: a flag or option of one call (`--json`,
+    `--target`, `--classical`) does not carry over to the next, whatever
+    the subcommand."""
+    mp = write(MP_DOC)
+    calls = [
+        ["extend", mp, "--target", "C given A", "--json"],
+        ["extend", mp],
+        ["check", mp, "--json"],
+        ["check", mp],
+        ["table", mp, "--target", "C"],
+        ["table", mp, "--json"],
+        ["mp", "--x", "1/3", "--y", "2/5", "--classical", "--json"],
+        ["mp", "--x", "1/3", "--y", "2/5"],
+    ]
+    for argv in calls:
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == _fresh_process(argv), argv

@@ -1,8 +1,10 @@
 """Differential tests of the coherence engine against the exhaustive
 hull sweep and stake search of `oracles.py`, on random families over
 three atoms, of the assessment's payoff matrix and point tables against
-their world-by-world construction, and of the integer simplex against
-the `Fraction` tableau it replaced, on random linear programs.
+their world-by-world construction, of the integer simplex against the
+`Fraction` tableau it replaced, on random linear programs, and of
+polynomial substitution against its product-by-product form, on random
+polynomials.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -20,6 +22,7 @@ from coherekit import linprog
 from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
+    CoherenceResult,
     PointTable,
     _levels,
     _subset_entries,
@@ -290,16 +293,7 @@ def test_extension_oracle_matches_combined_family_sweep(case):
 
     def sweep(premises, target, value):
         combined = Assessment(tuple(premises.items) + ((target, value),))
-        undecided = None
-        for subset in subsets_by_size(len(combined)):
-            try:
-                if not exhaustive_coherence(combined, [subset]).coherent:
-                    return False
-            except MissingSymbol as error:
-                undecided = undecided or error
-        if undecided is not None:
-            raise undecided
-        return True
+        return exhaustive_coherence(combined).coherent
 
     assert _outcome_with_message(_coherent_with_target, *case) == (
         _outcome_with_message(sweep, *case)
@@ -324,14 +318,10 @@ def test_assessed_target_can_make_a_premise_incoherent():
     assert not _coherent_with_target(premises, b, value)
 
 
-def test_undecidable_premise_subfamily_leaves_the_failing_pair_to_decide():
+def _undecidable_pair_premises():
     """Premises C|(¬(C|B)) = 7/8 (inner ¬(C|B)), C|B = 1 and
-    ((A∨B)|B)|(C|B) = 0, with the conjunction prevision cj unassessed;
-    the negation link fixes ¬(C|B) at 0.  Assessed at 5/8 instead, it
-    moves the first premise's payoffs, and cj then appears in two distinct
-    rows of a premise pair, which cannot be decided.  The pair {C|B,
-    ¬(C|B)} fails all the same, so the value is incoherent and the
-    extension interval is [0, 0]."""
+    ((A∨B)|B)|(C|B) = 0, with the conjunction prevision cj unassessed,
+    and the quantity ¬(C|B)."""
     a = conditional_event(ATOMS[2], ATOMS[1], "pa", registry=REGISTRY)
     not_a = negate(a, "na")
     b = conditional_event(ATOMS[0] | ATOMS[1], ATOMS[1], "pb", registry=REGISTRY)
@@ -342,12 +332,49 @@ def test_undecidable_premise_subfamily_leaves_the_failing_pair_to_decide():
             (iterated(a, b, "mu", "cj"), Fraction(0)),
         ]
     )
+    return premises, not_a
+
+
+def test_undecidable_premise_subfamily_leaves_the_failing_pair_to_decide():
+    """The negation link fixes ¬(C|B) at 0.  Assessed at 5/8 instead, it
+    moves the first premise's payoffs, and cj then appears in two distinct
+    rows of a premise pair, which cannot be decided.  The pair {C|B,
+    ¬(C|B)} fails all the same, so the value is incoherent and the
+    extension interval is [0, 0]."""
+    premises, not_a = _undecidable_pair_premises()
     combined = Assessment(tuple(premises.items) + ((not_a, Fraction(5, 8)),))
     with pytest.raises(MissingSymbol):
-        exhaustive_coherence(combined)
+        build_points(combined, (0, 2))
     assert not _coherent_with_target(premises, not_a, Fraction(5, 8))
     interval = extension_interval(premises, not_a)
     assert (interval.as_tuple(), interval.exactness) == ((0, 0), "certified-by-LP")
+
+
+def test_witness_skips_the_undecidable_subfamilies():
+    """The same family with ¬(C|B) = 5/8 as its fourth member.  The
+    subfamilies (0,2), (0,1,2), (0,2,3) and (0,1,2,3) cannot be decided;
+    of the others only (1,3) = {C|B = 1, ¬(C|B) = 5/8} fails its hull
+    test.  The witness is the first subfamily of least size certified to
+    fail, so it is (1,3), with a separator re-checked on its points, and
+    the Dutch book stands on it."""
+    premises, not_a = _undecidable_pair_premises()
+    combined = Assessment(tuple(premises.items) + ((not_a, Fraction(5, 8)),))
+    undecidable = {(0, 2), (0, 1, 2), (0, 2, 3), (0, 1, 2, 3)}
+    for subset in subsets_by_size(4):
+        if subset in undecidable:
+            with pytest.raises(MissingSymbol):
+                build_points(combined, subset)
+        else:
+            fits = solve_sigma(build_points(combined, subset)) is not None
+            assert fits == (subset != (1, 3)), subset
+    result = check_coherence(combined)
+    assert result == exhaustive_coherence(combined) == CoherenceResult(False, (1, 3))
+    assert result.separator == ((1, 1), -1)
+    table = build_points(combined, (1, 3))
+    linprog.check_separator(table.points, table.previsions, result.separator)
+    book = find_dutch_book(combined)
+    assert book.subset == (1, 3) and book == exhaustive_dutch_book(combined)
+    _assert_sure_win(combined, book)
 
 
 def _zero_antecedent(p):
@@ -585,3 +612,34 @@ def test_integer_simplex_matches_the_fraction_tableau(lp):
     assert got == expected
     assert path == oracle_path
     assert linprog.simplex_minimize(*lp) == expected[:3]
+
+
+SYMBOLS = ("x", "y", "z", "w")
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7, 12]))
+monomials = st.dictionaries(st.sampled_from(SYMBOLS), st.integers(1, 3), max_size=3).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(Poly)
+# A value is a `Fraction`, an int, a float read exactly as `Poly.const`
+# reads it, or a `Poly`, such as a link xn = 1 - x.
+values = st.one_of(coefficients, st.integers(-3, 3), st.sampled_from([0.5, -1.25]), polynomials)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    polynomials,
+    st.one_of(
+        st.dictionaries(st.sampled_from(SYMBOLS), coefficients),
+        st.fixed_dictionaries({sym: coefficients for sym in SYMBOLS}),
+        st.dictionaries(st.sampled_from(SYMBOLS + ("v",)), values),
+    ),
+)
+@example(Poly.sym("x") * Poly.sym("y") + 1, {"x": Poly.const(1) - Poly.sym("x")})
+@example(Poly.sym("x") * Poly.sym("x"), {"x": Fraction(1, 2), "y": 0})
+@example(Poly.sym("x") * 3, {"x": 0.5})
+def test_substitution_matches_the_composed_products(poly, valuation):
+    """Partial, full and `Poly`-valued valuations give the polynomial of
+    the term-by-term product construction, with `Fraction` coefficients."""
+    got = poly.substitute(valuation)
+    assert got == oracles.composed_substitute(poly, valuation)
+    assert all(type(c) is Fraction for c in got.terms.values())

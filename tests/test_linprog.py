@@ -271,3 +271,73 @@ def test_stake_lp_is_the_hull_system(monkeypatch):
     monkeypatch.setattr(linprog, "simplex_minimize", recording)
     best_uniform_gain([(F(-1), F(1, 2), F(0))] * 4 + [(F(1, 3), F(-2), F(1))])
     assert shapes == [(3 + 1, 5 + 2 * 3)]
+
+
+# min x1/2 + x2/2 s.t. x1/2 - x2/2 = 0, x1/3 + x2/3 = 2/3: the optimum is
+# x = (1, 1) with objective 1 and duals (0, 3/2).
+SCALED_LP = ([[F(1, 2), F(-1, 2)], [F(1, 3), F(1, 3)]], [F(0), F(2, 3)], [F(1, 2), F(1, 2)])
+# min 0 s.t. x1/2 + x2/2 = 1/2: every x on the segment is optimal, duals 0.
+FLAT_LP = ([[F(1, 2), F(1, 2)]], [F(1, 2)], [F(0), F(0)])
+
+
+def _tamper(monkeypatch, name, change):
+    """Replace `linprog.<name>` by the real function with `change` applied
+    to its result."""
+    real = getattr(linprog, name)
+    monkeypatch.setattr(linprog, name, lambda *args, **options: change(real(*args, **options)))
+
+
+@pytest.mark.parametrize(
+    "lp, change",
+    [
+        # (2, 0) keeps the objective and the second row but not the first.
+        (SCALED_LP, lambda x, obj, pi: ([x[0] + 1, x[1] - 1], obj, pi)),
+        # (2, -1) keeps the row and the objective.
+        (FLAT_LP, lambda x, obj, pi: ([x[0] + x[1] + 1, F(-1)], obj, pi)),
+        (SCALED_LP, lambda x, obj, pi: (x, obj + F(1, 5), pi)),
+        # Objective 1/2 and duals (0, 3/4) that prove it; x costs 1.
+        (SCALED_LP, lambda x, obj, pi: (x, obj - F(1, 2), [pi[0], pi[1] - F(3, 4)])),
+        # pi = (1, 3/2) keeps pi·rhs; x1's reduced cost is -1/2.
+        (SCALED_LP, lambda x, obj, pi: (x, obj, [pi[0] + 1, pi[1]])),
+        # pi = (0, 3/4) keeps every reduced cost >= 0; pi·rhs = 1/2.
+        (SCALED_LP, lambda x, obj, pi: (x, obj, [pi[0], pi[1] - F(3, 4)])),
+    ],
+    ids=[
+        "infeasible-solution",
+        "negative-solution",
+        "objective",
+        "objective-and-duals",
+        "reduced-cost",
+        "dual-objective",
+    ],
+)
+def test_each_tampered_quantity_fails_the_integer_recheck(monkeypatch, lp, change):
+    """`certified_minimum` re-checks the solution, the objective and the
+    duals of an LP with fractional rows and costs; corrupting any one of
+    them is an internal error."""
+    certified_minimum(*lp)
+
+    def tampered(result):
+        status, solution, objective, pi = result
+        return (status, *change(solution, objective, pi))
+
+    _tamper(monkeypatch, "simplex_minimize", tampered)
+    with pytest.raises(InternalError):
+        certified_minimum(*lp)
+
+
+@pytest.mark.parametrize(
+    "multiplier",
+    [F(3, 2), F(1, 2)],
+    ids=["stake-beyond-one", "stake-below-the-gain"],
+)
+def test_tampered_stake_fails_the_integer_recheck(monkeypatch, multiplier):
+    """Against deviations -1/3 and -2/3 the best stake is -1, with gain
+    1/3.  A certified optimum that reports the stake -3/2 breaks its unit
+    bound, and one that reports -1/2 wins only 1/6 on the first vector:
+    both are internal errors."""
+    deviations = [(F(-1, 3),), (F(-2, 3),)]
+    assert best_uniform_gain(deviations) == (F(1, 3), [F(-1)])
+    _tamper(monkeypatch, "certified_minimum", lambda result: (result[0], [multiplier, *result[1][1:]]))
+    with pytest.raises(InternalError):
+        best_uniform_gain(deviations)
