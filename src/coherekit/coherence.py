@@ -33,12 +33,18 @@ worlds every coordinate of S is called off and deviates from its
 prevision by 0; the other subfamilies are those of the next level.  So
 at most n levels give the verdict, and the subset loop `_first_failure`
 runs only to name an incoherent family's smallest failing subfamily as
-its witness, certified by a separator: the Farkas multipliers of its
-infeasible hull LP, mapped back from integer coordinates as (s_i·D_i, t)
-and re-checked on the `Fraction` payoffs.  A subfamily of one member
-needs no LP, in a level or in the subset loop: the hull of scalars is
-the interval between the least and the greatest, and a prevision outside
-it is separated at the nearer end.  A sure-win stake vector over a
+its witness, certified by a separator mapped back from integer
+coordinates as (s_i·D_i, t) and re-checked on the `Fraction` payoffs.
+Only a subfamily of three or more members takes an LP for it, whose
+Farkas multipliers are the separator.  A subfamily of one member needs
+no LP, in a level or in the subset loop: the hull of scalars is the
+interval between the least and the greatest, and a prevision outside it
+is separated at the nearer end.  Nor does a subfamily of two in the
+subset loop: the hull of its points is a polygon, a segment or a point
+of the plane, built by Andrew's monotone chain on integers, and a
+prevision outside it is separated by the outward normal of an edge it
+lies beyond, or, on the line of a segment or a point, by the direction
+from the end it lies beyond.  A sure-win stake vector over a
 subfamily's live worlds exists exactly when its hull membership fails (a
 point outside the hull of finitely many points is strictly separable
 from them), so `find_dutch_book` places its stakes on that witness.
@@ -62,7 +68,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -148,11 +154,16 @@ class Assessment:
         self.live_masks: tuple[int, ...] = tuple(
             support(crq, self.valuation) for crq, _ in self.items
         )
-        worlds = len(registry.constituents())
-        self.live_members: tuple[int, ...] = tuple(
-            sum(1 << i for i, live in enumerate(self.live_masks) if live >> k & 1)
-            for k in range(worlds)
-        )
+        # The worlds are the 2^n bit patterns of the (frozen) registry;
+        # none of them is materialised.
+        if not registry.size:
+            raise PreconditionFailed("registry has no atoms")
+        worlds = registry.full_mask().bit_length()
+        live_members = [0] * worlds
+        for i, live in enumerate(self.live_masks):
+            for k in _bits(live):
+                live_members[k] |= 1 << i
+        self.live_members: tuple[int, ...] = tuple(live_members)
         # The payoff matrix, built row by row: a payoff row's polynomial is
         # substituted once and fills the member's live worlds in its region
         # (the rows partition the worlds); called-off worlds hold the
@@ -499,6 +510,69 @@ def _scalar_separator(
     return None
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _cross(o: Sequence[int], a: Sequence[int], b: Sequence[int]) -> int:
+    """(a - o) × (b - o): positive when o, a, b turn counter-clockwise."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The vertices of the convex hull of integer plane points,
+    counter-clockwise with no three collinear, by Andrew's monotone chain
+    (A. M. Andrew, Inf. Process. Lett. 9, 1979): one point, or the two ends
+    of a segment, when the hull is degenerate."""
+    ordered = sorted(set(points))
+    if len(ordered) < 3:
+        return ordered
+
+    def chain(sweep: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        kept: list[tuple[int, ...]] = []
+        for p in sweep:
+            while len(kept) > 1 and _cross(kept[-2], kept[-1], p) <= 0:
+                kept.pop()
+            kept.append(p)
+        return kept
+
+    return chain(ordered)[:-1] + chain(reversed(ordered))[:-1]
+
+
+def _planar_separator(
+    points: Sequence[tuple[int, ...]], target: tuple[int, ...], scales: Sequence[int]
+) -> Optional[Separator]:
+    """The hull of two members' points is a polygon, a segment or a point
+    of the plane, so no LP is needed.  With points and previsions in
+    integer form (member j's times its denominator `scales[j]`): None when
+    the prevision lies in the closed hull, else the separator of the
+    payoffs themselves, divided by the gcd of its integer entries.  It
+    comes from the first hull edge with the target strictly on its outer
+    side (its outward normal), or, for a target on the line of a point or
+    a segment, from the end it lies beyond, away from the other end (the
+    direction from that end to the target).  The integer separator (s, t)
+    maps back as (s_j·D_j, t)."""
+    hull = _hull(points)
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if _cross(a, b, target) < 0:
+            normal, anchor = (b[1] - a[1], a[0] - b[0]), a
+            break
+    else:
+        if len(hull) > 2:
+            return None
+        for end, other in ((hull[0], hull[-1]), (hull[-1], hull[0])):
+            direction = (target[0] - end[0], target[1] - end[1])
+            if any(direction) and _dot(direction, other) <= _dot(direction, end):
+                normal, anchor = direction, end
+                break
+        else:
+            return None
+    slopes = (normal[0] * scales[0], normal[1] * scales[1])
+    offset = -_dot(normal, anchor)
+    divisor = gcd(*slopes, offset)
+    return tuple(Fraction(s // divisor) for s in slopes), Fraction(offset // divisor)
+
+
 def _first_failure(
     assessment: Assessment, subsets: Iterable[tuple[int, ...]]
 ) -> Optional[CoherenceResult]:
@@ -508,9 +582,10 @@ def _first_failure(
     impose no constraint and are skipped.  So are those whose rows leave
     an unassessed symbol that cannot be eliminated, which decide nothing:
     the first one's `MissingSymbol` is raised only when no subfamily
-    fails.  The hull LP runs on the integer points; its separator (s, t)
-    maps back to the payoffs as (s_j·D_j, t) and is re-checked on them as
-    `Fraction`s."""
+    fails.  The hull test runs on the integer points: one or two members
+    by their interval or planar hull, more by the hull LP.  Its separator
+    (s, t) maps back to the payoffs as (s_j·D_j, t) and is re-checked on
+    them as `Fraction`s."""
     undecided: Optional[MissingSymbol] = None
     for subset in subsets:
         try:
@@ -525,6 +600,8 @@ def _first_failure(
         points = list(dict.fromkeys(point for _, point, _ in entries))
         if len(subset) == 1:
             separator = _scalar_separator(points, target, scales[0])
+        elif len(subset) == 2:
+            separator = _planar_separator(points, target, scales)
         else:
             _, scaled = convex_combination(points, target, separate=True)
             separator = scaled and (
@@ -602,7 +679,7 @@ def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> Cohere
 
     When incoherent, the witness is the first subfamily of least size
     (lexicographic within size) that is certified to fail, with the
-    separator of its hull LP; subfamilies that cannot be decided because
+    separator of its hull; subfamilies that cannot be decided because
     an unassessed symbol cannot be eliminated are skipped, and the first
     one's `MissingSymbol` is raised only when no subfamily fails.
     """

@@ -36,7 +36,7 @@ from coherekit.errors import (
     MissingSymbol,
     PreconditionFailed,
 )
-from coherekit.events import TRUE, AtomRegistry
+from coherekit.events import FALSE, TRUE, AtomRegistry
 from coherekit.linprog import check_separator
 from coherekit.polynomials import ONE, Poly
 from oracles import exhaustive_dutch_book
@@ -514,6 +514,79 @@ def test_one_member_witness_takes_no_hull_lp(monkeypatch, prevision, separator):
     assert result.witness == (0,)
     assert result.separator == separator
     check_separator(build_points(assessment, (0,)).points, assessment.previsions, separator)
+
+
+def test_two_member_witness_takes_no_hull_lp(monkeypatch):
+    """A|H = ¬A|H = 3/4: the level LP fails, and the witness sweep decides
+    its pairs on the planar hull of their points, with no separating LP.
+    The separator comes from the violated edge of the segment from (1, 0)
+    to (0, 1), divided by the gcd of its integer entries."""
+    reg = AtomRegistry(["A", "H"])
+    a, h = reg.atoms("A", "H")
+    assessment = Assessment(
+        [(conditional_event(a, h, "a"), F(3, 4)), (conditional_event(~a, h, "na"), F(3, 4))]
+    )
+    real = coherence.convex_combination
+    separating = 0
+
+    def counting(*args, separate=False, **kwargs):
+        nonlocal separating
+        separating += separate
+        return real(*args, separate=separate, **kwargs)
+
+    monkeypatch.setattr(coherence, "convex_combination", counting)
+    result = check_coherence(assessment)
+    assert result.witness == (0, 1)
+    assert separating == 0
+    assert result.separator == ((1, 1), -1)
+    check_separator(build_points(assessment, (0, 1)).points, assessment.previsions, result.separator)
+
+
+def test_assessment_enumerates_no_worlds(monkeypatch):
+    """The assessment and the coherence test work on world masks alone:
+    neither materialises the constituents."""
+    coherent = _sweep_family()
+    incoherent = coherent[:5] + [(coherent[5][0], F(4, 5))]
+
+    def enumerate_worlds(self):
+        raise AssertionError("constituents enumerated")
+
+    monkeypatch.setattr(AtomRegistry, "constituents", enumerate_worlds)
+    assert check_coherence(Assessment(coherent)).coherent
+    assert check_coherence(Assessment(incoherent)).witness == (0, 5)
+    # A registry with no atoms has no worlds to bet on.
+    sure = conditional_event(TRUE, TRUE, "p", registry=AtomRegistry())
+    with pytest.raises(PreconditionFailed):
+        Assessment([(sure, F(1))])
+
+
+# The intended verdicts of two families whose compound pays a prevision
+# that no member assesses.  Today that prevision is relaxed to any value
+# in [0, 1] at each payoff row, which calls both coherent.
+
+
+@pytest.mark.xfail(strict=True, reason="an unassessed conjunction prevision is relaxed to [0, 1]")
+def test_coupled_iterated_conditional_is_incoherent():
+    """P(A|H) = 1/2, P(B|K) = 1/4, P((B|K)|(A|H)) = 3/4: the compound
+    prevision theorem forces P((A|H) ∧ (B|K)) = 3/4 · 1/2 = 3/8, above
+    min(1/2, 1/4)."""
+    reg = AtomRegistry(["A", "B", "H", "K"])
+    a, b, h, k = reg.atoms("A", "B", "H", "K")
+    inner, outer = conditional_event(a, h, "x"), conditional_event(b, k, "y")
+    family = [(inner, F(1, 2)), (outer, F(1, 4)), (iterated(inner, outer, "mu", "zc"), F(3, 4))]
+    assert not check_coherence(Assessment(family)).coherent
+
+
+@pytest.mark.xfail(strict=True, reason="an unassessed conjunct prevision is relaxed to [0, 1]")
+def test_conjunction_with_an_impossible_conjunct_is_incoherent():
+    """A|B = 1/8 and (A|B) ∧ (⊥|¬A) = 1/8: the only coherent prevision of
+    ⊥|¬A is 0, which bounds the conjunction by 0."""
+    reg = AtomRegistry(["A", "B"])
+    a, b = reg.atoms("A", "B")
+    rule = conditional_event(a, b, "x")
+    never = conditional_event(FALSE, ~a, "pb", registry=reg)
+    family = [(rule, F(1, 8)), (conjunction(rule, never, "z"), F(1, 8))]
+    assert not check_coherence(Assessment(family)).coherent
 
 
 def test_eight_independent_conditionals_sharing_h():

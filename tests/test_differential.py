@@ -13,18 +13,20 @@ eighths that may fall outside [0, 1].
 
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from coherekit import linprog
+from coherekit import coherence, linprog
 from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
     CoherenceResult,
     PointTable,
+    _fractions,
     _levels,
+    _planar_separator,
     _subset_entries,
     build_points,
     check_coherence,
@@ -521,24 +523,108 @@ def test_zero_denominator_takes_the_next_level(premises, target, expected):
     assert interval.exactness == "certified-by-LP"
 
 
+# A|H = C|H = 3/4 with (A∧C)|H = 1/4, below the Fréchet bound 1/2: every
+# pair is coherent, so the witness is the whole family, decided by an LP.
+BELOW_FRECHET = [
+    (_event(A, H, "a"), Fraction(3, 4)),
+    (_event(C, H, "c"), Fraction(3, 4)),
+    (_event(A & C, H, "ac"), Fraction(1, 4)),
+]
+# A|H = ¬A|H = 3/4: a two-member witness.
+OVERCOMMITTED_PAIR = [(_event(A, H, "a"), Fraction(3, 4)), (_event(~A, H, "na"), Fraction(3, 4))]
+
+
 def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys):
     """An LP endpoint, separator or stake vector whose multipliers fail the
     exact re-check is a fault of the library, never an interval, a verdict
-    or a Dutch book.  A one-member witness's separator comes from the
-    interval of its points, with no LP multipliers to corrupt."""
+    or a Dutch book.  One- and two-member witnesses' separators come from
+    the interval or the planar hull of their points, with no LP
+    multipliers to corrupt, so the separator tampered with is a
+    three-member witness's."""
+    assert check_coherence(Assessment(BELOW_FRECHET)).witness == (0, 1, 2)
     monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(linprog.simplex_minimize))
     with pytest.raises(InternalError):
         extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
     assert check_coherence(_zero_antecedent(Fraction(3, 2))).separator == ((1,), -1)
-    overcommitted = [(_event(A, H, "a"), Fraction(3, 4)), (_event(~A, H, "na"), Fraction(3, 4))]
+    assert check_coherence(Assessment(OVERCOMMITTED_PAIR)).witness == (0, 1)
     with pytest.raises(InternalError):
-        check_coherence(Assessment(overcommitted))
+        check_coherence(Assessment(BELOW_FRECHET))
     with pytest.raises(InternalError):
         linprog.best_uniform_gain([(Fraction(-1),), (Fraction(-2),)])
     doc = tmp_path / "mp.cohere"
     doc.write_text(MP_DOC, encoding="utf-8")
     assert main(["extend", str(doc)]) == 4
     assert capsys.readouterr().err.startswith("internal error:")
+
+
+def test_wrong_planar_separator_is_an_internal_error(monkeypatch):
+    """A two-member witness's separator is re-checked on the `Fraction`
+    payoffs like any other; a wrong one is a fault of the library."""
+    monkeypatch.setattr(
+        coherence,
+        "_planar_separator",
+        lambda points, target, scales: ((Fraction(-1), Fraction(-1)), Fraction(1)),
+    )
+    with pytest.raises(InternalError):
+        check_coherence(Assessment(OVERCOMMITTED_PAIR))
+
+
+@st.composite
+def planar_hulls(draw):
+    """Integer points of the plane, times 4, and a target: a free cloud of
+    one to seven points, a single point (perhaps repeated), or points on
+    one line; the target anywhere, on a point, on the segment between two
+    points, or on the line of a collinear set, beyond its ends too."""
+    coordinate = st.integers(-3, 3)
+    plane = st.tuples(coordinate, coordinate)
+    shape = draw(st.sampled_from(["cloud", "point", "line"]))
+    if shape == "cloud":
+        points = draw(st.lists(plane, min_size=1, max_size=7))
+    elif shape == "point":
+        points = [draw(plane)] * draw(st.integers(1, 3))
+    else:
+        (ox, oy), (dx, dy) = draw(plane), draw(plane.filter(any))
+        steps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5))
+        points = [(ox + k * dx, oy + k * dy) for k in steps]
+    points = [(4 * x, 4 * y) for x, y in points]
+    where = draw(st.sampled_from(["anywhere", "point", "segment", "line"]))
+    if where == "point":
+        target = draw(st.sampled_from(points))
+    elif where == "segment":
+        (ax, ay), (bx, by) = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        k = draw(st.integers(0, 4))
+        target = (ax + k * (bx - ax) // 4, ay + k * (by - ay) // 4)
+    elif where == "line" and shape == "line":
+        k = draw(st.integers(-16, 16))
+        target = (4 * ox + k * dx, 4 * oy + k * dy)
+    else:
+        target = draw(st.tuples(st.integers(-16, 16), st.integers(-16, 16)))
+    scales = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    return points, target, scales
+
+
+@settings(deadline=None, max_examples=400)
+@given(planar_hulls())
+@example(([(0, 0)] * 2, (0, 0), (1, 1)))  # on a repeated point
+@example(([(0, 0), (4, 4)], (8, 8), (1, 1)))  # beyond a segment's end
+@example(([(0, 0), (4, 4)], (-4, -4), (1, 1)))  # beyond the other end
+@example(([(0, 0), (4, 4), (8, 8)], (4, 4), (2, 3)))  # inside a collinear set
+@example(([(0, 0), (8, 0), (0, 8)], (4, 4), (1, 1)))  # on an edge
+def test_planar_hull_matches_the_hull_lp(case):
+    """Inside or outside as the hull LP says, and every separator passes
+    its exact re-check on the payoffs (integer point over its scale),
+    with integer entries whose gcd is 1."""
+    points, target, scales = case
+    separator = _planar_separator(points, target, scales)
+    _, lp_separator = linprog.convex_combination(points, target, separate=True)
+    assert (separator is None) == (lp_separator is None)
+    if separator is not None:
+        linprog.check_separator(
+            [_fractions(point, scales) for point in points], _fractions(target, scales), separator
+        )
+        (s1, s2), t = separator
+        assert all(v.denominator == 1 for v in (s1, s2, t))
+        assert gcd(s1.numerator, s2.numerator, t.numerator) == 1
 
 
 # Zero in a third of the draws, else small numerators over mixed and
