@@ -24,7 +24,12 @@ Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
 Level 0 solves the hull system of the whole family; LPs on the same
 points that maximise the weight on the supports of the members still at
 weight zero release every member whose support can get weight, and level
-k + 1 solves the system of the members left at zero.  The family is
+k + 1 solves the system of the members left at zero.  That step is one
+function, `_unreleased`, on a member mask; the extension LP of
+`propagation` runs it too, on the worlds off its target's support.  The
+decision, levels first and the subset loop for a witness, is `_decide`,
+which `check_coherence` runs after its cap check and the extension
+oracle runs on premises plus target.  The family is
 coherent when every level is solvable and no member, or no live world,
 is left.  This is the all-subfamilies test: a level-k solution giving
 weight to a member of a subfamily S of the level, restricted to S's
@@ -482,11 +487,11 @@ def subsets_by_size(n: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(range(n), size)
 
 
-def _check_cap(assessment: Assessment, cap: Optional[int]) -> None:
+def _check_cap(size: int, cap: Optional[int]) -> None:
     limit = family_cap(cap)
-    if len(assessment) > limit:
+    if size > limit:
         raise CapExceeded(
-            f"family of size {len(assessment)} exceeds the cap of {limit} "
+            f"family of size {size} exceeds the cap of {limit} "
             "(set COHERE_SUBSET_CAP to raise it)"
         )
 
@@ -620,18 +625,30 @@ def _first_failure(
     return None
 
 
-def _unreleased(
-    points: Sequence[tuple[Fraction, ...]],
-    lives: Sequence[int],
-    target: tuple[Fraction, ...],
-    members: int,
-) -> Optional[int]:
-    """The mask of the members whose live points get zero weight in every
-    solution of the hull system, or None when it has none.  `lives[h]` is
-    the mask of the members live at point h.  The first solution releases
-    every member whose points hold weight; LPs maximising the weight on
-    the points of the members still at zero release the others that can
-    get weight."""
+def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optional[int]:
+    """One level step: the mask of the members whose live points get zero
+    weight in every solution of the hull system of `members` over their
+    live worlds outside the mask `outside`, or None when it has none;
+    `members` itself when no such world is left.  Points merge by value
+    and live members, since Phi_j sums the weights of the worlds where
+    member j stands.  One member is decided by the interval of its points
+    (0 or None).  Otherwise the first solution releases every member whose
+    points hold weight, and LPs maximising the weight on the points of the
+    members still at zero release the others that can get weight."""
+    indices = tuple(_bits(members))
+    worlds = reduce(or_, (assessment.live_masks[j] for j in indices), 0)
+    if not worlds & ~outside:
+        return members
+    live_members = assessment.live_members
+    merged = dict.fromkeys(
+        (point, live_members[k] & members)
+        for k, point, _ in _subset_entries(assessment, indices)
+        if not outside >> k & 1
+    )
+    points, lives = [point for point, _ in merged], [live for _, live in merged]
+    target = tuple(assessment.scaled_previsions[j] for j in indices)
+    if len(indices) == 1:
+        return None if _scalar_separator(points, target, assessment.scales[indices[0]]) else 0
     zero = members
     favoured: list[int] = []
     while zero:
@@ -650,28 +667,35 @@ def _unreleased(
 
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
     """Gilio's levels I_0 ⊃ I_1 ⊃ ...: the member sets whose hull systems
-    were solved, or None when one of them has no solution."""
+    were solved, each by one `_unreleased` step, or None when one of them
+    has no solution."""
     members = (1 << len(assessment)) - 1
     levels: list[tuple[int, ...]] = []
     while members:
-        indices = tuple(_bits(members))
-        entries = _subset_entries(assessment, indices)
-        if not entries:
-            break
-        # Phi_j sums the weights of the worlds where member j stands, so
-        # only points with the same values and live members may merge.
-        live_members = assessment.live_members
-        merged = dict.fromkeys((point, live_members[k] & members) for k, point, _ in entries)
-        points, lives = [point for point, _ in merged], [live for _, live in merged]
-        target = tuple(assessment.scaled_previsions[j] for j in indices)
-        levels.append(indices)
-        if len(indices) == 1:
-            scale = assessment.scales[indices[0]]
-            return None if _scalar_separator(points, target, scale) else levels
-        members = _unreleased(points, lives, target, members)
-        if members is None:
+        zero = _unreleased(assessment, members)
+        if zero is None:
             return None
+        if zero == members:
+            break
+        levels.append(tuple(_bits(members)))
+        members = zero
     return levels
+
+
+def _decide(assessment: Assessment) -> CoherenceResult:
+    """The verdict of the levels; when they fail, or an unassessed symbol
+    stops them, the witness of the subset loop, which raises the first
+    `MissingSymbol` only when no subfamily fails.  Levels that fail while
+    no subfamily does are a fault of the library: `InternalError`."""
+    try:
+        if _levels(assessment) is not None:
+            return CoherenceResult(True)
+    except MissingSymbol:
+        pass  # the subset loop raises it too, unless some subfamily fails
+    failure = _first_failure(assessment, subsets_by_size(len(assessment)))
+    if failure is None:
+        raise InternalError("a level has no hull solution, yet no subfamily fails")
+    return failure
 
 
 def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> CoherenceResult:
@@ -683,16 +707,8 @@ def check_coherence(assessment: Assessment, cap: Optional[int] = None) -> Cohere
     an unassessed symbol cannot be eliminated are skipped, and the first
     one's `MissingSymbol` is raised only when no subfamily fails.
     """
-    _check_cap(assessment, cap)
-    try:
-        if _levels(assessment) is not None:
-            return CoherenceResult(True)
-    except MissingSymbol:
-        pass  # the subset loop raises it too, unless some subfamily fails
-    failure = _first_failure(assessment, subsets_by_size(len(assessment)))
-    if failure is None:
-        raise InternalError("a level has no hull solution, yet no subfamily fails")
-    return failure
+    _check_cap(len(assessment), cap)
+    return _decide(assessment)
 
 
 def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Optional[DutchBook]:

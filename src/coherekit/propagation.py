@@ -16,9 +16,10 @@ which the Charnes-Cooper transformation (Naval Res. Logist. Q. 9, 1962)
 turns into one exact LP: minimise or maximise N subject to the
 homogeneous premise rows and D = 1.  When the premises can put all their
 weight off T's support, T may keep weight zero, and the level step of
-Biazzo & Gilio (IJAR 24, 2000) repeats the LPs on the premises that get
-no weight there.  Both optima are re-checked exactly with their LP
-multipliers (primal and dual feasibility, equal objectives).
+Biazzo & Gilio (IJAR 24, 2000), the one of `coherence` on the worlds off
+T's support, repeats the LPs on the premises that get no weight there.
+Both optima are re-checked exactly with their LP multipliers (primal and
+dual feasibility, equal objectives).
 
 Targets outside that shape take the exact rational bisection search
 against the coherence oracle, which then certifies candidate exact
@@ -26,11 +27,11 @@ endpoints: chiefly a target whose symbol sits in a premise's own
 payoffs, such as the conjunction that (B|K)|(A|H) names, where the hull
 system is bilinear in the weights and z; the search stays until that
 case has a nonlinear treatment.  The oracle decides
-premises + (target = value) with the level algorithm of `coherence` on
-the combined family; when an unassessed symbol stops the levels, the
-subset loop over every subfamily of the combined family decides: the
-value is incoherent when one of them fails, and the oracle raises only
-when none fails and one cannot be decided.  The search relies
+premises + (target = value) by the decision of `check_coherence` on the
+combined family, with no cap check of its own: the levels, and when
+they fail or an unassessed symbol stops them, the subset loop over every
+subfamily, which makes the value incoherent when one of them fails and
+raises only when none fails and one cannot be decided.  The search relies
 on the coherent extensions forming an interval; an endpoint that no
 candidate certifies keeps a `bisection(2^-k)` tag, and a search that
 finds no coherent probe raises instead of returning a guess.
@@ -43,16 +44,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .coherence import (
-    Assessment,
-    _bits,
-    _first_failure,
-    _levels,
-    _unreleased,
-    check_coherence,
-    family_cap,
-    subsets_by_size,
-)
+from .coherence import Assessment, _bits, _check_cap, _decide, _unreleased, check_coherence
 from .crq import (
     CRQ,
     add,
@@ -64,7 +56,6 @@ from .crq import (
     support,
 )
 from .errors import (
-    CapExceeded,
     ExtensionSearchFailed,
     IncoherentPremises,
     MissingSymbol,
@@ -146,36 +137,36 @@ def extension_interval(
     When the premises are coherent and the target is linear in its own
     symbol z (see `_linear_target`), each endpoint is the optimum of one
     Charnes-Cooper LP over the hull of the combined family's worlds, after
-    the level step has dropped the premises that can hold all the weight
-    off the target's support; both optima are re-checked exactly with
-    their LP multipliers and the interval is `certified-by-LP`.  For other
-    targets, such as the conjunction that the premise (B|K)|(A|H) names
-    in its own payoffs (z inside a premise row makes the hull system
-    bilinear in the weights and z), the endpoints are located by
-    bisection to 2^-tolerance_exponent with the coherence oracle and
-    snapped to exact candidates that pass certification: the endpoint is
-    coherent and one tolerance step outside it is not.  A search endpoint
+    the level step of `coherence` has dropped the premises that can hold
+    all the weight off the target's support; both optima are re-checked
+    exactly with their LP multipliers and the interval is
+    `certified-by-LP`.  For other targets, such as the conjunction that
+    the premise (B|K)|(A|H) names in its own payoffs (z inside a premise
+    row makes the hull system bilinear in the weights and z), the
+    endpoints are located by bisection to 2^-tolerance_exponent with the
+    coherence oracle and snapped to exact candidates that pass
+    certification: the endpoint is coherent and one tolerance step
+    outside it is not.  A search endpoint
     that no candidate certifies is coherent, within the tolerance of the
-    true bound, and the interval is tagged `bisection(2^-k)`.
+    true bound, and the interval is tagged `bisection(2^-k)`.  The
+    premises and the combined family are both held to `cap` (by default
+    COHERE_SUBSET_CAP), here, before any oracle call.
     """
     if not check_coherence(premises, cap=cap).coherent:
         raise IncoherentPremises("the premise assessment is not coherent")
-    limit = family_cap(cap)
-    if len(premises) + 1 > limit:
-        raise CapExceeded(
-            f"family of size {len(premises) + 1} exceeds the cap of {limit}"
-        )
-    payoffs = _linear_target(premises, target)
-    if payoffs is None:
+    _check_cap(len(premises) + 1, cap)
+    linear = _linear_target(premises, target)
+    if linear is None:
         return _search_interval(premises, target, tolerance_exponent)
-    return _lp_interval(premises, payoffs)
+    return _lp_interval(premises, *linear)
 
 
 def _linear_target(
     premises: Assessment, target: CRQ
-) -> Optional[dict[int, tuple[Fraction, Fraction]]]:
+) -> Optional[tuple[dict[int, tuple[Fraction, Fraction]], int]]:
     """The target's payoff a + b*z at each world index where it stands, as
-    the pair (a, b), when the LP path covers the target; None otherwise.
+    the pair (a, b), and the mask of those worlds, when the LP path covers
+    the target; None otherwise.
 
     Covered: the target's own symbol z occurs in no premise row, link or
     valuation, neither the premises nor the target's rows leave an
@@ -212,13 +203,14 @@ def _linear_target(
         if not 0 <= b < 1:
             return None
         payoffs.update(dict.fromkeys(_bits(region), (a, b)))
-    return payoffs or None
+    return (payoffs, live) if payoffs else None
 
 
 def _lp_interval(
-    premises: Assessment, payoffs: dict[int, tuple[Fraction, Fraction]]
+    premises: Assessment, payoffs: dict[int, tuple[Fraction, Fraction]], target_live: int
 ) -> ExtensionInterval:
-    """Both endpoints for a target with the given live payoffs a + b*z.
+    """Both endpoints for a target with the given live payoffs a + b*z at
+    the worlds of the mask `target_live`.
 
     In a hull solution y of the combined family the target's row reads
     N(y) = z * D(y) with N = sum(y * a) and D = sum(y * (1 - b)), where a
@@ -234,30 +226,17 @@ def _lp_interval(
     solution, plus the target.  That level's values contain this one's,
     since its family is a subfamily, and it has fewer premises, so the
     loop ends; with no premise left, D = 1 is feasible."""
+    members = (1 << len(premises)) - 1
+    while members:
+        zero = _unreleased(premises, members, target_live)
+        if zero is None or zero == members:
+            break
+        members = zero
     # The premises leave no free symbol, so every cell is an int; premise
     # j's row and prevision are scaled by its denominator D_j, which
     # scales its row of the system and leaves the optima as they are.
     previsions = premises.scaled_previsions
     cells = premises.scaled
-    members = (1 << len(premises)) - 1
-    while members:
-        indices = tuple(_bits(members))
-        off_target = dict.fromkeys(
-            (tuple(cells[j][k] for j in indices), live & members)
-            for k, live in enumerate(premises.live_members)
-            if k not in payoffs and live & members
-        )
-        if not off_target:
-            break
-        zero = _unreleased(
-            [values for values, _ in off_target],
-            [live for _, live in off_target],
-            tuple(previsions[j] for j in indices),
-            members,
-        )
-        if zero is None:
-            break
-        members = zero
     # Scaled by the common denominator D_T of the target's payoffs, the
     # row D = 1 reads sum(y * D_T·(1 - b)) = D_T and the costs are D_T·a,
     # all ints, so the optima are D_T times the endpoints.  A world where
@@ -320,20 +299,15 @@ def _search_interval(
 
 
 def _coherent_with_target(premises: Assessment, target: CRQ, value: Fraction) -> bool:
-    """Coherence of premises + (target = value), decided by the levels of
-    the combined family.  When its rows leave an unassessed symbol that
-    cannot be eliminated, the subset loop decides instead, over every
-    subfamily: a premise row that names the target's symbol pays its value
-    once it is assessed, so a subfamily of premises alone can fail
-    although the premises are coherent.  One failing subfamily makes the
-    value incoherent; one that raises `MissingSymbol` decides nothing,
-    and its error is raised only when no subfamily fails."""
+    """Coherence of premises + (target = value), decided as
+    `check_coherence` decides the combined family, with the cap left to
+    `extension_interval`.  When its rows leave an unassessed symbol that
+    stops the levels, the subset loop decides over every subfamily: a
+    premise row that names the target's symbol pays its value once it is
+    assessed, so a subfamily of premises alone can fail although the
+    premises are coherent."""
     combined = Assessment(tuple(premises.items) + ((target, value),))
-    try:
-        return _levels(combined) is not None
-    except MissingSymbol:
-        pass
-    return _first_failure(combined, subsets_by_size(len(combined))) is None
+    return _decide(combined).coherent
 
 
 def _endpoint_candidates(premises: Assessment, target: CRQ) -> list[Fraction]:

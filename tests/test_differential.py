@@ -503,24 +503,37 @@ def _event(event, condition, symbol):
 
 
 @pytest.mark.parametrize(
-    "premises, target, expected",
+    "premises, target, expected, lps",
     [
-        ([(_event(H, TRUE, "h"), 0)], _event(A, H, "t"), (0, 1)),
+        ([(_event(H, TRUE, "h"), 0)], _event(A, H, "t"), (0, 1), 2),
         (
             [(_event(H, TRUE, "h"), 0), (_event(A, H, "ah"), Fraction(1, 3))],
             _event(A & C, H, "t"),
             (0, Fraction(1, 3)),
+            6,
         ),
         # D = 1 is feasible (all weight on ¬A·H), yet all weight may also
         # lie on ¬H, where A|H is called off: no bound follows.
-        ([(_event(A & H, TRUE, "ah"), 0)], _event(A, H, "t"), (0, 1)),
+        ([(_event(A & H, TRUE, "ah"), 0)], _event(A, H, "t"), (0, 1), 2),
     ],
     ids=["P(H)=0", "P(H)=0,P(A|H)=1/3", "P(AH)=0"],
 )
-def test_zero_denominator_takes_the_next_level(premises, target, expected):
+def test_zero_denominator_takes_the_next_level(monkeypatch, premises, target, expected, lps):
+    """A one-premise level off the target's support is decided by the
+    interval of its points, so only the two endpoint LPs remain."""
+    calls = 0
+    real = linprog.simplex_minimize
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linprog, "simplex_minimize", counting)
     interval = extension_interval(Assessment(premises), target)
     assert interval.as_tuple() == tuple(Fraction(v) for v in expected)
     assert interval.exactness == "certified-by-LP"
+    assert calls == lps
 
 
 # A|H = C|H = 3/4 with (A∧C)|H = 1/4, below the Fréchet bound 1/2: every

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from coherekit import linprog, propagation
+from coherekit import coherence, linprog, propagation
 from coherekit.coherence import Assessment, check_coherence
 from coherekit.crq import conditional_event, conjunction, iterated, iterated_simple
-from coherekit.errors import IncoherentPremises, OutOfRange, PreconditionFailed
+from coherekit.errors import (
+    CapExceeded,
+    IncoherentPremises,
+    InternalError,
+    OutOfRange,
+    PreconditionFailed,
+)
 from coherekit.events import FALSE, TRUE, AtomRegistry
 from coherekit.propagation import (
     ExtensionInterval,
@@ -178,19 +184,67 @@ def test_mp_grid_intervals_take_at_most_four_lps(monkeypatch):
     assert oracle == []
 
 
-def test_product_rule_target_still_takes_the_search(monkeypatch):
-    """The conjunction's symbol sits in the premise's own payoff rows, so
-    the LP would be bilinear; the search answers, exactly."""
-    oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
+def _product_rule_family():
+    """Premises A|H = 1/2 and (B|K)|(A|H) = 1/3, and the conjunction
+    (A|H) ∧ (B|K) whose symbol zc the second premise names."""
     reg = AtomRegistry(["A", "B", "H", "K"])
     a, b, h, k = reg.atoms("A", "B", "H", "K")
     ce_a = conditional_event(a, h, "x")
     ce_b = conditional_event(b, k, "y")
     premises = Assessment([(ce_a, F(1, 2)), (iterated(ce_a, ce_b, "mu", "zc"), F(1, 3))])
-    interval = extension_interval(premises, conjunction(ce_a, ce_b, "zc"))
+    return premises, conjunction(ce_a, ce_b, "zc")
+
+
+def test_product_rule_target_still_takes_the_search(monkeypatch):
+    """The conjunction's symbol sits in the premise's own payoff rows, so
+    the LP would be bilinear; the search answers, exactly."""
+    oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
+    interval = extension_interval(*_product_rule_family())
     assert interval.as_tuple() == (F(1, 6), F(1, 6))
     assert interval.exactness == "certified-by-LP"
     assert oracle
+
+
+def test_oracle_decides_as_check_coherence_does(monkeypatch):
+    """The oracle takes the decision of `check_coherence`: levels that fail
+    while no subfamily does are a fault of the library, never a verdict."""
+    real = coherence._levels
+    monkeypatch.setattr(
+        coherence, "_levels", lambda assessment: None if len(assessment) == 3 else real(assessment)
+    )
+    with pytest.raises(InternalError):
+        extension_interval(*_product_rule_family())
+
+
+def test_caller_cap_reaches_the_oracle(monkeypatch):
+    """The combined family of premises and target is held to the caller's
+    cap, which overrides COHERE_SUBSET_CAP, also inside the oracle."""
+    monkeypatch.setenv("COHERE_SUBSET_CAP", "2")
+    with pytest.raises(CapExceeded):
+        extension_interval(*_product_rule_family())
+    interval = extension_interval(*_product_rule_family(), cap=3)
+    assert interval.as_tuple() == (F(1, 6), F(1, 6))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the unassessed conjunction prevision zc is relaxed to [0, 1]",
+)
+def test_self_iterated_conditional_is_sure():
+    """(A|H) ∧ (A|H) = A|H, so P((A|H)|(A|H))·x = x forces the prevision 1
+    when x = 1/2; with zc unassessed the engine gives [0, 1]."""
+    reg = AtomRegistry(["A", "H"])
+    ce = conditional_event(reg.atom("A"), reg.atom("H"), "x")
+    interval = extension_interval(Assessment([(ce, F(1, 2))]), iterated(ce, ce, "mu", "zc"))
+    assert interval.as_tuple() == (F(1), F(1))
+
+
+def test_self_iterated_conditional_with_its_conjunction_assessed():
+    reg = AtomRegistry(["A", "H"])
+    ce = conditional_event(reg.atom("A"), reg.atom("H"), "x")
+    premises = Assessment([(ce, F(1, 2)), (conjunction(ce, ce, "zc"), F(1, 2))])
+    interval = extension_interval(premises, iterated(ce, ce, "mu", "zc"))
+    assert interval.as_tuple() == (F(1), F(1))
 
 
 # -- decomposition --------------------------------------------------------------
