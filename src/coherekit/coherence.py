@@ -38,18 +38,18 @@ worlds every coordinate of S is called off and deviates from its
 prevision by 0; the other subfamilies are those of the next level.  So
 at most n levels give the verdict, and the subset loop `_first_failure`
 runs only to name an incoherent family's smallest failing subfamily as
-its witness, certified by a separator mapped back from integer
-coordinates as (s_i·D_i, t) and re-checked on the `Fraction` payoffs.
-Only a subfamily of three or more members takes an LP for it, whose
-Farkas multipliers are the separator.  A subfamily of one member needs
-no LP, in a level or in the subset loop: the hull of scalars is the
-interval between the least and the greatest, and a prevision outside it
-is separated at the nearer end.  Nor does a subfamily of two in the
-subset loop: the hull of its points is a polygon, a segment or a point
-of the plane, built by Andrew's monotone chain on integers, and a
-prevision outside it is separated by the outward normal of an edge it
-lies beyond, or, on the line of a segment or a point, by the direction
-from the end it lies beyond.  A sure-win stake vector over a
+its witness, certified by an integer separator of its integer points,
+re-checked on them and mapped back to the payoffs once, as (s_i·D_i, t)
+divided by the gcd of its entries.  Only a subfamily of three or more
+members takes an LP for it, whose Farkas numerators are the separator.
+A subfamily of one member needs no LP, in a level or in the subset loop:
+the hull of scalars is the interval between the least and the greatest,
+and a prevision outside it is separated at the nearer end.  Nor does a
+subfamily of two in the subset loop: the hull of its points is a
+polygon, a segment or a point of the plane, built by Andrew's monotone
+chain on integers, and a prevision outside it is separated by the
+outward normal of an edge it lies beyond, or, on the line of a segment
+or a point, by the direction from the end it lies beyond.  A sure-win stake vector over a
 subfamily's live worlds exists exactly when its hull membership fails (a
 point outside the hull of finitely many points is strictly separable
 from them), so `find_dutch_book` places its stakes on that witness.
@@ -100,16 +100,18 @@ Cell = Union[int, Poly]
 
 def family_cap(override: Optional[int] = None) -> int:
     """Configured family-size cap; COHERE_SUBSET_CAP, a positive integer,
-    overrides the default."""
+    overrides the default, and `override`, also a positive integer, both."""
     if override is not None:
-        return override
-    text = os.environ.get("COHERE_SUBSET_CAP", str(DEFAULT_FAMILY_CAP))
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
+        name, text, cap = "cap", override, override
+    else:
+        name = "COHERE_SUBSET_CAP"
+        text = os.environ.get(name, str(DEFAULT_FAMILY_CAP))
+        try:
+            cap = int(text)
+        except ValueError:
+            cap = 0
     if cap < 1:
-        raise PreconditionFailed(f"COHERE_SUBSET_CAP must be a positive integer, got {text!r}")
+        raise PreconditionFailed(f"{name} must be a positive integer, got {text!r}")
     return cap
 
 
@@ -342,15 +344,17 @@ class DutchBook:
 
 
 Separator = tuple[tuple[Fraction, ...], Fraction]
+IntegerSeparator = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
 class CoherenceResult:
     """The verdict; when incoherent, the witness subfamily and a separator
-    (s, t) re-checked exactly over the witness's deduplicated payoff
-    points p: s·p + t <= 0 at each of them and s·previsions + t > 0.  The
-    separator is a certificate, not part of the verdict, so results
-    compare equal without it."""
+    (s, t) of its deduplicated payoff points p: s·p + t <= 0 at each of
+    them and s·previsions + t > 0.  Its entries are coprime integers (the
+    gcd of all of them is 1), held as `Fraction`s.  The separator is a
+    certificate, not part of the verdict, so results compare equal
+    without it."""
 
     coherent: bool
     witness: Optional[tuple[int, ...]] = None
@@ -475,7 +479,8 @@ def solve_sigma(
     weights = convex_combination(table.points, target)
     if weights is None:
         return None
-    solution = SigmaSolution(tuple(weights))
+    numerators, scale = weights
+    solution = SigmaSolution(tuple(Fraction(w, scale) for w in numerators))
     if not solution.verify(PointTable(table.subset, table.entries, tuple(target))):
         raise InternalError("hull weights fail their exact re-check")
     return solution
@@ -497,21 +502,19 @@ def _check_cap(size: int, cap: Optional[int]) -> None:
 
 
 def _scalar_separator(
-    points: Sequence[tuple[int, ...]], target: tuple[int, ...], scale: int
-) -> Optional[Separator]:
+    points: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> Optional[IntegerSeparator]:
     """The hull of one member's scalar points is the interval from the
-    least to the greatest, so no LP is needed.  With points and prevision
-    in integer form (times the member's denominator `scale`): None when
-    the prevision lies in that interval, else the separator of the
-    payoffs themselves, ((-1,), least) below it or ((1,), -greatest)
-    above it."""
+    least to the greatest, so no LP is needed.  None when the prevision
+    lies in that interval, else the integer separator ((-1,), least)
+    below it or ((1,), -greatest) above it."""
     (prevision,) = target
     least = min(value for value, in points)
     greatest = max(value for value, in points)
     if prevision < least:
-        return ((Fraction(-1),), Fraction(least, scale))
+        return (-1,), least
     if prevision > greatest:
-        return ((Fraction(1),), Fraction(-greatest, scale))
+        return (1,), -greatest
     return None
 
 
@@ -545,18 +548,14 @@ def _hull(points: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _planar_separator(
-    points: Sequence[tuple[int, ...]], target: tuple[int, ...], scales: Sequence[int]
-) -> Optional[Separator]:
+    points: Sequence[tuple[int, ...]], target: tuple[int, ...]
+) -> Optional[IntegerSeparator]:
     """The hull of two members' points is a polygon, a segment or a point
-    of the plane, so no LP is needed.  With points and previsions in
-    integer form (member j's times its denominator `scales[j]`): None when
-    the prevision lies in the closed hull, else the separator of the
-    payoffs themselves, divided by the gcd of its integer entries.  It
-    comes from the first hull edge with the target strictly on its outer
-    side (its outward normal), or, for a target on the line of a point or
-    a segment, from the end it lies beyond, away from the other end (the
-    direction from that end to the target).  The integer separator (s, t)
-    maps back as (s_j·D_j, t)."""
+    of the plane, so no LP is needed.  None when the prevision lies in the
+    closed hull, else an integer separator: the outward normal of the
+    first hull edge with the target strictly on its outer side, or, for a
+    target on the line of a point or a segment, the direction from the
+    end it lies beyond, away from the other end, to the target."""
     hull = _hull(points)
     for a, b in zip(hull, hull[1:] + hull[:1]):
         if _cross(a, b, target) < 0:
@@ -572,10 +571,7 @@ def _planar_separator(
                 break
         else:
             return None
-    slopes = (normal[0] * scales[0], normal[1] * scales[1])
-    offset = -_dot(normal, anchor)
-    divisor = gcd(*slopes, offset)
-    return tuple(Fraction(s // divisor) for s in slopes), Fraction(offset // divisor)
+    return normal, -_dot(normal, anchor)
 
 
 def _first_failure(
@@ -588,9 +584,10 @@ def _first_failure(
     an unassessed symbol that cannot be eliminated, which decide nothing:
     the first one's `MissingSymbol` is raised only when no subfamily
     fails.  The hull test runs on the integer points: one or two members
-    by their interval or planar hull, more by the hull LP.  Its separator
-    (s, t) maps back to the payoffs as (s_j·D_j, t) and is re-checked on
-    them as `Fraction`s."""
+    by their interval or planar hull, more by the hull LP.  Its integer
+    separator (s, t) is re-checked on those points and their target, and
+    maps back to the payoffs once, as (s_j·D_j, t) divided by the gcd of
+    its entries, since s_j·D_j·(P_j / D_j) = s_j·P_j."""
     undecided: Optional[MissingSymbol] = None
     for subset in subsets:
         try:
@@ -604,22 +601,18 @@ def _first_failure(
         target = tuple(assessment.scaled_previsions[i] for i in subset)
         points = list(dict.fromkeys(point for _, point, _ in entries))
         if len(subset) == 1:
-            separator = _scalar_separator(points, target, scales[0])
+            separator = _scalar_separator(points, target)
         elif len(subset) == 2:
-            separator = _planar_separator(points, target, scales)
+            separator = _planar_separator(points, target)
         else:
-            _, scaled = convex_combination(points, target, separate=True)
-            separator = scaled and (
-                tuple(s * scale for s, scale in zip(scaled[0], scales)),
-                scaled[1],
-            )
+            _, separator = convex_combination(points, target, separate=True)
         if separator is not None:
-            check_separator(
-                [_fractions(point, scales) for point in points],
-                tuple(assessment.items[i][1] for i in subset),
-                separator,
-            )
-            return CoherenceResult(False, subset, separator)
+            check_separator(points, target, separator)
+            slopes, offset = separator
+            slopes = [s * scale for s, scale in zip(slopes, scales)]
+            divisor = gcd(*slopes, offset)
+            mapped = (tuple(Fraction(s // divisor) for s in slopes), Fraction(offset // divisor))
+            return CoherenceResult(False, subset, mapped)
     if undecided is not None:
         raise undecided
     return None
@@ -648,7 +641,7 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
     points, lives = [point for point, _ in merged], [live for _, live in merged]
     target = tuple(assessment.scaled_previsions[j] for j in indices)
     if len(indices) == 1:
-        return None if _scalar_separator(points, target, assessment.scales[indices[0]]) else 0
+        return None if _scalar_separator(points, target) else 0
     zero = members
     favoured: list[int] = []
     while zero:
@@ -657,7 +650,7 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
             return None
         # Weights are re-checked nonnegative, so a member whose support
         # holds a nonzero weight has Phi > 0 exactly.
-        released = zero & reduce(or_, (live for w, live in zip(weights, lives) if w), 0)
+        released = zero & reduce(or_, (live for w, live in zip(weights[0], lives) if w), 0)
         if not released:
             break
         zero ^= released

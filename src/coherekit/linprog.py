@@ -6,17 +6,19 @@ negative reduced cost (Dantzig's rule) and switches to Bland's rule for
 the rest of a phase after `DEGENERATE_LIMIT` degenerate pivots, so that
 it terminates.  Feasibility verdicts here decide coherence, and
 coherence is sensitive to exact boundary cases, so floating point is
-never used.  Inputs are `Fraction`s or ints, outputs `Fraction`s; in
-between, pivots run fraction-free on an integer tableau with one common
-denominator (Bareiss's integer-preserving elimination), which is exact
-and spares the gcd of every `Fraction` operation.  A row of ints, such
-as the integer-scaled payoff points of `coherence`, enters the tableau
-as it is.  The row multipliers read off the final tableau certify what
-the simplex reports: duals for an optimum, a Farkas vector for an
-infeasible system; both are re-checked exactly, on integers, by the
-callers that rely on them.  The Dutch-book stake problem is solved as its
-dual, a hull system with L1 slack, through `certified_minimum`: the
-stakes are its multipliers.
+never used.  Inputs are `Fraction`s or ints.  Pivots run fraction-free
+on an integer tableau with one common denominator (Bareiss's
+integer-preserving elimination), which is exact and spares the gcd of
+every `Fraction` operation; a row of ints, such as the integer-scaled
+payoff points of `coherence`, enters it as it is.  Outputs are integer
+numerators over one denominator read off the final tableau: the
+solution, the objective and the row multipliers, which certify what the
+simplex reports (duals for an optimum, a Farkas vector for an infeasible
+system).  The callers re-check them exactly on those integers and build
+a `Fraction` only for a public result: `certified_minimum`'s objective
+and `best_uniform_gain`'s stakes.  The Dutch-book stake problem is
+solved as its dual, a hull system with L1 slack, through
+`certified_minimum`: the stakes are its multipliers.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from typing import Sequence
 from .errors import DimensionMismatch, InternalError
 
 Vector = Sequence[Fraction]
+# Integer numerators over one positive denominator.
+Scaled = tuple[list[int], int]
 
 # Degenerate pivots after which `_iterate` trades Dantzig's rule for Bland's.
 DEGENERATE_LIMIT = 50
@@ -136,7 +140,10 @@ def simplex_minimize(
     entry holds one multiplier pi_i per row: at an optimum the duals
     (costs_j - pi·A_j >= 0 for every column j, and pi·rhs equals the
     objective); when infeasible a Farkas vector (pi·A_j <= 0 for every
-    column j, and pi·rhs > 0); None when unbounded.
+    column j, and pi·rhs > 0); None when unbounded.  Each is in integer
+    form, over the final tableau's denominator d: the solution (X, d)
+    with x_j = X_j / d, the objective (T, d·c) with c the lcm of the
+    costs' denominators, the duals (P, d·c), a Farkas vector (P, d·L).
 
     Row i is negated when its rhs is negative (sign_i = -1) and scaled to
     integers by s_i, the lcm of its denominators (1 for a row of ints);
@@ -173,15 +180,15 @@ def simplex_minimize(
     def result(status, solution=None, objective=None, pi=None):
         return (status, solution, objective, pi) if multipliers else (status, solution, objective)
 
-    def row_multipliers(cost_scale: int, artificial_costs) -> list[Fraction]:
+    def row_multipliers(cost_scale: int, artificial_costs) -> Scaled:
         """pi_i = sign_i·s_i·(c'_{n+i} - r'_{n+i}) / cost_scale, from the
-        reduced costs r' of the scaled artificial columns."""
+        reduced costs r' of the scaled artificial columns, over d·cost_scale."""
         denominator = _denominator(tableau, basis)
         reduced = tableau[-1]
         return [
-            sign * Fraction(scale * (cost * denominator - reduced[n + i]), denominator * cost_scale)
+            sign * scale * (cost * denominator - reduced[n + i])
             for i, (sign, scale, cost) in enumerate(zip(signs, scales, artificial_costs))
-        ]
+        ], denominator * cost_scale
 
     status = _iterate(tableau, basis, n)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded below
@@ -202,62 +209,58 @@ def simplex_minimize(
     if _iterate(tableau, basis, n) == "unbounded":
         return result("unbounded")
     denominator = _denominator(tableau, basis)
-    solution = [Fraction(0)] * n
+    solution = [0] * n
     for i in range(m):
         if basis[i] < n:
-            solution[basis[i]] = Fraction(tableau[i][-1], denominator)
-    objective = Fraction(-tableau[-1][-1], denominator * cost_scale)
+            solution[basis[i]] = tableau[i][-1]
+    objective = (-tableau[-1][-1], denominator * cost_scale)
     duals = row_multipliers(cost_scale, [0] * m) if multipliers else None
-    return result("optimal", solution, objective, duals)
+    return result("optimal", (solution, denominator), objective, duals)
 
 
 def certified_minimum(
     matrix: Sequence[Vector], rhs: Vector, costs: Vector
-) -> tuple[Fraction, list[Fraction]]:
+) -> tuple[Fraction, Scaled]:
     """The minimum of costs·x over matrix·x = rhs, x >= 0, for an LP known
-    to have one, and its row multipliers pi.  The optimum is re-checked
-    exactly with them: the solution is feasible and attains the objective,
-    every reduced cost costs_j - pi·A_j is >= 0, and pi·rhs equals the
-    objective, so no feasible x does better.  Anything else raises
-    `InternalError`.
+    to have one, and its row multipliers pi as (P, e).  The optimum is
+    re-checked exactly with them: the solution is feasible and attains the
+    objective, every reduced cost costs_j - pi·A_j is >= 0, and pi·rhs
+    equals the objective, so no feasible x does better.  Anything else
+    raises `InternalError`.
 
-    The checks run on integers: each row with its rhs, the costs, the
-    solution and the multipliers, each times the lcm of its own
-    denominators."""
+    The checks run on integers: the simplex's numerators as they come, and
+    each row with its rhs, and the costs, times the lcm of their own."""
     status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     if status != "optimal":
         raise InternalError(f"an LP with a known optimum ended {status}")
     n = len(costs)
     rows = [_integers([*row, b]) for row, b in zip(matrix, rhs)]
     cost_scale, integer_costs = _integers(costs)
+    (x, x_scale), (value, value_scale), (duals, pi_scale) = solution, objective, pi
     # Primal: x = X / x_scale, with only the nonzero entries of X.
-    support = [(j, x) for j, x in enumerate(solution) if x]
-    x_scale = lcm(*(x.denominator for _, x in support))
-    support = [(j, x.numerator * (x_scale // x.denominator)) for j, x in support]
+    support = [(j, v) for j, v in enumerate(x) if v]
     # Dual: pi = P / pi_scale; row i enters the combination as
     # P_i·(common / s_i) times its integer form, which is
     # pi_scale·common·(pi·A_j) in column j and pi_scale·common·(pi·rhs)
     # in the rhs column.
-    pi_scale = lcm(*(p.denominator for p in pi))
     common = lcm(*(scale for scale, _ in rows))
     combination = [0] * (n + 1)
-    for p, (scale, row) in zip(pi, rows):
-        if p:
-            factor = p.numerator * (pi_scale // p.denominator) * (common // scale)
+    for numerator, (scale, row) in zip(duals, rows):
+        if numerator:
+            factor = numerator * (common // scale)
             combination = [c + factor * a for c, a in zip(combination, row)]
     dual_scale = pi_scale * common
     if (
-        any(x < 0 for _, x in support)
-        or any(
-            sum(row[j] * x for j, x in support) != row[n] * x_scale for _, row in rows
-        )
-        or sum(integer_costs[j] * x for j, x in support) * objective.denominator
-        != objective.numerator * cost_scale * x_scale
+        min(x_scale, value_scale, pi_scale) <= 0
+        or any(v < 0 for _, v in support)
+        or any(sum(row[j] * v for j, v in support) != row[n] * x_scale for _, row in rows)
+        or sum(integer_costs[j] * v for j, v in support) * value_scale
+        != value * cost_scale * x_scale
         or any(dual_scale * c < cost_scale * v for c, v in zip(integer_costs, combination))
-        or combination[n] * objective.denominator != objective.numerator * dual_scale
+        or combination[n] * value_scale != value * dual_scale
     ):
         raise InternalError("an LP optimum fails its exact re-check")
-    return objective, pi
+    return Fraction(value, value_scale), pi
 
 
 def convex_combination(
@@ -268,16 +271,18 @@ def convex_combination(
     separate: bool = False,
 ):
     """Weights expressing `target` as a convex combination of `points`,
-    or None when `target` lies outside their convex hull.  Exact.  Among
-    all such weights, those returned maximise the total weight on the
-    points indexed by `favoured`.
+    as (W, d) with weight h equal to W_h / d, or None when `target` lies
+    outside their convex hull.  Exact.  Among all such weights, those
+    returned maximise the total weight on the points indexed by
+    `favoured`.
 
     With `separate`, the result is a pair (weights, separator) of which
-    one is None: a target outside the hull comes with the pair (s, t),
-    s·p + t <= 0 at every point p and s·target + t > 0, read off phase 1
-    of the same LP.  Weights and separator are re-checked exactly."""
+    one is None: a target outside the hull comes with the integer pair
+    (s, t), s·p + t <= 0 at every point p and s·target + t > 0, the
+    numerators of the Farkas vector of the same LP.  Weights and separator
+    are re-checked exactly, on those integers."""
     if not points:
-        return (None, ((Fraction(0),) * len(target), Fraction(1))) if separate else None
+        return (None, ((0,) * len(target), 1)) if separate else None
     dim = len(target)
     if set(map(len, points)) != {dim}:
         raise DimensionMismatch("point dimension does not match target")
@@ -294,20 +299,18 @@ def convex_combination(
     if status != "optimal":  # infeasible: the hull LP is bounded
         if not separate:
             return None
-        # Farkas: pi·(p, 1) <= 0 at every point and pi·(target, 1) > 0.
-        separator = (tuple(pi[:dim]), pi[dim])
+        # Farkas: P·(p, 1) <= 0 at every point and P·(target, 1) > 0.
+        farkas, _ = pi
+        separator = (tuple(farkas[:dim]), farkas[dim])
         check_separator(points, target, separator)
         return None, separator
-    # Exact re-verification of the certificate, on the weights times their
-    # common denominator; the zero weights add nothing to the sum or to
-    # the target.
-    if solution is None:
-        raise InternalError("hull weights fail their exact re-check")
-    weighted = [(w, p) for w, p in zip(solution, points) if w]
-    scale = lcm(*(w.denominator for w, _ in weighted))
-    weighted = [(w.numerator * (scale // w.denominator), p) for w, p in weighted]
+    # Exact re-verification of the certificate; the zero weights add
+    # nothing to the sum or to the target.
+    weights, scale = solution
+    weighted = [(w, p) for w, p in zip(weights, points) if w]
     if (
-        any(w < 0 for w, _ in weighted)
+        scale <= 0
+        or any(w < 0 for w, _ in weighted)
         or sum(w for w, _ in weighted) != scale
         or any(sum(w * p[d] for w, p in weighted) != scale * target[d] for d in range(dim))
     ):
@@ -318,13 +321,10 @@ def convex_combination(
 def check_separator(
     points: Sequence[Vector], target: Vector, separator: tuple[Vector, Fraction]
 ) -> None:
-    """Re-check a separator (s, t) of `target` from `points` exactly:
-    s·p + t <= 0 at every point and s·target + t > 0; `InternalError`
-    otherwise."""
+    """Re-check a separator (s, t) of `target` from `points` exactly, in
+    ints or `Fraction`s: s·p + t <= 0 at every point and s·target + t > 0;
+    `InternalError` otherwise."""
     slopes, offset = separator
-    # The same inequalities times the common denominator of (s, t).
-    scale = lcm(*(v.denominator for v in (*slopes, offset)))
-    *slopes, offset = [v.numerator * (scale // v.denominator) for v in (*slopes, offset)]
     if any(sum(map(mul, slopes, p)) + offset > 0 for p in points) or (
         sum(map(mul, slopes, target)) + offset <= 0
     ):
@@ -340,8 +340,9 @@ def best_uniform_gain(
     Solved as its LP dual, the hull system with L1 slack: weights l_h >= 0
     summing to 1 and slacks r+, r- >= 0 with sum_h l_h·d_h + r+ - r- = 0,
     minimizing sum(r+ + r-), i.e. the L1 distance from the origin to the
-    hull of the d_h.  Its n + 1 row multipliers pi are re-checked by
-    `certified_minimum`; the stakes are -pi over the n member rows.  Dual
+    hull of the d_h.  Its n + 1 row multipliers pi = P / e are re-checked
+    by `certified_minimum`; the stakes are -pi over the n member rows,
+    re-checked as -P over e and returned as `Fraction`s.  Dual
     feasibility is exactly the unit stake bounds and stakes·d_h >= e, and
     pi·rhs = e proves that no stakes do better.  The optimum is >= 0; it
     is strictly positive exactly when the origin lies outside the hull,
@@ -362,16 +363,14 @@ def best_uniform_gain(
     matrix.append([1] * m + [0] * (2 * n))
     rhs = [0] * n + [1]
     costs = [0] * m + [1] * (2 * n)
-    epsilon, pi = certified_minimum(matrix, rhs, costs)
-    stakes = [-p for p in pi[:n]]
+    epsilon, (duals, scale) = certified_minimum(matrix, rhs, costs)
     # Exact re-verification of the certificate, on integers: the stakes
-    # times the lcm of their denominators, and each deviation vector times
-    # the lcm of its own.
-    scale, integer_stakes = _integers(stakes)
-    if any(abs(s) > scale for s in integer_stakes) or any(
-        sum(map(mul, integer_stakes, d)) * epsilon.denominator
-        < epsilon.numerator * scale * d_scale
+    # -P over e, and each deviation vector times the lcm of its
+    # denominators.
+    stakes = [-p for p in duals[:n]]
+    if any(abs(s) > scale for s in stakes) or any(
+        sum(map(mul, stakes, d)) * epsilon.denominator < epsilon.numerator * scale * d_scale
         for d_scale, d in map(_integers, deviations)
     ):
         raise InternalError("stakes fail their exact re-check")
-    return epsilon, stakes
+    return epsilon, [Fraction(s, scale) for s in stakes]

@@ -39,7 +39,9 @@ then Bland's after `DEGENERATE_LIMIT` degenerate pivots, and no
 artificial re-entering in phase 1), but every entry a `Fraction`, each
 row divided by its pivot, and the reduced costs recomputed from the
 basis costs at every iteration.  The integer simplex must return exactly
-its tuples, multipliers included, after the same pivots.
+its tuples, multipliers included, after the same pivots, once
+`fraction_form` has read its integer numerators over their denominators
+as `Fraction`s; `integer_form` turns such a result back.
 
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
@@ -49,6 +51,7 @@ terms summed `Poly` by `Poly`.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from coherekit.coherence import (
@@ -141,7 +144,7 @@ def primal_uniform_gain(
     rhs = [Fraction(0)] * m + [Fraction(1)] * (2 * n)
     costs = [Fraction(0)] * cols
     costs[2 * n] = Fraction(-1)  # maximize e
-    status, solution, _ = simplex_minimize(matrix, rhs, costs)
+    status, solution, _ = fraction_form(simplex_minimize(matrix, rhs, costs))
     assert status == "optimal", status
     return solution[2 * n], [solution[i] - solution[n + i] for i in range(n)]
 
@@ -326,6 +329,40 @@ def fraction_simplex(
     objective = sum(Fraction(costs[j]) * solution[j] for j in range(n))
     duals = _fraction_multipliers(tableau, basis, phase2, signs) if multipliers else None
     return result("optimal", solution, objective, duals)
+
+
+def fraction_form(result: tuple) -> tuple:
+    """A result of `simplex_minimize` in the form of `fraction_simplex`:
+    each (numerators, denominator) pair read as a list of `Fraction`s, or
+    as one `Fraction` for the objective; every other entry as it is."""
+
+    def fractions(part):
+        if not isinstance(part, tuple):
+            return part
+        numerators, denominator = part
+        if isinstance(numerators, list):
+            return [Fraction(v, denominator) for v in numerators]
+        return Fraction(numerators, denominator)
+
+    return tuple(map(fractions, result))
+
+
+def integer_form(result: tuple) -> tuple:
+    """The reverse of `fraction_form`: a list of rationals as its
+    numerators over the lcm of their denominators, one rational as its
+    numerator and denominator; the status and None as they are."""
+
+    def integers(part):
+        if part is None or isinstance(part, str):
+            return part
+        if not isinstance(part, list):
+            value = Fraction(part)
+            return value.numerator, value.denominator
+        values = [Fraction(v) for v in part]
+        scale = lcm(*(v.denominator for v in values))
+        return [v.numerator * (scale // v.denominator) for v in values], scale
+
+    return tuple(map(integers, result))
 
 
 def composed_substitute(poly: Poly, valuation) -> Poly:

@@ -321,14 +321,31 @@ def test_extend_point_interval_from_a_partition(write, capsys):
     assert json.loads(out)["upper"] == "2/7"
 
 
+class TamperingMissed(BaseException):
+    """A tamper helper left the result it changed as it was.  Not an
+    `Exception`, so that neither the library nor `cli.main` turns it into
+    the internal error that the tests expect from a failed re-check."""
+
+
+def _changed(result, corrupted):
+    """`corrupted`, which must differ from `result`; the check raises,
+    not asserts, because `python -O` strips assert statements."""
+    if corrupted == result:
+        raise TamperingMissed(result)
+    return corrupted
+
+
 def _corrupted(simplex_minimize):
-    """The simplex with the right status and doubled, wrong weights."""
+    """The simplex with the right status and doubled, wrong weights: the
+    numerators of the solution doubled over the same denominator."""
 
     def corrupted(matrix, rhs, costs):
-        status, solution, objective = simplex_minimize(matrix, rhs, costs)
-        if solution is not None:
-            solution = [2 * w for w in solution]
-        return status, solution, objective
+        result = simplex_minimize(matrix, rhs, costs)
+        status, solution, objective = result
+        if solution is None:
+            return result
+        numerators, denominator = solution
+        return _changed(result, (status, ([2 * w for w in numerators], denominator), objective))
 
     return corrupted
 
@@ -370,17 +387,22 @@ def test_certificate_check_survives_optimization(write):
 
 def _corrupted_multipliers(simplex_minimize):
     """The simplex with the right status and solution and wrong row
-    multipliers: duals shifted by one, Farkas vectors negated."""
+    multipliers: duals shifted by one (each numerator by its denominator),
+    Farkas vectors negated."""
 
     def corrupted(matrix, rhs, costs, multipliers=False):
         if not multipliers:
             return simplex_minimize(matrix, rhs, costs)
-        status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
+        result = simplex_minimize(matrix, rhs, costs, multipliers=True)
+        status, solution, objective, pi = result
+        if status == "unbounded":
+            return result
+        numerators, denominator = pi
         if status == "optimal":
-            pi = [v + 1 for v in pi]
-        elif status == "infeasible":
-            pi = [-v for v in pi]
-        return status, solution, objective, pi
+            numerators = [p + denominator for p in numerators]
+        else:
+            numerators = [-p for p in numerators]
+        return _changed(result, (status, solution, objective, (numerators, denominator)))
 
     return corrupted
 

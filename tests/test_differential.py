@@ -24,7 +24,6 @@ from coherekit.coherence import (
     Assessment,
     CoherenceResult,
     PointTable,
-    _fractions,
     _levels,
     _planar_separator,
     _subset_entries,
@@ -52,7 +51,7 @@ from coherekit.propagation import (
     extension_interval,
 )
 import oracles
-from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_simplex
+from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_form, fraction_simplex
 from test_cli import MP_DOC, _corrupted_multipliers
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
@@ -406,11 +405,29 @@ def test_two_level_family_incoherent_at_second_level():
     assert exhaustive_coherence(assessment).witness == (1,)
 
 
+ZERO_REGISTRY = AtomRegistry(["A", "C", "H"])
+A, C, H = ZERO_REGISTRY.atoms("A", "C", "H")
+
+
+def _event(event, condition, symbol):
+    return conditional_event(event, condition, symbol, registry=ZERO_REGISTRY)
+
+
+# A|H = C|H = 3/4 with (A∧C)|H = 1/4, below the Fréchet bound 1/2: every
+# pair is coherent, so the witness is the whole family, decided by an LP.
+BELOW_FRECHET = [
+    (_event(A, H, "a"), Fraction(3, 4)),
+    (_event(C, H, "c"), Fraction(3, 4)),
+    (_event(A & C, H, "ac"), Fraction(1, 4)),
+]
+
+
 @settings(deadline=None, max_examples=150)
 @given(families())
+@example(Assessment(BELOW_FRECHET))  # a three-member witness, separated by its LP
 def test_incoherent_verdicts_carry_a_checked_separator(assessment):
     """The witness's separator, re-checked here over every payoff point of
-    the witness (duplicates included)."""
+    the witness (duplicates included); its entries are coprime integers."""
     try:
         result = check_coherence(assessment)
     except CoherekitError:
@@ -423,6 +440,8 @@ def test_incoherent_verdicts_carry_a_checked_separator(assessment):
     assert len(slopes) == len(result.witness)
     assert all(sum(s * v for s, v in zip(slopes, point)) + offset <= 0 for point in table.points)
     assert sum(s * v for s, v in zip(slopes, table.previsions)) + offset > 0
+    assert all(v.denominator == 1 for v in (*slopes, offset))
+    assert gcd(*(v.numerator for v in (*slopes, offset))) == 1
 
 
 # -- extension intervals -----------------------------------------------------
@@ -494,14 +513,6 @@ def test_lp_endpoints_are_tight(case):
         assert searched.as_tuple() == interval.as_tuple()
 
 
-ZERO_REGISTRY = AtomRegistry(["A", "C", "H"])
-A, C, H = ZERO_REGISTRY.atoms("A", "C", "H")
-
-
-def _event(event, condition, symbol):
-    return conditional_event(event, condition, symbol, registry=ZERO_REGISTRY)
-
-
 @pytest.mark.parametrize(
     "premises, target, expected, lps",
     [
@@ -536,13 +547,6 @@ def test_zero_denominator_takes_the_next_level(monkeypatch, premises, target, ex
     assert calls == lps
 
 
-# A|H = C|H = 3/4 with (A∧C)|H = 1/4, below the Fréchet bound 1/2: every
-# pair is coherent, so the witness is the whole family, decided by an LP.
-BELOW_FRECHET = [
-    (_event(A, H, "a"), Fraction(3, 4)),
-    (_event(C, H, "c"), Fraction(3, 4)),
-    (_event(A & C, H, "ac"), Fraction(1, 4)),
-]
 # A|H = ¬A|H = 3/4: a two-member witness.
 OVERCOMMITTED_PAIR = [(_event(A, H, "a"), Fraction(3, 4)), (_event(~A, H, "na"), Fraction(3, 4))]
 
@@ -570,14 +574,35 @@ def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys
     assert capsys.readouterr().err.startswith("internal error:")
 
 
+def test_level_and_witness_lps_build_no_fraction(monkeypatch):
+    """The level LP of a coherent three-member family and the separating
+    LP of a three-member witness run on integers from the payoff matrix
+    to the re-checked certificate: `linprog` builds no `Fraction`."""
+    real = linprog.simplex_minimize
+    lps = 0
+
+    def counting(*args, **kwargs):
+        nonlocal lps
+        lps += 1
+        return real(*args, **kwargs)
+
+    def no_fraction(*args):
+        raise AssertionError("linprog built a Fraction")
+
+    monkeypatch.setattr(linprog, "simplex_minimize", counting)
+    monkeypatch.setattr(linprog, "Fraction", no_fraction)
+    at_the_bound = BELOW_FRECHET[:2] + [(BELOW_FRECHET[2][0], Fraction(1, 2))]
+    assert check_coherence(Assessment(at_the_bound)).coherent
+    assert lps
+    lps = 0
+    assert check_coherence(Assessment(BELOW_FRECHET)).witness == (0, 1, 2)
+    assert lps
+
+
 def test_wrong_planar_separator_is_an_internal_error(monkeypatch):
-    """A two-member witness's separator is re-checked on the `Fraction`
-    payoffs like any other; a wrong one is a fault of the library."""
-    monkeypatch.setattr(
-        coherence,
-        "_planar_separator",
-        lambda points, target, scales: ((Fraction(-1), Fraction(-1)), Fraction(1)),
-    )
+    """A two-member witness's separator is re-checked on its integer
+    points like any other; a wrong one is a fault of the library."""
+    monkeypatch.setattr(coherence, "_planar_separator", lambda points, target: ((-1, -1), 1))
     with pytest.raises(InternalError):
         check_coherence(Assessment(OVERCOMMITTED_PAIR))
 
@@ -612,32 +637,28 @@ def planar_hulls(draw):
         target = (4 * ox + k * dx, 4 * oy + k * dy)
     else:
         target = draw(st.tuples(st.integers(-16, 16), st.integers(-16, 16)))
-    scales = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
-    return points, target, scales
+    return points, target
 
 
 @settings(deadline=None, max_examples=400)
 @given(planar_hulls())
-@example(([(0, 0)] * 2, (0, 0), (1, 1)))  # on a repeated point
-@example(([(0, 0), (4, 4)], (8, 8), (1, 1)))  # beyond a segment's end
-@example(([(0, 0), (4, 4)], (-4, -4), (1, 1)))  # beyond the other end
-@example(([(0, 0), (4, 4), (8, 8)], (4, 4), (2, 3)))  # inside a collinear set
-@example(([(0, 0), (8, 0), (0, 8)], (4, 4), (1, 1)))  # on an edge
+@example(([(0, 0)] * 2, (0, 0)))  # on a repeated point
+@example(([(0, 0), (4, 4)], (8, 8)))  # beyond a segment's end
+@example(([(0, 0), (4, 4)], (-4, -4)))  # beyond the other end
+@example(([(0, 0), (4, 4), (8, 8)], (4, 4)))  # inside a collinear set
+@example(([(0, 0), (8, 0), (0, 8)], (4, 4)))  # on an edge
 def test_planar_hull_matches_the_hull_lp(case):
-    """Inside or outside as the hull LP says, and every separator passes
-    its exact re-check on the payoffs (integer point over its scale),
-    with integer entries whose gcd is 1."""
-    points, target, scales = case
-    separator = _planar_separator(points, target, scales)
+    """Inside or outside as the hull LP says, and every separator, like
+    the LP's, is a pair of ints that passes its exact re-check on the
+    integer points."""
+    points, target = case
+    separator = _planar_separator(points, target)
     _, lp_separator = linprog.convex_combination(points, target, separate=True)
     assert (separator is None) == (lp_separator is None)
     if separator is not None:
-        linprog.check_separator(
-            [_fractions(point, scales) for point in points], _fractions(target, scales), separator
-        )
+        linprog.check_separator(points, target, separator)
         (s1, s2), t = separator
-        assert all(v.denominator == 1 for v in (s1, s2, t))
-        assert gcd(s1.numerator, s2.numerator, t.numerator) == 1
+        assert all(type(v) is int for v in (s1, s2, t, *lp_separator[0], lp_separator[1]))
 
 
 # Zero in a third of the draws, else small numerators over mixed and
@@ -700,17 +721,17 @@ def _ints(*rows):
 )
 def test_integer_simplex_matches_the_fraction_tableau(lp):
     """Status, solution, objective and multipliers (duals, or the Farkas
-    vector of an infeasible system) are the `Fraction` tableau's, and so
-    is every pivot."""
+    vector of an infeasible system), read as `Fraction`s, are the
+    `Fraction` tableau's, and so is every pivot."""
     got, path = _solve_recording_pivots(
         linprog.simplex_minimize, linprog, "_pivot", lp, multipliers=True
     )
     expected, oracle_path = _solve_recording_pivots(
         fraction_simplex, oracles, "_fraction_pivot", lp, multipliers=True
     )
-    assert got == expected
+    assert fraction_form(got) == expected
     assert path == oracle_path
-    assert linprog.simplex_minimize(*lp) == expected[:3]
+    assert fraction_form(linprog.simplex_minimize(*lp)) == expected[:3]
 
 
 SYMBOLS = ("x", "y", "z", "w")

@@ -14,15 +14,15 @@ from coherekit.linprog import (
     simplex_minimize,
 )
 import oracles
-from oracles import fraction_simplex, primal_uniform_gain
+from oracles import fraction_form, fraction_simplex, integer_form, primal_uniform_gain
 
 F = Fraction
 
 
 def test_simplex_basic_minimum():
     # min x + y  s.t.  x + 2y = 4, 3x + 2y = 8, x,y >= 0  -> (2,1), obj 3
-    status, sol, obj = simplex_minimize(
-        [[F(1), F(2)], [F(3), F(2)]], [F(4), F(8)], [F(1), F(1)]
+    status, sol, obj = fraction_form(
+        simplex_minimize([[F(1), F(2)], [F(3), F(2)]], [F(4), F(8)], [F(1), F(1)])
     )
     assert status == "optimal"
     assert sol == [F(2), F(1)]
@@ -37,7 +37,7 @@ def test_simplex_infeasible():
 
 def test_simplex_negative_rhs_normalized():
     # -x = -3 -> x = 3
-    status, sol, _ = simplex_minimize([[F(-1)]], [F(-3)], [F(1)])
+    status, sol, _ = fraction_form(simplex_minimize([[F(-1)]], [F(-3)], [F(1)]))
     assert status == "optimal"
     assert sol == [F(3)]
 
@@ -64,7 +64,7 @@ def test_rank_deficient_rows_drive_out_on_a_negative_pivot(monkeypatch):
         pivot(tableau, basis, row, col)
 
     monkeypatch.setattr(linprog, "_pivot", recording)
-    result = simplex_minimize(matrix, rhs, costs, multipliers=True)
+    result = fraction_form(simplex_minimize(matrix, rhs, costs, multipliers=True))
     assert False in positive
     assert result == fraction_simplex(matrix, rhs, costs, multipliers=True)
     status, solution, objective, _ = result
@@ -84,8 +84,8 @@ def test_large_prime_denominators_match_the_fraction_tableau():
     costs = [F(1, 999979), F(-1, 3), F(2, 999983), F(-1, 999961)]
     result = simplex_minimize(matrix, rhs, costs, multipliers=True)
     assert result[0] == "optimal"
-    assert result == fraction_simplex(matrix, rhs, costs, multipliers=True)
-    assert certified_minimum(matrix, rhs, costs) == (result[2], result[3])
+    assert fraction_form(result) == fraction_simplex(matrix, rhs, costs, multipliers=True)
+    assert certified_minimum(matrix, rhs, costs) == (fraction_form(result)[2], result[3])
 
 
 # Beale's LP (Math. Programming, 1955), on which Dantzig's rule cycles,
@@ -128,7 +128,7 @@ def _pivots(monkeypatch, lp, limit=None):
 
     monkeypatch.setattr(linprog, "_pivot", recording)
     try:
-        return simplex_minimize(*lp, multipliers=True), path
+        return fraction_form(simplex_minimize(*lp, multipliers=True)), path
     except Cycled:
         return None, path
 
@@ -164,9 +164,8 @@ def test_bland_fallback_ends_beale_at_its_optimum(monkeypatch):
 
 def test_convex_combination_inside_triangle():
     points = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
-    weights = convex_combination(points, (F(1, 4), F(1, 4)))
-    assert weights is not None
-    assert sum(weights) == 1
+    weights, scale = convex_combination(points, (F(1, 4), F(1, 4)))
+    assert sum(weights) == scale
 
 
 def test_convex_combination_on_vertex_and_edge():
@@ -192,8 +191,8 @@ def test_hull_weights_that_miss_the_target_fail_the_recheck(monkeypatch):
     real = linprog.simplex_minimize
 
     def reversed_weights(matrix, rhs, costs):
-        status, solution, objective = real(matrix, rhs, costs)
-        return status, solution[::-1], objective
+        status, solution, objective = fraction_form(real(matrix, rhs, costs))
+        return integer_form((status, solution[::-1], objective))
 
     monkeypatch.setattr(linprog, "simplex_minimize", reversed_weights)
     with pytest.raises(InternalError):
@@ -318,12 +317,28 @@ def test_each_tampered_quantity_fails_the_integer_recheck(monkeypatch, lp, chang
     certified_minimum(*lp)
 
     def tampered(result):
-        status, solution, objective, pi = result
-        return (status, *change(solution, objective, pi))
+        status, solution, objective, pi = fraction_form(result)
+        return integer_form((status, *change(solution, objective, pi)))
 
     _tamper(monkeypatch, "simplex_minimize", tampered)
     with pytest.raises(InternalError):
         certified_minimum(*lp)
+
+
+def test_zero_denominators_fail_the_integer_recheck(monkeypatch):
+    """Numerators all 0 over the denominator 0 satisfy every equation of a
+    re-check once it is multiplied out, so denominators must be positive:
+    such an LP solution, or such hull weights, are internal errors."""
+
+    def zero(result):
+        status, (numerators, _), *rest = result
+        return (status, ([0] * len(numerators), 0), *rest)
+
+    _tamper(monkeypatch, "simplex_minimize", zero)
+    with pytest.raises(InternalError):
+        certified_minimum(*SCALED_LP)
+    with pytest.raises(InternalError):
+        convex_combination([(F(0),), (F(1),)], (F(1, 4),))
 
 
 @pytest.mark.parametrize(
@@ -338,6 +353,11 @@ def test_tampered_stake_fails_the_integer_recheck(monkeypatch, multiplier):
     both are internal errors."""
     deviations = [(F(-1, 3),), (F(-2, 3),)]
     assert best_uniform_gain(deviations) == (F(1, 3), [F(-1)])
-    _tamper(monkeypatch, "certified_minimum", lambda result: (result[0], [multiplier, *result[1][1:]]))
+
+    def tampered(result):
+        objective, pi = fraction_form(result)
+        return objective, integer_form((objective, [multiplier, *pi[1:]]))[1]
+
+    _tamper(monkeypatch, "certified_minimum", tampered)
     with pytest.raises(InternalError):
         best_uniform_gain(deviations)

@@ -226,6 +226,18 @@ def test_caller_cap_reaches_the_oracle(monkeypatch):
     assert interval.as_tuple() == (F(1, 6), F(1, 6))
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_cap_argument_below_one_is_invalid(cap):
+    """A cap argument below 1 is invalid input, as COHERE_SUBSET_CAP below
+    1 is, not a family that exceeds the cap: no environment value could
+    raise it, since the argument overrides the variable."""
+    premises, target = _product_rule_family()
+    with pytest.raises(PreconditionFailed, match="cap must be a positive integer"):
+        check_coherence(premises, cap=cap)
+    with pytest.raises(PreconditionFailed, match="cap must be a positive integer"):
+        extension_interval(premises, target, cap=cap)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 2: the unassessed conjunction prevision zc is relaxed to [0, 1]",
