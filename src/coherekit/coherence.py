@@ -709,13 +709,19 @@ def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Option
     assessment is coherent: the stakes in [-1, 1] that maximize the
     worst-case gain over the witness's live worlds, read off the certified
     multipliers of one LP (`best_uniform_gain`), the witness's hull system
-    with L1 slack, whose optimum is that gain."""
+    with L1 slack, whose optimum is that gain.  Its rows are integer: the
+    witness's integer points minus their targets, D_j·p_j - D_j·P_j, one
+    per live world as `build_points` lists them."""
     witness = check_coherence(assessment, cap).witness
     if witness is None:
         return None
-    table = build_points(assessment, witness)
+    target = [assessment.scaled_previsions[j] for j in witness]
     epsilon, stakes = best_uniform_gain(
-        [tuple(v - p for v, p in zip(point, table.previsions)) for point in table.points]
+        [
+            tuple(v - p for v, p in zip(point, target))
+            for _, point, _ in _subset_entries(assessment, witness)
+        ],
+        scales=[assessment.scales[j] for j in witness],
     )
     if epsilon <= 0:  # a point outside a finite hull is strictly separable
         raise InternalError("no sure-win stakes on a subfamily outside its hull")

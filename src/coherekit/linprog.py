@@ -15,9 +15,12 @@ numerators over one denominator read off the final tableau: the
 solution, the objective and the row multipliers, which certify what the
 simplex reports (duals for an optimum, a Farkas vector for an infeasible
 system).  The callers re-check them exactly on those integers and build
-a `Fraction` only for a public result: `certified_minimum`'s objective
-and `best_uniform_gain`'s stakes.  The Dutch-book stake problem is
-solved as its dual, a hull system with L1 slack, through
+a `Fraction` only for a public result: `certified_minimum`'s objectives
+and `best_uniform_gain`'s stakes.  One call solves one system: further
+cost vectors over the same rows share its phase 1, each starting its
+phase 2 from the basis where the one before it ended, and each optimum
+comes with its own multipliers and re-check.  The Dutch-book stake
+problem is solved as its dual, a hull system with L1 slack, through
 `certified_minimum`: the stakes are its multipliers.
 """
 
@@ -130,7 +133,12 @@ def _integers(values: Sequence, sign: int = 1) -> tuple[int, list[int]]:
 
 
 def simplex_minimize(
-    matrix: Sequence[Vector], rhs: Vector, costs: Vector, *, multipliers: bool = False
+    matrix: Sequence[Vector],
+    rhs: Vector,
+    costs: Vector,
+    *,
+    multipliers: bool = False,
+    further: Sequence[Vector] = (),
 ) -> tuple:
     """Minimize costs·x subject to matrix·x = rhs, x >= 0, over entries that
     are `Fraction`s or ints.
@@ -144,6 +152,12 @@ def simplex_minimize(
     form, over the final tableau's denominator d: the solution (X, d)
     with x_j = X_j / d, the objective (T, d·c) with c the lcm of the
     costs' denominators, the duals (P, d·c), a Farkas vector (P, d·L).
+
+    `further` holds more cost vectors over the same rows.  With it, the
+    result is a list of such tuples, one per objective, `costs` first:
+    phase 1 runs once, and each further objective starts its phase 2
+    from the basis where the one before it ended.  An infeasible system
+    gives its one result for every objective.
 
     Row i is negated when its rhs is negative (sign_i = -1) and scaled to
     integers by s_i, the lcm of its denominators (1 for a row of ints);
@@ -159,6 +173,8 @@ def simplex_minimize(
     """
     m = len(matrix)
     n = len(costs)
+    if any(len(other) != n for other in further):
+        raise DimensionMismatch("cost vectors differ in length")
     tableau: list[list[int]] = []
     signs: list[int] = []
     scales: list[int] = []
@@ -195,7 +211,8 @@ def simplex_minimize(
         return result("unbounded")
     if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
         farkas = row_multipliers(common, weights) if multipliers else None
-        return result("infeasible", pi=farkas)
+        infeasible = result("infeasible", pi=farkas)
+        return [infeasible] * (1 + len(further)) if further else infeasible
     tableau.pop()
     # Drive remaining zero-value artificials out of the basis when possible.
     for i in range(m):
@@ -204,63 +221,79 @@ def simplex_minimize(
                 if tableau[i][j] != 0:
                     _pivot(tableau, basis, i, j)
                     break
-    cost_scale, scaled_costs = _integers(costs)
-    tableau.append(_cost_row(tableau, basis, scaled_costs + [0] * m))
-    if _iterate(tableau, basis, n) == "unbounded":
-        return result("unbounded")
-    denominator = _denominator(tableau, basis)
-    solution = [0] * n
-    for i in range(m):
-        if basis[i] < n:
-            solution[basis[i]] = tableau[i][-1]
-    objective = (-tableau[-1][-1], denominator * cost_scale)
-    duals = row_multipliers(cost_scale, [0] * m) if multipliers else None
-    return result("optimal", (solution, denominator), objective, duals)
+    results = []
+    for objective_costs in (costs, *further):
+        cost_scale, scaled_costs = _integers(objective_costs)
+        tableau.append(_cost_row(tableau, basis, scaled_costs + [0] * m))
+        if _iterate(tableau, basis, n) == "unbounded":
+            results.append(result("unbounded"))
+        else:
+            denominator = _denominator(tableau, basis)
+            solution = [0] * n
+            for i in range(m):
+                if basis[i] < n:
+                    solution[basis[i]] = tableau[i][-1]
+            objective = (-tableau[-1][-1], denominator * cost_scale)
+            duals = row_multipliers(cost_scale, [0] * m) if multipliers else None
+            results.append(result("optimal", (solution, denominator), objective, duals))
+        tableau.pop()
+    return results if further else results[0]
 
 
 def certified_minimum(
-    matrix: Sequence[Vector], rhs: Vector, costs: Vector
-) -> tuple[Fraction, Scaled]:
-    """The minimum of costs·x over matrix·x = rhs, x >= 0, for an LP known
-    to have one, and its row multipliers pi as (P, e).  The optimum is
-    re-checked exactly with them: the solution is feasible and attains the
-    objective, every reduced cost costs_j - pi·A_j is >= 0, and pi·rhs
-    equals the objective, so no feasible x does better.  Anything else
-    raises `InternalError`.
+    matrix: Sequence[Vector], rhs: Vector, costs: Vector, *, further: Sequence[Vector] = ()
+) -> list[tuple[Fraction, Scaled, Scaled]] | None:
+    """The minimum of costs·x over matrix·x = rhs, x >= 0, and of each
+    cost vector of `further` over the same rows, for an LP known to have
+    one when it is feasible: one (objective, multipliers, solution) per
+    objective, `costs` first, with the row multipliers pi as (P, e) and
+    the solution as (X, d); None when the rows have no solution.  The
+    objectives share one `simplex_minimize` system.  Each optimum is
+    re-checked exactly with its own multipliers: the solution is feasible
+    and attains the objective, every reduced cost costs_j - pi·A_j is
+    >= 0, and pi·rhs equals the objective, so no feasible x does better.
+    Anything else raises `InternalError`.
 
     The checks run on integers: the simplex's numerators as they come, and
     each row with its rhs, and the costs, times the lcm of their own."""
-    status, solution, objective, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
-    if status != "optimal":
-        raise InternalError(f"an LP with a known optimum ended {status}")
+    results = simplex_minimize(matrix, rhs, costs, multipliers=True, further=further)
+    if not further:
+        results = [results]
+    if results[0][0] == "infeasible":
+        return None
     n = len(costs)
     rows = [_integers([*row, b]) for row, b in zip(matrix, rhs)]
-    cost_scale, integer_costs = _integers(costs)
-    (x, x_scale), (value, value_scale), (duals, pi_scale) = solution, objective, pi
-    # Primal: x = X / x_scale, with only the nonzero entries of X.
-    support = [(j, v) for j, v in enumerate(x) if v]
     # Dual: pi = P / pi_scale; row i enters the combination as
     # P_i·(common / s_i) times its integer form, which is
     # pi_scale·common·(pi·A_j) in column j and pi_scale·common·(pi·rhs)
     # in the rhs column.
     common = lcm(*(scale for scale, _ in rows))
-    combination = [0] * (n + 1)
-    for numerator, (scale, row) in zip(duals, rows):
-        if numerator:
-            factor = numerator * (common // scale)
-            combination = [c + factor * a for c, a in zip(combination, row)]
-    dual_scale = pi_scale * common
-    if (
-        min(x_scale, value_scale, pi_scale) <= 0
-        or any(v < 0 for _, v in support)
-        or any(sum(row[j] * v for j, v in support) != row[n] * x_scale for _, row in rows)
-        or sum(integer_costs[j] * v for j, v in support) * value_scale
-        != value * cost_scale * x_scale
-        or any(dual_scale * c < cost_scale * v for c, v in zip(integer_costs, combination))
-        or combination[n] * value_scale != value * dual_scale
-    ):
-        raise InternalError("an LP optimum fails its exact re-check")
-    return Fraction(value, value_scale), pi
+    certified = []
+    for objective_costs, (status, solution, objective, pi) in zip((costs, *further), results):
+        if status != "optimal":
+            raise InternalError(f"an LP with a known optimum ended {status}")
+        cost_scale, integer_costs = _integers(objective_costs)
+        (x, x_scale), (value, value_scale), (duals, pi_scale) = solution, objective, pi
+        # Primal: x = X / x_scale, with only the nonzero entries of X.
+        support = [(j, v) for j, v in enumerate(x) if v]
+        combination = [0] * (n + 1)
+        for numerator, (scale, row) in zip(duals, rows):
+            if numerator:
+                factor = numerator * (common // scale)
+                combination = [c + factor * a for c, a in zip(combination, row)]
+        dual_scale = pi_scale * common
+        if (
+            min(x_scale, value_scale, pi_scale) <= 0
+            or any(v < 0 for _, v in support)
+            or any(sum(row[j] * v for j, v in support) != row[n] * x_scale for _, row in rows)
+            or sum(integer_costs[j] * v for j, v in support) * value_scale
+            != value * cost_scale * x_scale
+            or any(dual_scale * c < cost_scale * v for c, v in zip(integer_costs, combination))
+            or combination[n] * value_scale != value * dual_scale
+        ):
+            raise InternalError("an LP optimum fails its exact re-check")
+        certified.append((Fraction(value, value_scale), pi, solution))
+    return certified
 
 
 def convex_combination(
@@ -332,20 +365,26 @@ def check_separator(
 
 
 def best_uniform_gain(
-    deviations: Sequence[Vector],
+    deviations: Sequence[Vector], *, scales: Sequence[int] = ()
 ) -> tuple[Fraction, list[Fraction]]:
     """The largest e such that stakes·d_h >= e for every deviation vector
-    d_h, with each stake in [-1, 1], and stakes that attain it.
+    d_h, with each stake in [-1, 1], and stakes that attain it.  With
+    `scales`, the deviations are integer vectors: coordinate i holds the
+    deviation times scales[i] = D_i.
 
     Solved as its LP dual, the hull system with L1 slack: weights l_h >= 0
     summing to 1 and slacks r+, r- >= 0 with sum_h l_h·d_h + r+ - r- = 0,
     minimizing sum(r+ + r-), i.e. the L1 distance from the origin to the
-    hull of the d_h.  Its n + 1 row multipliers pi = P / e are re-checked
-    by `certified_minimum`; the stakes are -pi over the n member rows,
-    re-checked as -P over e and returned as `Fraction`s.  Dual
-    feasibility is exactly the unit stake bounds and stakes·d_h >= e, and
-    pi·rhs = e proves that no stakes do better.  The optimum is >= 0; it
-    is strictly positive exactly when the origin lies outside the hull,
+    hull of the d_h.  Every row is taken times L, the lcm of the D_i (1
+    without `scales`), so integer deviations enter as the integers
+    (L / D_i)·D_i·d_h,i, and the system is L times the one in the
+    deviations' own units: the same LP up to one positive factor, which
+    takes the same pivots.  Its n + 1 row multipliers pi = P / e are
+    re-checked by `certified_minimum`; the stakes are -L·pi over the n
+    member rows, re-checked as -L·P over e and returned as `Fraction`s.
+    Dual feasibility is exactly the unit stake bounds and stakes·d_h >= e,
+    and pi·rhs = e proves that no stakes do better.  The optimum is >= 0;
+    it is strictly positive exactly when the origin lies outside the hull,
     i.e. when no convex combination of the underlying points reproduces
     the assessment.
     """
@@ -353,23 +392,29 @@ def best_uniform_gain(
         raise DimensionMismatch("no deviation vectors")
     n = len(deviations[0])
     m = len(deviations)
+    common = lcm(*scales) if scales else 1
+    if scales:
+        factors = [common // s for s in scales]
+        deviations = [[f * v for f, v in zip(factors, d)] for d in deviations]
     # Columns: l_h (m), r+_i (n), r-_i (n).  Rows: one per member, then sum l = 1.
     matrix = [
         [d[i] for d in deviations]
-        + [int(k == i) for k in range(n)]
-        + [-int(k == i) for k in range(n)]
+        + [common * (k == i) for k in range(n)]
+        + [-common * (k == i) for k in range(n)]
         for i in range(n)
     ]
-    matrix.append([1] * m + [0] * (2 * n))
-    rhs = [0] * n + [1]
+    matrix.append([common] * m + [0] * (2 * n))
+    rhs = [0] * n + [common]
     costs = [0] * m + [1] * (2 * n)
-    epsilon, (duals, scale) = certified_minimum(matrix, rhs, costs)
+    # Feasible: any weights, with their slacks, solve the rows.
+    [(epsilon, (duals, scale), _)] = certified_minimum(matrix, rhs, costs)
     # Exact re-verification of the certificate, on integers: the stakes
-    # -P over e, and each deviation vector times the lcm of its
+    # -L·P over e, and each row's deviations L·d_h times the lcm of their
     # denominators.
-    stakes = [-p for p in duals[:n]]
+    stakes = [-common * p for p in duals[:n]]
     if any(abs(s) > scale for s in stakes) or any(
-        sum(map(mul, stakes, d)) * epsilon.denominator < epsilon.numerator * scale * d_scale
+        sum(map(mul, stakes, d)) * epsilon.denominator
+        < epsilon.numerator * scale * common * d_scale
         for d_scale, d in map(_integers, deviations)
     ):
         raise InternalError("stakes fail their exact re-check")

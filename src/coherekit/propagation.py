@@ -18,8 +18,15 @@ homogeneous premise rows and D = 1.  When the premises can put all their
 weight off T's support, T may keep weight zero, and the level step of
 Biazzo & Gilio (IJAR 24, 2000), the one of `coherence` on the worlds off
 T's support, repeats the LPs on the premises that get no weight there.
-Both optima are re-checked exactly with their LP multipliers (primal and
-dual feasibility, equal objectives).
+The two endpoint LPs share their rows, so they are one system: one
+phase 1, then min N, then max N from the minimum's basis.  Both optima
+are re-checked exactly with their LP multipliers (primal and dual
+feasibility, equal objectives).  Their solutions are also solutions of
+the premises' own hull system once restricted to the premises' live
+worlds, so when no premise was dropped and together they weight every
+premise, they prove the premises coherent at level 0 of Biazzo &
+Gilio's algorithm, and the premises need no check of their own; in
+every other case `check_coherence` decides them.
 
 Targets outside that shape take the exact rational bisection search
 against the coherence oracle, which then certifies candidate exact
@@ -44,7 +51,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .coherence import Assessment, _bits, _check_cap, _decide, _unreleased, check_coherence
+from .coherence import (
+    Assessment,
+    _bits,
+    _check_cap,
+    _decide,
+    _unreleased,
+    check_coherence,
+    family_cap,
+)
 from .crq import (
     CRQ,
     add,
@@ -58,6 +73,7 @@ from .crq import (
 from .errors import (
     ExtensionSearchFailed,
     IncoherentPremises,
+    InternalError,
     MissingSymbol,
     OutOfRange,
     PreconditionFailed,
@@ -134,31 +150,46 @@ def extension_interval(
     """The interval of values v such that premises + (target = v) stays
     coherent.
 
-    When the premises are coherent and the target is linear in its own
-    symbol z (see `_linear_target`), each endpoint is the optimum of one
-    Charnes-Cooper LP over the hull of the combined family's worlds, after
-    the level step of `coherence` has dropped the premises that can hold
-    all the weight off the target's support; both optima are re-checked
-    exactly with their LP multipliers and the interval is
-    `certified-by-LP`.  For other targets, such as the conjunction that
-    the premise (B|K)|(A|H) names in its own payoffs (z inside a premise
-    row makes the hull system bilinear in the weights and z), the
-    endpoints are located by bisection to 2^-tolerance_exponent with the
-    coherence oracle and snapped to exact candidates that pass
-    certification: the endpoint is coherent and one tolerance step
-    outside it is not.  A search endpoint
+    When the target is linear in its own symbol z (see `_linear_target`),
+    each endpoint is the optimum of a Charnes-Cooper LP over the hull of
+    the combined family's worlds, after the level step of `coherence` has
+    dropped the premises that can hold all the weight off the target's
+    support.  Both LPs share one system, with one phase 1; both optima
+    are re-checked exactly with their LP multipliers, and the interval is
+    `certified-by-LP`.  The premises' coherence is read off those two
+    certified solutions when they give weight to every premise (see
+    `_lp_interval`); otherwise `check_coherence` decides it, as it does
+    when the system has no solution.  For other targets, such as the
+    conjunction that the premise (B|K)|(A|H) names in its own payoffs (z
+    inside a premise row makes the hull system bilinear in the weights
+    and z), `check_coherence` runs first; the endpoints are then located
+    by bisection to 2^-tolerance_exponent with the coherence oracle and
+    snapped to exact candidates that pass certification: the endpoint is
+    coherent and one tolerance step outside it is not.  A search endpoint
     that no candidate certifies is coherent, within the tolerance of the
-    true bound, and the interval is tagged `bisection(2^-k)`.  The
-    premises and the combined family are both held to `cap` (by default
-    COHERE_SUBSET_CAP), here, before any oracle call.
+    true bound, and the interval is tagged `bisection(2^-k)`.
+
+    The premises and the combined family are both held to `cap` (by
+    default COHERE_SUBSET_CAP): the premises first, then the combined
+    family, once the premises are known coherent, so that incoherent
+    premises at the cap raise `IncoherentPremises`, not `CapExceeded`.
+    The endpoint system runs only when the combined family is within the
+    cap, and no oracle call runs before both checks.
     """
+    _check_cap(len(premises), cap)
+    linear = _linear_target(premises, target) if len(premises) < family_cap(cap) else None
+    if linear is not None:
+        interval, released = _lp_interval(premises, *linear)
+        if released == (1 << len(premises)) - 1:
+            return interval
     if not check_coherence(premises, cap=cap).coherent:
         raise IncoherentPremises("the premise assessment is not coherent")
-    _check_cap(len(premises) + 1, cap)
-    linear = _linear_target(premises, target)
     if linear is None:
+        _check_cap(len(premises) + 1, cap)
         return _search_interval(premises, target, tolerance_exponent)
-    return _lp_interval(premises, *linear)
+    if interval is None:
+        raise InternalError("the extension LP has no solution, yet the premises are coherent")
+    return interval
 
 
 def _linear_target(
@@ -208,9 +239,11 @@ def _linear_target(
 
 def _lp_interval(
     premises: Assessment, payoffs: dict[int, tuple[Fraction, Fraction]], target_live: int
-) -> ExtensionInterval:
+) -> tuple[Optional[ExtensionInterval], int]:
     """Both endpoints for a target with the given live payoffs a + b*z at
-    the worlds of the mask `target_live`.
+    the worlds of the mask `target_live`, and the mask of the premises
+    that the endpoints' solutions release; (None, 0) when the system has
+    no solution, which coherent premises rule out.
 
     In a hull solution y of the combined family the target's row reads
     N(y) = z * D(y) with N = sum(y * a) and D = sum(y * (1 - b)), where a
@@ -225,7 +258,18 @@ def _lp_interval(
     2000): the premises whose supports get zero weight in every such
     solution, plus the target.  That level's values contain this one's,
     since its family is a subfamily, and it has fewer premises, so the
-    loop ends; with no premise left, D = 1 is feasible."""
+    loop ends; with no premise left, D = 1 is feasible when the premises
+    are coherent.
+
+    Both objectives, min N and then max N from the minimum's basis, share
+    one phase 1.  When no premise was dropped, the sum of the two
+    solutions, restricted to the worlds where some premise stands and
+    normalised, solves the premises' level-0 hull system (a world where
+    none stands deviates by 0 in every premise row), and it releases
+    every premise that stands at a world of a weighted column; columns
+    merge equal worlds, which can trade weight.  If that is every
+    premise, Gilio's algorithm stops at level 0: the premises are
+    coherent."""
     members = (1 << len(premises)) - 1
     while members:
         zero = _unreleased(premises, members, target_live)
@@ -247,20 +291,26 @@ def _lp_interval(
         for k, (a, b) in payoffs.items()
     }
     indices = tuple(_bits(members))
-    columns = list(
-        dict.fromkeys(
-            (tuple(cells[j][k] - previsions[j] for j in indices),)
-            + target_cells.get(k, (0, 0))
-            for k, live in enumerate(premises.live_members)
-            if k in target_cells or live & members
-        )
-    )
+    # Columns merge by value; each keeps the premises live at its worlds.
+    columns: dict[tuple, int] = {}
+    for k, live in enumerate(premises.live_members):
+        if k in target_cells or live & members:
+            deviations = tuple(cells[j][k] - previsions[j] for j in indices)
+            column = (deviations, *target_cells.get(k, (0, 0)))
+            columns[column] = columns.get(column, 0) | live & members
     matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
     matrix.append([denominator for _, _, denominator in columns])
     rhs = [0] * len(indices) + [scale]
-    lower = certified_minimum(matrix, rhs, [a for _, a, _ in columns])[0]
-    upper = -certified_minimum(matrix, rhs, [-a for _, a, _ in columns])[0]
-    return ExtensionInterval(lower / scale, upper / scale, "certified-by-LP")
+    costs = [a for _, a, _ in columns]
+    certified = certified_minimum(matrix, rhs, costs, further=[[-a for a in costs]])
+    if certified is None:
+        return None, 0
+    (lower, _, (least, _)), (upper, _, (most, _)) = certified
+    released = 0
+    for live, low, high in zip(columns.values(), least, most):
+        if low or high:
+            released |= live
+    return ExtensionInterval(lower / scale, -upper / scale, "certified-by-LP"), released
 
 
 def _search_interval(

@@ -43,6 +43,13 @@ its tuples, multipliers included, after the same pivots, once
 `fraction_form` has read its integer numerators over their denominators
 as `Fraction`s; `integer_form` turns such a result back.
 
+`separate_extension_interval` is `extension_interval` as it ran before
+its two endpoint LPs shared one system and the premises' coherence was
+read off their solutions: `check_coherence` on the premises first, then
+the cap check of the combined family, then the level step off the
+target's support and one independent `certified_minimum` LP per
+endpoint; targets outside the LP path take the bisection search.
+
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
 `Poly` factors, a numeric value coerced to a constant `Poly`, and the
@@ -61,12 +68,29 @@ from coherekit.coherence import (
     DutchBook,
     PointEntry,
     PointTable,
+    _bits,
+    _check_cap,
+    _unreleased,
     build_points,
+    check_coherence,
     solve_sigma,
     subsets_by_size,
 )
-from coherekit.errors import DimensionMismatch, EmptySupport, MissingSymbol
-from coherekit.linprog import DEGENERATE_LIMIT, best_uniform_gain, simplex_minimize
+from coherekit.crq import CRQ
+from coherekit.errors import (
+    DimensionMismatch,
+    EmptySupport,
+    IncoherentPremises,
+    InternalError,
+    MissingSymbol,
+)
+from coherekit.linprog import (
+    DEGENERATE_LIMIT,
+    best_uniform_gain,
+    certified_minimum,
+    simplex_minimize,
+)
+from coherekit.propagation import ExtensionInterval, _linear_target, _search_interval
 from coherekit.polynomials import Poly
 
 
@@ -363,6 +387,50 @@ def integer_form(result: tuple) -> tuple:
         return [v.numerator * (scale // v.denominator) for v in values], scale
 
     return tuple(map(integers, result))
+
+
+def separate_extension_interval(
+    premises: Assessment, target: CRQ, *, cap: Optional[int] = None
+) -> ExtensionInterval:
+    """The coherent extensions of `premises` to `target`, with the
+    premises checked on their own before any endpoint LP, and each
+    endpoint from a system of its own."""
+    if not check_coherence(premises, cap=cap).coherent:
+        raise IncoherentPremises("the premise assessment is not coherent")
+    _check_cap(len(premises) + 1, cap)
+    linear = _linear_target(premises, target)
+    if linear is None:
+        return _search_interval(premises, target, 20)
+    payoffs, target_live = linear
+    members = (1 << len(premises)) - 1
+    while members:
+        zero = _unreleased(premises, members, target_live)
+        if zero is None or zero == members:
+            break
+        members = zero
+    scale = lcm(*(v.denominator for pair in set(payoffs.values()) for v in pair))
+    target_cells = {
+        k: (int(a * scale), int((1 - b) * scale)) for k, (a, b) in payoffs.items()
+    }
+    indices = tuple(_bits(members))
+    columns = list(
+        dict.fromkeys(
+            (tuple(premises.scaled[j][k] - premises.scaled_previsions[j] for j in indices),)
+            + target_cells.get(k, (0, 0))
+            for k, live in enumerate(premises.live_members)
+            if k in target_cells or live & members
+        )
+    )
+    matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
+    matrix.append([denominator for _, _, denominator in columns])
+    rhs = [0] * len(indices) + [scale]
+    endpoints = []
+    for sign in (1, -1):
+        certified = certified_minimum(matrix, rhs, [sign * a for _, a, _ in columns])
+        if certified is None:
+            raise InternalError("an LP with a known optimum ended infeasible")
+        endpoints.append(sign * certified[0][0] / scale)
+    return ExtensionInterval(*endpoints, "certified-by-LP")
 
 
 def composed_substitute(poly: Poly, valuation) -> Poly:

@@ -385,16 +385,19 @@ def test_certificate_check_survives_optimization(write):
     assert "internal error" in done.stderr
 
 
-def _corrupted_multipliers(simplex_minimize):
+def _corrupted_multipliers(simplex_minimize, objective=0):
     """The simplex with the right status and solution and wrong row
-    multipliers: duals shifted by one (each numerator by its denominator),
-    Farkas vectors negated."""
+    multipliers for the objective numbered `objective` of each system
+    that asks for them (0 for `costs`, then those of `further`): duals
+    shifted by one (each numerator by its denominator), Farkas vectors
+    negated.  A system with fewer objectives is left as it is."""
 
-    def corrupted(matrix, rhs, costs, multipliers=False):
-        if not multipliers:
-            return simplex_minimize(matrix, rhs, costs)
-        result = simplex_minimize(matrix, rhs, costs, multipliers=True)
-        status, solution, objective, pi = result
+    def corrupted(matrix, rhs, costs, multipliers=False, further=()):
+        result = simplex_minimize(matrix, rhs, costs, multipliers=multipliers, further=further)
+        if not multipliers or objective > len(further):
+            return result
+        results = list(result) if further else [result]
+        status, solution, value, pi = results[objective]
         if status == "unbounded":
             return result
         numerators, denominator = pi
@@ -402,22 +405,29 @@ def _corrupted_multipliers(simplex_minimize):
             numerators = [p + denominator for p in numerators]
         else:
             numerators = [-p for p in numerators]
-        return _changed(result, (status, solution, objective, (numerators, denominator)))
+        results[objective] = _changed(
+            results[objective], (status, solution, value, (numerators, denominator))
+        )
+        return results if further else results[0]
 
     return corrupted
 
 
 @pytest.mark.parametrize(
-    "command, doc", [("extend", MP_DOC), ("check", OVERCOMMITTED_DOC)], ids=["endpoint", "separator"]
+    "command, doc, objective",
+    [("extend", MP_DOC, 0), ("check", OVERCOMMITTED_DOC, 0), ("extend", MP_DOC, 1)],
+    ids=["endpoint", "separator", "upper-endpoint"],
 )
-def test_multiplier_checks_survive_optimization(write, command, doc):
-    """Interval endpoints and incoherent verdicts are re-checked with their
-    LP multipliers under `python -O` too."""
+def test_multiplier_checks_survive_optimization(write, command, doc, objective):
+    """Interval endpoints, both of the one system that solves them, and
+    incoherent verdicts are re-checked with their LP multipliers under
+    `python -O` too."""
     script = (
         "import sys\n"
         "from coherekit import cli, linprog\n"
         "from test_cli import _corrupted_multipliers\n"
-        "linprog.simplex_minimize = _corrupted_multipliers(linprog.simplex_minimize)\n"
+        "real = linprog.simplex_minimize\n"
+        "linprog.simplex_minimize = _corrupted_multipliers(real, int(sys.argv[3]))\n"
         "sys.exit(cli.main([sys.argv[1], sys.argv[2]]))\n"
     )
     tests = Path(__file__).resolve().parent
@@ -426,7 +436,7 @@ def test_multiplier_checks_survive_optimization(write, command, doc):
         [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")]
     )
     done = subprocess.run(
-        [sys.executable, "-O", "-c", script, command, write(doc)],
+        [sys.executable, "-O", "-c", script, command, write(doc), str(objective)],
         env=env,
         capture_output=True,
         text=True,
@@ -434,6 +444,7 @@ def test_multiplier_checks_survive_optimization(write, command, doc):
     )
     assert done.returncode == 4, done.stderr
     assert "internal error" in done.stderr
+    assert "fails its exact re-check" in done.stderr
 
 
 def _fresh_process(argv):

@@ -41,7 +41,14 @@ from coherekit.crq import (
     negate,
     support,
 )
-from coherekit.errors import CoherekitError, EmptySupport, InternalError, MissingSymbol
+from coherekit.errors import (
+    CapExceeded,
+    CoherekitError,
+    EmptySupport,
+    IncoherentPremises,
+    InternalError,
+    MissingSymbol,
+)
 from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import Poly
 from coherekit.propagation import (
@@ -49,6 +56,7 @@ from coherekit.propagation import (
     _linear_target,
     _search_interval,
     extension_interval,
+    mp_family,
 )
 import oracles
 from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_form, fraction_simplex
@@ -450,11 +458,12 @@ EPSILON = Fraction(1, 2**30)
 
 
 @st.composite
-def separable_extensions(draw):
+def separable_extensions(draw, any_premises=False):
     """Coherent premises over three atoms, none with an unassessed symbol,
     and a target whose own symbol no premise mentions: a conditional
     event, an unconditional event, the conjunction of two premises, or
-    C|(A|H) on a premise A|H."""
+    C|(A|H) on a premise A|H.  With `any_premises`, the premises may be
+    incoherent, and their previsions are 0 or 1 more often."""
     base_a = conditional_event(draw(formulas), draw(possible), "pa", registry=REGISTRY)
     base_b = conditional_event(draw(formulas), draw(possible), "pb", registry=REGISTRY)
     pool = {
@@ -482,8 +491,10 @@ def separable_extensions(draw):
         target = conditional_event(draw(formulas), condition, "t", registry=REGISTRY)
     # Mostly interior, so that intervals are often proper.
     quarters = st.one_of(st.integers(1, 3), st.integers(0, 4)).map(lambda k: Fraction(k, 4))
+    if any_premises:
+        quarters = st.one_of(quarters, st.sampled_from([Fraction(0), Fraction(1)]), eighths)
     premises = Assessment([(pool[k], draw(quarters)) for k in draw(st.permutations(sorted(kinds)))])
-    assume(exhaustive_coherence(premises).coherent)
+    assume(any_premises or exhaustive_coherence(premises).coherent)
     # A target called off at every world is left to the search.
     assume(support(target, premises.valuation))
     return premises, target
@@ -513,25 +524,65 @@ def test_lp_endpoints_are_tight(case):
         assert searched.as_tuple() == interval.as_tuple()
 
 
+# A|H = 1/2 and ¬A|H = 3/4 over-commit to H; the target C is unrelated.
+OVERCOMMITTED_HALF = [(_event(A, H, "a"), Fraction(1, 2)), (_event(~A, H, "na"), Fraction(3, 4))]
+COHERENT_PAIR = [(_event(A, H, "a"), Fraction(1, 2)), (_event(~A, H, "na"), Fraction(1, 2))]
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.filter_too_much])
+@given(separable_extensions(any_premises=True), st.one_of(st.none(), st.integers(1, 5)))
+@example(mp_family(0, Fraction(1, 2)), None)  # C|(A|H) needs level 1: the fallback
+@example((Assessment(OVERCOMMITTED_HALF), _event(C, TRUE, "t")), None)
+@example((Assessment(OVERCOMMITTED_HALF), _event(C, TRUE, "t")), 2)
+@example((Assessment(COHERENT_PAIR), _event(C, TRUE, "t")), 2)
+def test_folded_premise_check_matches_the_separate_one(case, cap):
+    """Reading the premises' coherence off the endpoint solutions, with
+    both endpoints from one system, gives the interval and exactness tag,
+    or the exception type and message, of the separate premise check and
+    endpoint LPs, caps and incoherent premises included."""
+    premises, target = case
+    folded = _outcome_with_message(lambda: extension_interval(premises, target, cap=cap))
+    separate = oracles.separate_extension_interval
+    assert folded == _outcome_with_message(lambda: separate(premises, target, cap=cap))
+
+
+@pytest.mark.parametrize(
+    "items, cap, error",
+    [
+        (OVERCOMMITTED_HALF, None, IncoherentPremises),
+        (OVERCOMMITTED_HALF, 2, IncoherentPremises),
+        (COHERENT_PAIR, 2, CapExceeded),
+    ],
+    ids=["incoherent", "incoherent-at-the-cap", "coherent-at-the-cap"],
+)
+def test_incoherent_premises_raise_before_the_cap_of_the_combined_family(items, cap, error):
+    """Premises at the cap leave no room for the target: incoherent ones
+    still raise `IncoherentPremises`, coherent ones `CapExceeded`."""
+    with pytest.raises(error):
+        extension_interval(Assessment(items), _event(C, TRUE, "t"), cap=cap)
+
+
 @pytest.mark.parametrize(
     "premises, target, expected, lps",
     [
-        ([(_event(H, TRUE, "h"), 0)], _event(A, H, "t"), (0, 1), 2),
+        ([(_event(H, TRUE, "h"), 0)], _event(A, H, "t"), (0, 1), 1),
         (
             [(_event(H, TRUE, "h"), 0), (_event(A, H, "ah"), Fraction(1, 3))],
             _event(A & C, H, "t"),
             (0, Fraction(1, 3)),
-            6,
+            5,
         ),
         # D = 1 is feasible (all weight on ¬A·H), yet all weight may also
         # lie on ¬H, where A|H is called off: no bound follows.
-        ([(_event(A & H, TRUE, "ah"), 0)], _event(A, H, "t"), (0, 1), 2),
+        ([(_event(A & H, TRUE, "ah"), 0)], _event(A, H, "t"), (0, 1), 1),
     ],
     ids=["P(H)=0", "P(H)=0,P(A|H)=1/3", "P(AH)=0"],
 )
 def test_zero_denominator_takes_the_next_level(monkeypatch, premises, target, expected, lps):
     """A one-premise level off the target's support is decided by the
-    interval of its points, so only the two endpoint LPs remain."""
+    interval of its points, so only the one system of both endpoints
+    remains.  The level step drops a premise in every case, so the
+    premises' own check runs as well: it takes no LP for one premise."""
     calls = 0
     real = linprog.simplex_minimize
 
@@ -559,19 +610,23 @@ def test_corrupted_multipliers_are_internal_errors(monkeypatch, tmp_path, capsys
     multipliers to corrupt, so the separator tampered with is a
     three-member witness's."""
     assert check_coherence(Assessment(BELOW_FRECHET)).witness == (0, 1, 2)
-    monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(linprog.simplex_minimize))
-    with pytest.raises(InternalError):
-        extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
+    doc = tmp_path / "mp.cohere"
+    doc.write_text(MP_DOC, encoding="utf-8")
+    real = linprog.simplex_minimize
+    # Both endpoints share one system: its first objective, then its second.
+    for objective in (0, 1):
+        monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(real, objective))
+        with pytest.raises(InternalError):
+            extension_interval(Assessment([(_event(H, TRUE, "h"), 0)]), _event(A, H, "t"))
+        assert main(["extend", str(doc)]) == 4
+        assert capsys.readouterr().err.startswith("internal error:")
+    monkeypatch.setattr(linprog, "simplex_minimize", _corrupted_multipliers(real))
     assert check_coherence(_zero_antecedent(Fraction(3, 2))).separator == ((1,), -1)
     assert check_coherence(Assessment(OVERCOMMITTED_PAIR)).witness == (0, 1)
     with pytest.raises(InternalError):
         check_coherence(Assessment(BELOW_FRECHET))
     with pytest.raises(InternalError):
         linprog.best_uniform_gain([(Fraction(-1),), (Fraction(-2),)])
-    doc = tmp_path / "mp.cohere"
-    doc.write_text(MP_DOC, encoding="utf-8")
-    assert main(["extend", str(doc)]) == 4
-    assert capsys.readouterr().err.startswith("internal error:")
 
 
 def test_level_and_witness_lps_build_no_fraction(monkeypatch):
@@ -597,6 +652,20 @@ def test_level_and_witness_lps_build_no_fraction(monkeypatch):
     lps = 0
     assert check_coherence(Assessment(BELOW_FRECHET)).witness == (0, 1, 2)
     assert lps
+
+
+def test_dutch_book_reads_no_payoff_as_a_fraction(monkeypatch):
+    """The stake LP's rows are the witness's integer points minus their
+    integer targets, so `find_dutch_book` never reads the payoffs back as
+    `Fraction`s, and its book is still the exhaustive stake search's."""
+    expected = exhaustive_dutch_book(Assessment(BELOW_FRECHET))
+
+    def no_fractions(*args):
+        raise AssertionError("the payoffs were read as Fractions")
+
+    monkeypatch.setattr(coherence, "_fractions", no_fractions)
+    assert find_dutch_book(Assessment(BELOW_FRECHET)) == expected
+    assert expected.subset == (0, 1, 2)
 
 
 def test_wrong_planar_separator_is_an_internal_error(monkeypatch):
@@ -732,6 +801,48 @@ def test_integer_simplex_matches_the_fraction_tableau(lp):
     assert fraction_form(got) == expected
     assert path == oracle_path
     assert fraction_form(linprog.simplex_minimize(*lp)) == expected[:3]
+
+
+@settings(deadline=None, max_examples=300)
+@given(linear_programs(), st.data())
+def test_further_objectives_match_fresh_systems(lp, data):
+    """Further cost vectors over the same rows reach the optimum, or the
+    unboundedness, of a fresh system for each; the first objective keeps
+    the pivots and the result it has alone, and phase 1 runs once: the
+    first objective repeated takes no further pivot from its optimum.  `certified_minimum`
+    re-checks every optimum and gives each one's value."""
+    matrix, rhs, costs = lp
+    further = data.draw(
+        st.lists(st.lists(lp_entries, min_size=len(costs), max_size=len(costs)), max_size=3)
+    )
+    objectives = [costs, *further]
+    alone, path = _solve_recording_pivots(
+        linprog.simplex_minimize, linprog, "_pivot", lp, multipliers=True
+    )
+    results, shared_path = _solve_recording_pivots(
+        linprog.simplex_minimize, linprog, "_pivot", lp, multipliers=True, further=[*further, costs]
+    )
+    assert len(results) == len(objectives) + 1
+    assert results[0] == alone
+    assert shared_path[: len(path)] == path
+    fresh = [linprog.simplex_minimize(matrix, rhs, c, multipliers=True) for c in objectives]
+    for got, expected in zip(results, fresh):
+        assert got[0] == expected[0]
+        if expected[0] == "optimal":
+            assert fraction_form(got)[2] == fraction_form(expected)[2]
+        elif expected[0] == "infeasible":
+            assert got == expected
+    repeated, repeated_path = _solve_recording_pivots(
+        linprog.simplex_minimize, linprog, "_pivot", lp, further=[costs]
+    )
+    assert fraction_form(repeated[1]) == fraction_form(repeated[0])
+    if alone[0] != "unbounded":
+        assert repeated_path == path
+    if all(result[0] == "optimal" for result in fresh):
+        certified = linprog.certified_minimum(matrix, rhs, costs, further=further)
+        assert [value for value, _, _ in certified] == [fraction_form(r)[2] for r in fresh]
+    elif fresh[0][0] == "infeasible":
+        assert linprog.certified_minimum(matrix, rhs, costs, further=further) is None
 
 
 SYMBOLS = ("x", "y", "z", "w")

@@ -70,7 +70,7 @@ def test_rank_deficient_rows_drive_out_on_a_negative_pivot(monkeypatch):
     status, solution, objective, _ = result
     assert (status, solution, objective) == ("optimal", [F(1), F(0)], F(1))
     assert all(sum(a * x for a, x in zip(row, solution)) == b for row, b in zip(matrix, rhs))
-    assert certified_minimum(matrix, rhs, costs)[0] == objective
+    assert certified_minimum(matrix, rhs, costs)[0][0] == objective
 
 
 def test_large_prime_denominators_match_the_fraction_tableau():
@@ -85,7 +85,8 @@ def test_large_prime_denominators_match_the_fraction_tableau():
     result = simplex_minimize(matrix, rhs, costs, multipliers=True)
     assert result[0] == "optimal"
     assert fraction_form(result) == fraction_simplex(matrix, rhs, costs, multipliers=True)
-    assert certified_minimum(matrix, rhs, costs) == (fraction_form(result)[2], result[3])
+    expected = [(fraction_form(result)[2], result[3], result[1])]
+    assert certified_minimum(matrix, rhs, costs) == expected
 
 
 # Beale's LP (Math. Programming, 1955), on which Dantzig's rule cycles,
@@ -149,7 +150,7 @@ def test_bland_fallback_ends_beale_at_its_optimum(monkeypatch):
     assert (status, objective) == ("optimal", F(1, 4))
     assert solution == [F(3, 2), 0, 0, 4, 0, 1, 0, F(3, 4)]
     monkeypatch.undo()
-    assert certified_minimum(*BEALE)[0] == objective
+    assert certified_minimum(*BEALE)[0][0] == objective
     oracle_path = []
     pivot = oracles._fraction_pivot
 
@@ -341,6 +342,21 @@ def test_zero_denominators_fail_the_integer_recheck(monkeypatch):
         convex_combination([(F(0),), (F(1),)], (F(1, 4),))
 
 
+def test_integer_deviations_give_the_fraction_stakes():
+    """Randomized: deviations given as integers D_i·d_h,i with their
+    scales D_i give the gain and the stakes of the same deviations as
+    `Fraction`s, whose LP is the same up to one positive factor."""
+    rng = random.Random(9)
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        scales = [rng.choice([1, 2, 3, 4, 6, 8, 12]) for _ in range(dim)]
+        integers = [
+            tuple(rng.randint(-2 * s, 2 * s) for s in scales) for _ in range(rng.randint(1, 9))
+        ]
+        fractions = [tuple(F(v, s) for v, s in zip(d, scales)) for d in integers]
+        assert best_uniform_gain(integers, scales=scales) == best_uniform_gain(fractions)
+
+
 @pytest.mark.parametrize(
     "multiplier",
     [F(3, 2), F(1, 2)],
@@ -355,8 +371,9 @@ def test_tampered_stake_fails_the_integer_recheck(monkeypatch, multiplier):
     assert best_uniform_gain(deviations) == (F(1, 3), [F(-1)])
 
     def tampered(result):
-        objective, pi = fraction_form(result)
-        return objective, integer_form((objective, [multiplier, *pi[1:]]))[1]
+        [(objective, pi, solution)] = result
+        _, pi = fraction_form((objective, pi))
+        return [(objective, integer_form((objective, [multiplier, *pi[1:]]))[1], solution)]
 
     _tamper(monkeypatch, "certified_minimum", tampered)
     with pytest.raises(InternalError):

@@ -169,18 +169,25 @@ def _counted(monkeypatch, module, name):
 
 
 def test_mp_grid_intervals_take_at_most_four_lps(monkeypatch):
-    """Each interval: the premises' coherence check and two LPs, no
-    oracle call; machine-independent, unlike a timing."""
+    """Each interval: one system for both endpoints, whose solutions
+    prove the premises coherent, and no oracle call.  At x = 0, C|(A|H)
+    stands only at AH, which every premise hull solution leaves at weight
+    zero, so the premises' own check runs and adds two LPs: its level-0
+    LP and the one that tries to give C|(A|H) weight.
+    Machine-independent, unlike a timing."""
     oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
     lps = _counted(monkeypatch, linprog, "simplex_minimize")
+    decisions = _counted(monkeypatch, propagation, "check_coherence")
     grid = [F(k, 4) for k in range(5)]
     for xv in grid:
         for yv in grid:
             for classical in (False, True):
                 lps.clear()
+                decisions.clear()
                 interval = extension_interval(*mp_family(xv, yv, classical=classical))
                 assert interval.as_tuple() == mp_bounds(xv, yv).as_tuple()
-                assert len(lps) <= 4, (xv, yv, classical, len(lps))
+                assert len(lps) == (1 if xv else 3), (xv, yv, classical, len(lps))
+                assert len(decisions) == (0 if xv else 1)
     assert oracle == []
 
 
