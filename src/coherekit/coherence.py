@@ -9,10 +9,11 @@ subfamily stands (the all-subfamilies characterization).  At a world
 where a bet is called off its coordinate is its own prevision.
 
 An `Assessment` builds its payoff matrix once, from the payoff rows of
-its members: each row's polynomial is substituted once and fills the
-member's live worlds in the row's region, held as int bitmasks over the
-worlds.  The matrix is integer: member i's payoffs times one common
-denominator D_i.  Every subfamily's point table is a projection of it
+its members: each row's polynomial is evaluated once (substituted when
+an unassessed symbol is left) and fills the member's live worlds in the
+row's region, held as int bitmasks over the worlds.  The matrix is
+integer: member i's payoffs times one common denominator D_i.  Every
+subfamily's point table is a projection of it
 onto the subfamily's members at the union of their live worlds; points
 are deduplicated as int tuples and enter the simplex as integer rows,
 with target D_i·p_i, which scales row i of the hull system and leaves
@@ -121,7 +122,10 @@ class Assessment:
     The valuation maps every determinable symbol to its value: each
     quantity's own symbol gets its assessed prevision, and linked symbols
     (negations, sums) are solved for in both directions.  Symbols left
-    over are the free ones handled by exact elimination.
+    over are the free ones handled by exact elimination.  One pass over
+    the members' rows and links collects `links`, each linked symbol's
+    definition, and `named_symbols`, every symbol a row or link names,
+    so that `propagation` tests a target's symbol against the set.
 
     The payoff matrix is built once, here, in integer form: member i has
     one common denominator `scales[i]` = D_i, the lcm of the denominators
@@ -134,6 +138,9 @@ class Assessment:
     prevision.  Sets of worlds and of members are int bitmasks:
     `live_masks[i]` has bit k set when member i's bet stands at world k
     (its `support`), and `live_members[k]`, its transpose, has bit i set.
+    A payoff row is read once: its region is the member's kept row mask
+    (`CRQ.masks`), and its value the polynomial's direct evaluation
+    (`Poly.evaluate`), with substitution only when a symbol is left.
     Every subfamily's point table is a projection of this matrix.
     """
 
@@ -148,14 +155,24 @@ class Assessment:
             if crq.registry is not registry:
                 raise PreconditionFailed("family members use different registries")
         self.registry: AtomRegistry = registry
-        self.valuation: dict[str, Fraction] = self._derive_valuation()
-        self.free_symbols: frozenset[str] = frozenset(
-            sym
-            for crq, _ in self.items
-            for _, poly in crq.rows
-            for sym in poly.symbols()
-            if sym not in self.valuation
+        row_symbols: set[str] = set()
+        links: dict[str, Poly] = {}
+        for crq, _ in self.items:
+            for _, poly in crq.rows:
+                for mono in poly.terms:
+                    for sym, _ in mono:
+                        row_symbols.add(sym)
+            for name, poly in crq.links:
+                if links.setdefault(name, poly) != poly:
+                    raise PreconditionFailed(
+                        f"conflicting definitions for linked symbol {name}"
+                    )
+        self.links: dict[str, Poly] = links
+        self.named_symbols: frozenset[str] = frozenset(
+            row_symbols.union(links, *(poly.symbols() for poly in links.values()))
         )
+        self.valuation: dict[str, Fraction] = self._derive_valuation()
+        self.free_symbols: frozenset[str] = frozenset(row_symbols - self.valuation.keys())
         # Called-off analysis per member (fails fast when an inner
         # prevision needed by the support rule is not determined).
         self.live_masks: tuple[int, ...] = tuple(
@@ -183,18 +200,20 @@ class Assessment:
         for (crq, value), live in zip(self.items, self.live_masks):
             regions: list[tuple[int, Union[Fraction, Poly]]] = []
             scale = value.denominator
-            for event, poly in crq.rows:
-                region = event.mask(registry) & live
+            for mask, (_, poly) in zip(crq.masks, crq.rows):
+                region = mask & live
                 if not region:
                     continue
-                reduced = poly.substitute(self.valuation)
-                if reduced.is_constant():
-                    constant = reduced.constant_value()
-                    scale = lcm(scale, constant.denominator)
-                    regions.append((region, constant))
+                payoff = poly.evaluate(self.valuation)
+                if payoff is None:
+                    payoff = poly.substitute(self.valuation)
+                    if payoff.is_constant():
+                        payoff = payoff.constant_value()
+                if isinstance(payoff, Poly):
+                    scale = lcm(scale, *(c.denominator for c in payoff.terms.values()))
                 else:
-                    scale = lcm(scale, *(c.denominator for c in reduced.terms.values()))
-                    regions.append((region, reduced))
+                    scale = lcm(scale, payoff.denominator)
+                regions.append((region, payoff))
             prevision = value.numerator * (scale // value.denominator)
             row: list[Cell] = [prevision] * worlds
             polys = 0
@@ -219,18 +238,10 @@ class Assessment:
         values: dict[str, Fraction] = {}
         for crq, value in self.items:
             values.setdefault(crq.own_symbol, value)
-        links: dict[str, Poly] = {}
-        for crq, _ in self.items:
-            for name, poly in crq.links:
-                if name in links and links[name] != poly:
-                    raise PreconditionFailed(
-                        f"conflicting definitions for linked symbol {name}"
-                    )
-                links[name] = poly
         changed = True
         while changed:
             changed = False
-            for name, poly in links.items():
+            for name, poly in self.links.items():
                 unknowns = poly.symbols() - values.keys()
                 if name not in values and not unknowns:
                     values[name] = poly.value(values)

@@ -28,7 +28,6 @@ from .events import (
     AtomRegistry,
     Constituent,
     Event,
-    evaluate,
     implies,
     is_impossible,
 )
@@ -115,12 +114,15 @@ class ConditionalRandomQuantity:
     """Immutable payoff table with its own prevision symbol.
 
     `rows` is an ordered tuple of `(region event, payoff polynomial)` pairs
-    whose regions partition the sure event.  `links` records symbols whose
-    value is determined by other symbols (e.g. the negation of a quantity
-    carries `new = 1 - old`).
+    whose regions partition the sure event.  `masks` holds each row's
+    region as a world mask (bit k = world k, as in `Event.mask`), computed
+    once, when the partition is checked; `payoff_poly`, `support`, `add`
+    and `coherence.Assessment` read these, not the region events.
+    `links` records symbols whose value is determined by other symbols
+    (e.g. the negation of a quantity carries `new = 1 - old`).
     """
 
-    __slots__ = ("rows", "own_symbol", "registry", "shape", "links")
+    __slots__ = ("rows", "masks", "own_symbol", "registry", "shape", "links")
 
     def __init__(
         self,
@@ -135,25 +137,27 @@ class ConditionalRandomQuantity:
         self.registry = registry
         self.shape = shape
         self.links = tuple(links)
-        self._check_partition()
+        self.masks: tuple[int, ...] = self._check_partition()
 
-    def _check_partition(self) -> None:
+    def _check_partition(self) -> tuple[int, ...]:
+        """The rows' world masks, once they are known to partition the
+        worlds."""
+        masks = tuple(event.mask(self.registry) for event, _ in self.rows)
         seen = 0
-        full = self.registry.full_mask()
-        for event, _ in self.rows:
-            mask = event.mask(self.registry)
+        for mask in masks:
             if mask & seen:
                 raise PreconditionFailed("payoff rows overlap")
             seen |= mask
-        if seen != full:
+        if seen != self.registry.full_mask():
             raise PreconditionFailed("payoff rows do not cover every world")
+        return masks
 
     # -- payoffs ------------------------------------------------------
 
     def payoff_poly(self, c: Constituent) -> Poly:
         """The payoff polynomial at one possible world."""
-        for event, poly in self.rows:
-            if evaluate(event, c):
+        for mask, (_, poly) in zip(self.masks, self.rows):
+            if mask >> c.index & 1:
                 return poly
         raise PreconditionFailed("no payoff row matched")  # pragma: no cover
 
@@ -280,10 +284,11 @@ def conjunction(left: CRQ, right: CRQ, symbol: str) -> CRQ:
     reg = _registry_for(a, h, b, k, registry=left.registry)
     _require_possible(h, reg)
     _require_possible(k, reg)
-    certain = a & h & b & k
-    left_void = ~h & b & k
-    right_void = a & h & ~k
-    both_void = ~h & ~k
+    ah, not_h, not_k = a & h, ~h, ~k
+    certain = ah & b & k
+    left_void = not_h & b & k
+    right_void = ah & not_k
+    both_void = not_h & not_k
     rows = [
         (certain, ONE),
         (left_void, Poly.sym(x)),
@@ -313,14 +318,15 @@ def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CR
     mu = Poly.sym(symbol)
     z = Poly.sym(conjunction_symbol)
     hedge = mu * (ONE - x)
+    ah, not_b, not_h, not_k = a & h, ~b, ~h, ~k
     rows = [
-        (a & h & b & k, ONE),
-        (a & h & ~b & k, ZERO),
-        (a & h & ~k, y),
+        (ah & b & k, ONE),
+        (ah & not_b & k, ZERO),
+        (ah & not_k, y),
         (~a & h, mu),
-        (~h & b & k, x + hedge),
-        (~h & ~b & k, hedge),
-        (~h & ~k, z + hedge),
+        (not_h & b & k, x + hedge),
+        (not_h & not_b & k, hedge),
+        (not_h & not_k, z + hedge),
     ]
     links = _merge_links(inner.links, outer.links)
     return CRQ(rows, symbol, reg, IteratedShape(inner, outer), links)
@@ -334,12 +340,13 @@ def iterated_simple(inner: CRQ, consequent: Event, symbol: str) -> CRQ:
     x = Poly.sym(x_sym)
     y = Poly.sym(symbol)
     hedge = y * (ONE - x)
+    ah, not_c, not_h = a & h, ~consequent, ~h
     rows = [
-        (a & h & consequent, ONE),
-        (a & h & ~consequent, ZERO),
+        (ah & consequent, ONE),
+        (ah & not_c, ZERO),
         (~a & h, y),
-        (~h & consequent, x + hedge),
-        (~h & ~consequent, hedge),
+        (not_h & consequent, x + hedge),
+        (not_h & not_c, hedge),
     ]
     return CRQ(rows, symbol, reg, IteratedEventShape(inner, consequent), inner.links)
 
@@ -359,12 +366,10 @@ def add(left: CRQ, right: CRQ, symbol: Optional[str] = None) -> CRQ:
         raise PreconditionFailed("summands belong to different registries")
     name = symbol if symbol is not None else f"({left.own_symbol}+{right.own_symbol})"
     rows = []
-    for ev1, p1 in left.rows:
-        for ev2, p2 in right.rows:
-            region = ev1 & ev2
-            if region.mask(left.registry) == 0:
-                continue
-            rows.append((region, p1 + p2))
+    for m1, (ev1, p1) in zip(left.masks, left.rows):
+        for m2, (ev2, p2) in zip(right.masks, right.rows):
+            if m1 & m2:
+                rows.append((ev1 & ev2, p1 + p2))
     link = (name, Poly.sym(left.own_symbol) + Poly.sym(right.own_symbol))
     links = _merge_links(left.links, right.links) + (link,)
     return CRQ(rows, name, left.registry, SumShape(left, right), links)
@@ -426,10 +431,16 @@ def support(q: CRQ, valuation: Valuation) -> int:
     otherwise.  A fully nested iterated conditional is live wherever its
     payoff, with every determined symbol substituted, is not identically
     its own prevision symbol.
+
+    Every mask is read off masks already computed: the rows' own, or the
+    cached masks of the events a shape names.
     """
     shape = q.shape
-    if isinstance(shape, (ConditionalEventShape, PlainShape, NestedEventShape, ConjunctionShape)):
-        return q.condition_event().mask(q.registry)
+    if isinstance(shape, (ConditionalEventShape, PlainShape, NestedEventShape)):
+        return shape.condition.mask(q.registry)
+    if isinstance(shape, ConjunctionShape):
+        left, right = shape.left.shape, shape.right.shape
+        return left.condition.mask(q.registry) | right.condition.mask(q.registry)
     if isinstance(shape, NegationShape):
         return support(shape.operand, valuation)
     if isinstance(shape, SumShape):
@@ -437,17 +448,17 @@ def support(q: CRQ, valuation: Valuation) -> int:
     if isinstance(shape, IteratedEventShape):
         inner = shape.inner
         x = _inner_prevision(inner, valuation)
-        a, h = inner.shape.consequent, inner.shape.condition
-        live = a & h if x == 0 else (a & h) | ~h
-        return live.mask(q.registry)
+        h = inner.shape.condition.mask(q.registry)
+        ah = inner.shape.consequent.mask(q.registry) & h
+        return ah if x == 0 else ah | q.registry.full_mask() ^ h
     if isinstance(shape, IteratedShape):
         _inner_prevision(shape.inner, valuation)  # required to be determined
-        subst = {name: Fraction(v) for name, v in valuation.items() if name != q.own_symbol}
+        subst = {name: v for name, v in valuation.items() if name != q.own_symbol}
         own = Poly.sym(q.own_symbol)
         mask = 0
-        for event, poly in q.rows:
-            if (poly - own).substitute(subst) != ZERO:
-                mask |= event.mask(q.registry)
+        for region, (_, poly) in zip(q.masks, q.rows):
+            if poly.substitute(subst) != own:
+                mask |= region
         return mask
     raise PreconditionFailed(f"unknown shape {type(shape).__name__}")
 

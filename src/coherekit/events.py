@@ -33,41 +33,45 @@ class Atom:
 class AtomRegistry:
     """Ordered registry of atoms; owns the constituent enumeration.
 
-    Atom names are unique and indices are contiguous from zero.  The
-    registry freezes the first time its worlds are used: enumerating
-    constituents or computing any truth bitmask (`atom_mask`, `full_mask`);
-    each of these raises `CapExceeded` when the registry holds more atoms
-    than its cap.
+    Atom names are unique and indices are contiguous from zero, and each
+    atom has one `Event`, which `atom()` returns on every call, so its
+    cached mask serves every formula built on it.  The registry freezes
+    the first time its worlds are used: enumerating constituents or
+    computing any truth bitmask (`atom_mask`, `full_mask`); each of these
+    raises `CapExceeded`, on every call, while the registry holds more
+    atoms than its cap, and so never freezes.
     Bitmasks are sized for the atoms present when they are computed and are
-    cached, so once frozen `atom()` still returns existing atoms but raises
-    `PreconditionFailed` for a new name.
+    kept, the full mask included, so once frozen `atom()` still returns
+    existing atoms but raises `PreconditionFailed` for a new name.
     """
 
     def __init__(self, names: Iterable[str] = (), cap: int = DEFAULT_ATOM_CAP):
         self.cap = cap
         self._atoms: list[Atom] = []
-        self._by_name: dict[str, Atom] = {}
         self._constituents: Optional[tuple["Constituent", ...]] = None
+        self._events: dict[str, Event] = {}
         self._atom_masks: dict[int, int] = {}
+        self._full_mask: Optional[int] = None
         self._frozen = False
         for name in names:
             self.atom(name)
 
     def atom(self, name: str) -> "Event":
         """Return the event for `name`, registering the atom if new."""
+        event = self._events.get(name)
+        if event is not None:
+            return event
         if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
             raise ValueError(f"invalid atom name {name!r}")
-        existing = self._by_name.get(name)
-        if existing is None:
-            if self._frozen:
-                raise PreconditionFailed(
-                    f"cannot add atom {name!r}: the registry is frozen once "
-                    "its constituents or truth masks have been computed"
-                )
-            existing = Atom(name, len(self._atoms), self)
-            self._atoms.append(existing)
-            self._by_name[name] = existing
-        return Event("atom", (existing,))
+        if self._frozen:
+            raise PreconditionFailed(
+                f"cannot add atom {name!r}: the registry is frozen once "
+                "its constituents or truth masks have been computed"
+            )
+        atom = Atom(name, len(self._atoms), self)
+        self._atoms.append(atom)
+        event = self._events[name] = Event("atom", (atom,))
+        return event
 
     def atoms(self, *names: str) -> tuple["Event", ...]:
         return tuple(self.atom(n) for n in names)
@@ -110,8 +114,11 @@ class AtomRegistry:
 
     def full_mask(self) -> int:
         """Bitmask with one bit set per constituent."""
-        self._freeze()
-        return (1 << (1 << self.size)) - 1
+        full = self._full_mask
+        if full is None:
+            self._freeze()
+            full = self._full_mask = (1 << (1 << self.size)) - 1
+        return full
 
     def _freeze(self) -> None:
         """Fix the atom set before its worlds are used; the cap bounds the
@@ -135,10 +142,10 @@ class Constituent:
     bits: tuple[bool, ...]
 
     def truth(self, atom_name: str) -> bool:
-        atom = self.registry._by_name.get(atom_name)
-        if atom is None:
+        event = self.registry._events.get(atom_name)
+        if event is None:
             raise UnknownAtom(f"atom {atom_name!r} is not registered")
-        return self.bits[atom.index]
+        return self.bits[event.args[0].index]
 
     def label(self) -> str:
         """Compact rendering such as `A !B H`."""

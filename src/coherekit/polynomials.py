@@ -10,12 +10,14 @@ as a dict mapping a sorted monomial tuple `((symbol, power), ...)` to a
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .errors import MissingSymbol
 
 Rational = Union[Fraction, int]
 _EMPTY: tuple = ()
+_ZERO = Fraction(0)
+_UNIT = Fraction(1)
 
 
 class Poly:
@@ -25,7 +27,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @classmethod
     def const(cls, value: Rational) -> "Poly":
@@ -34,7 +36,7 @@ class Poly:
 
     @classmethod
     def sym(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): _UNIT})
 
     @classmethod
     def coerce(cls, value: Union["Poly", Rational]) -> "Poly":
@@ -48,7 +50,7 @@ class Poly:
         other = Poly.coerce(other)
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coef
+            terms[mono] = terms[mono] + coef if mono in terms else coef
         return Poly(terms)
 
     __radd__ = __add__
@@ -68,7 +70,8 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _merge(m1, m2)
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
+                coef = c1 * c2
+                terms[mono] = terms[mono] + coef if mono in terms else coef
         return Poly(terms)
 
     __rmul__ = __mul__
@@ -84,7 +87,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise MissingSymbol(f"polynomial {self} is not constant")
-        return self.terms.get(_EMPTY, Fraction(0))
+        return self.terms.get(_EMPTY, _ZERO)
 
     def degree_in(self, name: str) -> int:
         best = 0
@@ -138,6 +141,27 @@ class Poly:
             for key, coefficient in expanded:
                 terms[key] = terms[key] + coefficient if key in terms else coefficient
         return Poly(terms)
+
+    def evaluate(self, valuation: Mapping[str, Rational]) -> Optional[Fraction]:
+        """The exact value when `valuation` assigns every symbol, else None.
+
+        The values are `Fraction`s or ints.  A constant is its own
+        coefficient; otherwise the terms are summed as one integer
+        numerator over one integer denominator, normalised once, and
+        nothing is built when a symbol is missing."""
+        if not any(self.terms):
+            return self.terms.get(_EMPTY, _ZERO)
+        num, den = 0, 1
+        for mono, coef in self.terms.items():
+            n, d = coef.numerator, coef.denominator
+            for sym, power in mono:
+                value = valuation.get(sym)
+                if value is None:
+                    return None
+                n *= value.numerator**power
+                d *= value.denominator**power
+            num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def value(self, valuation: Mapping[str, Rational]) -> Fraction:
         """Exact rational evaluation; every symbol must be assigned."""

@@ -209,28 +209,31 @@ def _linear_target(
         target.registry is not premises.registry
         or premises.free_symbols
         or z in premises.valuation
+        or z in premises.named_symbols
     ):
         return None
-    links = {name: poly for crq, _ in premises.items for name, poly in crq.links}
-    polys = [poly for crq, _ in premises.items for _, poly in crq.rows] + list(links.values())
-    if z in links or any(z in poly.symbols() for poly in polys):
-        return None
+    links = premises.links
     if any(links.get(name, poly) != poly for name, poly in target.links):
         return None
     try:
         live = support(target, premises.valuation)
     except MissingSymbol:
         return None
+    # A live row qualifies when its terms, once the premises' values are
+    # substituted, are a constant a and a multiple b*z at most.
+    linear = {(), ((z, 1),)}
     payoffs = {}
-    for event, poly in target.rows:
-        region = event.mask(target.registry) & live
+    for mask, (_, poly) in zip(target.masks, target.rows):
+        region = mask & live
         if not region:
             continue
-        poly = poly.substitute(premises.valuation)
-        if not poly.symbols() <= {z} or poly.degree_in(z) > 1:
-            return None
-        a = poly.value({z: Fraction(0)})
-        b = poly.value({z: Fraction(1)}) - a
+        terms = poly.terms
+        if not terms.keys() <= linear:
+            terms = poly.substitute(premises.valuation).terms
+            if not terms.keys() <= linear:
+                return None
+        a = terms.get((), 0)
+        b = terms.get(((z, 1),), 0)
         if not 0 <= b < 1:
             return None
         payoffs.update(dict.fromkeys(_bits(region), (a, b)))
@@ -285,7 +288,7 @@ def _lp_interval(
     # row D = 1 reads sum(y * D_T·(1 - b)) = D_T and the costs are D_T·a,
     # all ints, so the optima are D_T times the endpoints.  A world where
     # the target is called off has a = 0 and b = 1, so (0, 0).
-    scale = lcm(*(v.denominator for pair in set(payoffs.values()) for v in pair))
+    scale = lcm(*(v.denominator for pair in payoffs.values() for v in pair))
     target_cells = {
         k: (a.numerator * (scale // a.denominator), scale - b.numerator * (scale // b.denominator))
         for k, (a, b) in payoffs.items()

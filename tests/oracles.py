@@ -33,6 +33,15 @@ became projections of the assessment's own matrix: every cell coerced to
 `Poly`, the unknown-symbol guard run over all live worlds, then one entry
 per world, or one per endpoint corner where unknown symbols remain.
 
+`assessment_fields` rebuilds every field of an `Assessment`'s payoff
+matrix from scratch, world by world, with no kept row mask and no direct
+evaluation: each member's payoff row found by walking its event formulas
+at the world (`_truth`), its live worlds by the called-off rule of its
+shape at that world, the payoff's value there as `payoff_at` computes it
+(or, with unassessed symbols left, the substituted polynomial), the
+prevision at called-off worlds, and D_i as the lcm of the denominators
+of the prevision and of every cell.
+
 `fraction_simplex` is the two-phase simplex that `simplex_minimize` ran
 before it pivoted on an integer tableau: the same pivot rules (Dantzig's,
 then Bland's after `DEGENERATE_LIMIT` degenerate pivots, and no
@@ -76,7 +85,17 @@ from coherekit.coherence import (
     solve_sigma,
     subsets_by_size,
 )
-from coherekit.crq import CRQ
+from coherekit.crq import (
+    CRQ,
+    ConditionalEventShape,
+    ConjunctionShape,
+    IteratedEventShape,
+    IteratedShape,
+    NegationShape,
+    NestedEventShape,
+    PlainShape,
+    SumShape,
+)
 from coherekit.errors import (
     DimensionMismatch,
     EmptySupport,
@@ -233,6 +252,102 @@ def point_table(
             entries.append(PointEntry(c, values, tuple(sorted(corner_map.items()))))
     previsions = tuple(assessment.items[i][1] for i in subset)
     return PointTable(subset, tuple(entries), previsions)
+
+
+def _truth(event, world) -> bool:
+    """The event's truth at one world, by walking its formula."""
+    if event.kind in ("true", "false"):
+        return event.kind == "true"
+    if event.kind == "atom":
+        return world.bits[event.args[0].index]
+    if event.kind == "not":
+        return not _truth(event.args[0], world)
+    if event.kind == "and":
+        return _truth(event.args[0], world) and _truth(event.args[1], world)
+    return _truth(event.args[0], world) or _truth(event.args[1], world)
+
+
+def _row_poly(crq: CRQ, world) -> Poly:
+    (poly,) = [poly for event, poly in crq.rows if _truth(event, world)]
+    return poly
+
+
+def _stands(crq: CRQ, world, valuation) -> bool:
+    """Whether a bet on `crq` stands at `world`, by the called-off rule of
+    its shape read at that world alone."""
+    shape = crq.shape
+    if isinstance(shape, (ConditionalEventShape, PlainShape, NestedEventShape)):
+        return _truth(shape.condition, world)
+    if isinstance(shape, (ConjunctionShape, SumShape)):
+        return _stands(shape.left, world, valuation) or _stands(shape.right, world, valuation)
+    if isinstance(shape, NegationShape):
+        return _stands(shape.operand, world, valuation)
+    if isinstance(shape, IteratedEventShape):
+        a, h = shape.inner.shape.consequent, shape.inner.shape.condition
+        if _truth(a, world) and _truth(h, world):
+            return True
+        return valuation[shape.inner.own_symbol] != 0 and not _truth(h, world)
+    assert isinstance(shape, IteratedShape)
+    others = {name: v for name, v in valuation.items() if name != crq.own_symbol}
+    return _row_poly(crq, world).substitute(others) != Poly.sym(crq.own_symbol)
+
+
+def assessment_fields(assessment: Assessment) -> dict:
+    """`scales`, `scaled`, `scaled_previsions`, `live_masks`,
+    `live_members`, `symbolic` and `free_symbols`, rebuilt world by world
+    from the members' events, payoffs and previsions."""
+    valuation = assessment.valuation
+    worlds = assessment.registry.constituents()
+    free = frozenset(
+        sym
+        for crq, _ in assessment.items
+        for _, poly in crq.rows
+        for sym in poly.symbols()
+        if sym not in valuation
+    )
+    live_masks = []
+    scales, scaled, scaled_previsions, symbolic = [], [], [], []
+    for crq, prevision in assessment.items:
+        stands = [_stands(crq, world, valuation) for world in worlds]
+        cells = []
+        for world, live in zip(worlds, stands):
+            if not live:
+                cells.append(prevision)
+                continue
+            poly = _row_poly(crq, world)
+            if poly.symbols() <= valuation.keys():
+                cells.append(poly.value(valuation))
+                continue
+            reduced = poly.substitute(valuation)
+            cells.append(reduced.constant_value() if reduced.is_constant() else reduced)
+        denominators = [prevision.denominator]
+        for cell in cells:
+            if isinstance(cell, Poly):
+                denominators.extend(c.denominator for c in cell.terms.values())
+            else:
+                denominators.append(cell.denominator)
+        scale = lcm(*denominators)
+        live_masks.append(sum(1 << w.index for w, live in zip(worlds, stands) if live))
+        scales.append(scale)
+        scaled.append(
+            tuple(cell if isinstance(cell, Poly) else int(cell * scale) for cell in cells)
+        )
+        scaled_previsions.append(int(prevision * scale))
+        symbolic.append(
+            sum(1 << w.index for w, cell in zip(worlds, cells) if isinstance(cell, Poly))
+        )
+    live_members = tuple(
+        sum(1 << i for i, live in enumerate(live_masks) if live >> w.index & 1) for w in worlds
+    )
+    return {
+        "scales": tuple(scales),
+        "scaled": tuple(scaled),
+        "scaled_previsions": tuple(scaled_previsions),
+        "live_masks": tuple(live_masks),
+        "live_members": live_members,
+        "symbolic": tuple(symbolic),
+        "free_symbols": free,
+    }
 
 
 def _fraction_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:

@@ -337,15 +337,20 @@ def _changed(result, corrupted):
 
 def _corrupted(simplex_minimize):
     """The simplex with the right status and doubled, wrong weights: the
-    numerators of the solution doubled over the same denominator."""
+    numerators of each objective's solution doubled over the same
+    denominator.  It takes and passes on every keyword of the real one,
+    so that a call the library makes cannot fail on the signature."""
 
-    def corrupted(matrix, rhs, costs):
-        result = simplex_minimize(matrix, rhs, costs)
-        status, solution, objective = result
-        if solution is None:
-            return result
-        numerators, denominator = solution
-        return _changed(result, (status, ([2 * w for w in numerators], denominator), objective))
+    def corrupted(matrix, rhs, costs, multipliers=False, further=()):
+        result = simplex_minimize(matrix, rhs, costs, multipliers=multipliers, further=further)
+        results = list(result) if further else [result]
+        for index, (status, solution, *rest) in enumerate(results):
+            if solution is None:
+                continue
+            numerators, denominator = solution
+            doubled = ([2 * w for w in numerators], denominator)
+            results[index] = _changed(results[index], (status, doubled, *rest))
+        return results if further else results[0]
 
     return corrupted
 
@@ -357,6 +362,7 @@ def test_failed_certificate_exits_internal_error(write, capsys, monkeypatch):
     assert main(["check", write(NESTED_TRIPLE_DOC)]) == 4
     err = capsys.readouterr().err.strip()
     assert err.startswith("internal error:")
+    assert "exact re-check" in err
     assert "\n" not in err
 
 
@@ -383,6 +389,7 @@ def test_certificate_check_survives_optimization(write):
     )
     assert done.returncode == 4, done.stderr
     assert "internal error" in done.stderr
+    assert "exact re-check" in done.stderr
 
 
 def _corrupted_multipliers(simplex_minimize, objective=0):

@@ -398,3 +398,34 @@ def test_payoffs_stay_in_unit_interval(xv, yv, mv):
         for c in reg.constituents():
             value = payoff_at(q, c, val)
             assert 0 <= value <= 1
+
+
+def test_every_constructor_keeps_its_row_masks():
+    """Each quantity keeps one world mask per payoff row, in row order,
+    equal to its region event's own mask: rows built from shared
+    sub-events, from an operand's rows (`negate`, `given_event`), from
+    the nonempty overlaps of two operands' kept masks (`add`), and over
+    events in logical relations (A implies A or B, H and K overlap)."""
+    reg = AtomRegistry(["A", "B", "C", "H", "K"])
+    a, b, c, h, k = reg.atoms("A", "B", "C", "H", "K")
+    b_wide = b | a
+    ah = conditional_event(a, h, "x")
+    bk = conditional_event(b_wide, k | h, "y")
+    quantity = conditional_quantity([(a, Poly.const(2)), (~a, x)], h | k, "q")
+    built = [
+        ah,
+        bk,
+        conditional_event(c, TRUE, "z", registry=reg),
+        quantity,
+        negate(ah, "nx"),
+        negate(quantity, "nq"),
+        conjunction(ah, bk, "cj"),
+        iterated(ah, bk, "mu", "cj"),
+        iterated_simple(ah, c, "w"),
+        iterated_simple(negate(ah, "nx"), c & b, "nw"),
+        given_event(quantity, h | c, "g"),
+        add(ah, bk, "s"),
+        add(quantity, conjunction(ah, bk, "cj"), "t"),
+    ]
+    for q in built:
+        assert q.masks == tuple(event.mask(q.registry) for event, _ in q.rows)

@@ -874,3 +874,52 @@ def test_substitution_matches_the_composed_products(poly, valuation):
     got = poly.substitute(valuation)
     assert got == oracles.composed_substitute(poly, valuation)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    polynomials,
+    st.one_of(
+        st.fixed_dictionaries({sym: coefficients for sym in SYMBOLS}),
+        st.dictionaries(st.sampled_from(SYMBOLS + ("v",)), st.one_of(coefficients, st.integers(-3, 3))),
+    ),
+)
+@example(Poly.const(0), {})
+@example(Poly.sym("x") * Poly.sym("x") * 3 - 1, {"x": Fraction(-2, 3)})
+def test_direct_evaluation_matches_the_composed_products(poly, valuation):
+    """`Poly.evaluate` is the constant of the term-by-term substitution, a
+    `Fraction`, when the valuation assigns every symbol, and None when it
+    leaves one."""
+    got = poly.evaluate(valuation)
+    if poly.symbols() <= valuation.keys():
+        assert type(got) is Fraction
+        assert got == oracles.composed_substitute(poly, valuation).constant_value()
+    else:
+        assert got is None
+
+
+def _typed(value):
+    """A field with each int or `Poly` cell tagged by its type, so that an
+    int cell never equals a constant `Poly`."""
+    if isinstance(value, tuple):
+        return tuple(_typed(v) for v in value)
+    return (type(value), value)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        member_lists().map(Assessment),
+        member_lists(free_inner=True).map(Assessment),
+        layered_families(),
+    )
+)
+def test_assessment_fields_match_their_world_by_world_rebuild(assessment):
+    """Every field of the payoff matrix, built from the kept row masks and
+    direct evaluations, equals its rebuild world by world from the events,
+    payoffs and previsions, bit for bit: the same ints, the same `Poly`
+    cells, the same masks and the same D_i.  A change of D_i would change
+    the rows the simplex sees, and with them `find_dutch_book`'s stakes."""
+    expected = oracles.assessment_fields(assessment)
+    for name, value in expected.items():
+        assert _typed(getattr(assessment, name)) == _typed(value), name

@@ -213,3 +213,29 @@ def test_mask_cache_is_keyed_by_registry():
     cached = formula()
     first = cached.mask(reg1)
     assert cached.mask(reg1) == first == formula().mask(reg1) == 0b0100
+
+
+def test_over_cap_registry_raises_on_every_full_mask():
+    """The full mask is kept only once the registry has frozen; a registry
+    over its cap never freezes, so every call checks the cap again."""
+    reg = AtomRegistry([f"X{i}" for i in range(5)], cap=4)
+    for _ in range(3):
+        with pytest.raises(CapExceeded):
+            reg.full_mask()
+    with pytest.raises(CapExceeded):
+        TRUE.mask(reg)
+
+
+def test_kept_full_mask_and_atom_events_after_freeze():
+    """Once frozen, `full_mask` returns its kept value, `atom` returns the
+    one event of each existing atom, and a new name is still refused."""
+    reg = AtomRegistry(["A", "B"])
+    a = reg.atom("A")
+    assert reg.atom("A") is a
+    assert reg.full_mask() == reg.full_mask() == 0b1111
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed):
+            reg.atom("C")
+    assert reg.atom("A") is a
+    assert a.mask(reg) == 0b1100
+    assert reg.names == ("A", "B")
