@@ -65,7 +65,24 @@ from .propagation import (
     product_prevision,
     verify_decomposition,
 )
-from .dsl import AssessmentDocument, build, parse, parse_expression, serialize
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The document parser loads on first use (PEP 562): a program that only
+# builds families in Python does not pay for importing it.
+_PARSER_NAMES = ("AssessmentDocument", "build", "parse", "parse_expression", "serialize")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["dsl", *_PARSER_NAMES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name == "dsl" or name in _PARSER_NAMES:
+        import importlib
+
+        dsl = importlib.import_module(".dsl", __name__)
+        value = globals()[name] = dsl if name == "dsl" else getattr(dsl, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -27,8 +27,17 @@ points that maximise the weight on the supports of the members still at
 weight zero release every member whose support can get weight, and level
 k + 1 solves the system of the members left at zero.  That step is one
 function, `_unreleased`, on a member mask; the extension LP of
-`propagation` runs it too, on the worlds off its target's support.  The
-decision, levels first and the subset loop for a witness, is `_decide`,
+`propagation` runs it too, on the worlds off its target's support.  A
+step splits its hull system into independent factors when the input
+allows it: no member's payoff holds an unassessed symbol, the step's
+worlds W are all combinations of the atoms that vary on them, the
+members fall into groups that depend on disjoint sets of those atoms,
+and some member of each group stands at every world of W.  Over W the
+payoff points, with the members live at each, are then the Cartesian
+product of the groups' own, and conv(P × Q) = conv(P) × conv(Q), so
+each group is solved over the 2^g worlds of its g atoms: no solution
+when one group has none, else the union of the groups' zero masks.
+The decision, levels first and the subset loop for a witness, is `_decide`,
 which `check_coherence` runs after its cap check and the extension
 oracle runs on premises plus target.  The family is
 coherent when every level is solvable and no member, or no live world,
@@ -138,6 +147,9 @@ class Assessment:
     prevision.  Sets of worlds and of members are int bitmasks:
     `live_masks[i]` has bit k set when member i's bet stands at world k
     (its `support`), and `live_members[k]`, its transpose, has bit i set.
+    `cell_regions[i]` partitions the worlds into member i's called-off
+    worlds, then the live worlds of each payoff row that has some: its
+    payoff is constant on each part.
     A payoff row is read once: its region is the member's kept row mask
     (`CRQ.masks`), and its value the polynomial's direct evaluation
     (`Poly.evaluate`), with substitution only when a symbol is left.
@@ -197,6 +209,8 @@ class Assessment:
         scales: list[int] = []
         scaled_previsions: list[int] = []
         symbolic: list[int] = []
+        cell_regions: list[tuple[int, ...]] = []
+        full = registry.full_mask()
         for (crq, value), live in zip(self.items, self.live_masks):
             regions: list[tuple[int, Union[Fraction, Poly]]] = []
             scale = value.denominator
@@ -229,10 +243,12 @@ class Assessment:
             scales.append(scale)
             scaled_previsions.append(prevision)
             symbolic.append(polys)
+            cell_regions.append((full & ~live, *(region for region, _ in regions)))
         self.scales: tuple[int, ...] = tuple(scales)
         self.scaled: tuple[tuple[Cell, ...], ...] = tuple(scaled)
         self.scaled_previsions: tuple[int, ...] = tuple(scaled_previsions)
         self.symbolic: tuple[int, ...] = tuple(symbolic)
+        self.cell_regions: tuple[tuple[int, ...], ...] = tuple(cell_regions)
 
     def _derive_valuation(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -393,16 +409,19 @@ def _normalize_subset(assessment: Assessment, subset: Iterable[int]) -> tuple[in
 IntegerEntry = tuple[int, tuple[int, ...], Optional[tuple[tuple[str, Fraction], ...]]]
 
 
-def _subset_entries(assessment: Assessment, subset: tuple[int, ...]) -> list[IntegerEntry]:
+def _subset_entries(
+    assessment: Assessment, subset: tuple[int, ...], worlds: int = -1
+) -> list[IntegerEntry]:
     """The integer payoff matrix projected onto `subset`'s members, at the
-    worlds where one of them stands; unknown symbols are guarded and
-    expanded to endpoint rows, scaled after substitution, where a world's
-    vector holds one."""
+    worlds of the mask `worlds` (all by default) where one of them stands;
+    unknown symbols are guarded and expanded to endpoint rows, scaled
+    after substitution, where a world's vector holds one."""
     live = 0
     symbolic = 0
     for i in subset:
         live |= assessment.live_masks[i]
         symbolic |= assessment.symbolic[i]
+    live &= worlds
     columns = list(zip(*(assessment.scaled[i] for i in subset)))
     symbolic &= live
     if not symbolic:
@@ -633,22 +652,50 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
     """One level step: the mask of the members whose live points get zero
     weight in every solution of the hull system of `members` over their
     live worlds outside the mask `outside`, or None when it has none;
-    `members` itself when no such world is left.  Points merge by value
-    and live members, since Phi_j sums the weights of the worlds where
-    member j stands.  One member is decided by the interval of its points
-    (0 or None).  Otherwise the first solution releases every member whose
-    points hold weight, and LPs maximising the weight on the points of the
-    members still at zero release the others that can get weight."""
+    `members` itself when no such world is left.
+
+    When the system splits into independent factors (`_factors`), each
+    factor's system is solved over its own few worlds: the step has no
+    solution when some factor has none, and otherwise its zero mask is the
+    union of theirs.  On the level's worlds W the payoff points of the
+    members, with the set of members live at each, are the Cartesian
+    product of the factors' (each combination repeated for every value of
+    the atoms no member depends on), so their hull is the product of the
+    factors' hulls, conv(P × Q) = conv(P) × conv(Q): the marginals of a
+    solution solve the factors, a product of the factors' solutions
+    solves the whole, and member j's weight Phi_j depends only on the
+    marginal of its factor."""
     indices = tuple(_bits(members))
-    worlds = reduce(or_, (assessment.live_masks[j] for j in indices), 0)
-    if not worlds & ~outside:
+    worlds = reduce(or_, (assessment.live_masks[j] for j in indices), 0) & ~outside
+    if not worlds:
         return members
+    factors = _factors(assessment, members, worlds) if len(indices) > 1 else None
+    if factors is None:
+        entries = _subset_entries(assessment, indices)
+        return _hull_zero(assessment, indices, [e for e in entries if worlds >> e[0] & 1])
+    zero = 0
+    for factor, kept in factors:
+        factor_zero = _hull_zero(assessment, factor, _subset_entries(assessment, factor, kept))
+        if factor_zero is None:
+            return None
+        zero |= factor_zero
+    return zero
+
+
+def _hull_zero(
+    assessment: Assessment, indices: tuple[int, ...], entries: Iterable[IntegerEntry]
+) -> Optional[int]:
+    """The mask of the members `indices` whose points get zero weight in
+    every solution of the hull system of `entries`, or None when it has
+    none.  Points merge by value and live members, since Phi_j sums the
+    weights of the worlds where member j stands.  One member is decided
+    by the interval of its points (0 or None).  Otherwise the first
+    solution releases every member whose points hold weight, and LPs
+    maximising the weight on the points of the members still at zero
+    release the others that can get weight."""
+    members = reduce(or_, (1 << j for j in indices))
     live_members = assessment.live_members
-    merged = dict.fromkeys(
-        (point, live_members[k] & members)
-        for k, point, _ in _subset_entries(assessment, indices)
-        if not outside >> k & 1
-    )
+    merged = dict.fromkeys((point, live_members[k] & members) for k, point, _ in entries)
     points, lives = [point for point, _ in merged], [live for _, live in merged]
     target = tuple(assessment.scaled_previsions[j] for j in indices)
     if len(indices) == 1:
@@ -667,6 +714,79 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
         zero ^= released
         favoured = [h for h, live in enumerate(lives) if live & zero]
     return zero
+
+
+def _factors(
+    assessment: Assessment, members: int, worlds: int
+) -> Optional[list[tuple[tuple[int, ...], int]]]:
+    """The independent factors of the hull system of the mask `members`
+    over the worlds W of the mask `worlds`, each as its members and the
+    worlds it is solved over, or None when the system does not split.
+
+    It splits when (1) no member's payoff holds an unassessed symbol (the
+    single system's guard reads every live world, also those off W),
+    (2) W is a subcube, the 2^m worlds of the m atoms that vary on it,
+    (3) the members fall into two or more groups that depend on disjoint
+    sets of those atoms, and (4) at every world of W some member of each
+    group stands.  Member j depends on atom a when flipping a moves a
+    part of `cell_regions[j]` within W; members that share an atom are
+    grouped together.  A group is solved over the worlds of W where every
+    atom it does not depend on is fixed at its value in W's lowest world,
+    2^g worlds for g atoms."""
+    indices = tuple(_bits(members))
+    if any(assessment.symbolic[j] for j in indices):
+        return None
+    registry = assessment.registry
+    size = registry.size
+    lowest = worlds & -worlds
+    # Per varying atom: its bit in a set of them, the distance between two
+    # worlds that differ only in it, the worlds where it is true, and the
+    # worlds where it has its value at W's lowest world.
+    varying = []
+    for a in range(size):
+        mask = registry.atom_mask(a)
+        if worlds & mask and worlds & ~mask:
+            fixed = mask if lowest & mask else ~mask
+            varying.append((1 << len(varying), 1 << (size - 1 - a), mask, fixed))
+    if worlds.bit_count() != 1 << len(varying):
+        return None
+    # (atoms, members, live worlds) per group; the groups' sets of atoms
+    # are disjoint.
+    groups: list[tuple[int, int, int]] = []
+    for j in indices:
+        atoms = 0
+        # The parts partition the worlds, so the last one moves when some
+        # other one does.
+        for part in assessment.cell_regions[j][:-1]:
+            part &= worlds
+            if part and part != worlds:
+                for bit, shift, mask, _ in varying:
+                    high = part & mask
+                    if high >> shift != part ^ high:
+                        atoms |= bit
+        group, live = 1 << j, assessment.live_masks[j]
+        kept = []
+        for other in groups:
+            if other[0] & atoms:
+                atoms |= other[0]
+                group |= other[1]
+                live |= other[2]
+            else:
+                kept.append(other)
+        if group == members:
+            return None
+        kept.append((atoms, group, live))
+        groups = kept
+    factors = []
+    for atoms, group, live in groups:
+        if worlds & ~live:
+            return None
+        kept_worlds = worlds
+        for bit, _, _, fixed in varying:
+            if not atoms & bit:
+                kept_worlds &= fixed
+        factors.append((tuple(_bits(group)), kept_worlds))
+    return sorted(factors)
 
 
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:

@@ -103,12 +103,11 @@ class AtomRegistry:
         cached = self._atom_masks.get(index)
         if cached is not None:
             return cached
-        self._freeze()
-        n = self.size
-        mask = 0
-        for k in range(1 << n):
-            if (k >> (n - 1 - index)) & 1:
-                mask |= 1 << k
+        # World k has the atom true when bit n - 1 - index of k is set:
+        # runs of `half` worlds alternate false and true, and the full mask
+        # divided by 2^half + 1 sets the false runs.
+        half = 1 << (self.size - 1 - index)
+        mask = self.full_mask() // ((1 << half) + 1) << half
         self._atom_masks[index] = mask
         return mask
 

@@ -59,6 +59,14 @@ the cap check of the combined family, then the level step off the
 target's support and one independent `certified_minimum` LP per
 endpoint; targets outside the LP path take the bisection search.
 
+`single_system_unreleased` is Gilio's level step as `coherence` ran it
+before a level split into independent factors: one hull system over all
+the members' live worlds outside `outside`, with points merged by value
+and live members, the first solution releasing every member whose
+points hold weight and LPs maximising the weight on the points of the
+members still at zero releasing the others.  `single_system_levels` runs
+the levels on it as `_levels` does.
+
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
 `Poly` factors, a numeric value coerced to a constant `Poly`, and the
@@ -79,7 +87,8 @@ from coherekit.coherence import (
     PointTable,
     _bits,
     _check_cap,
-    _unreleased,
+    _scalar_separator,
+    _subset_entries,
     build_points,
     check_coherence,
     solve_sigma,
@@ -107,6 +116,7 @@ from coherekit.linprog import (
     DEGENERATE_LIMIT,
     best_uniform_gain,
     certified_minimum,
+    convex_combination,
     simplex_minimize,
 )
 from coherekit.propagation import ExtensionInterval, _linear_target, _search_interval
@@ -294,8 +304,8 @@ def _stands(crq: CRQ, world, valuation) -> bool:
 
 def assessment_fields(assessment: Assessment) -> dict:
     """`scales`, `scaled`, `scaled_previsions`, `live_masks`,
-    `live_members`, `symbolic` and `free_symbols`, rebuilt world by world
-    from the members' events, payoffs and previsions."""
+    `live_members`, `symbolic`, `cell_regions` and `free_symbols`, rebuilt
+    world by world from the members' events, payoffs and previsions."""
     valuation = assessment.valuation
     worlds = assessment.registry.constituents()
     free = frozenset(
@@ -306,9 +316,19 @@ def assessment_fields(assessment: Assessment) -> dict:
         if sym not in valuation
     )
     live_masks = []
-    scales, scaled, scaled_previsions, symbolic = [], [], [], []
+    scales, scaled, scaled_previsions, symbolic, cell_regions = [], [], [], [], []
     for crq, prevision in assessment.items:
         stands = [_stands(crq, world, valuation) for world in worlds]
+        rows = [
+            next(r for r, (event, _) in enumerate(crq.rows) if _truth(event, world))
+            for world in worlds
+        ]
+        parts = [
+            sum(1 << w.index for w, live, r in zip(worlds, stands, rows) if live and r == row)
+            for row in range(len(crq.rows))
+        ]
+        called_off = sum(1 << w.index for w, live in zip(worlds, stands) if not live)
+        cell_regions.append((called_off, *(part for part in parts if part)))
         cells = []
         for world, live in zip(worlds, stands):
             if not live:
@@ -346,6 +366,7 @@ def assessment_fields(assessment: Assessment) -> dict:
         "live_masks": tuple(live_masks),
         "live_members": live_members,
         "symbolic": tuple(symbolic),
+        "cell_regions": tuple(cell_regions),
         "free_symbols": free,
     }
 
@@ -519,7 +540,7 @@ def separate_extension_interval(
     payoffs, target_live = linear
     members = (1 << len(premises)) - 1
     while members:
-        zero = _unreleased(premises, members, target_live)
+        zero = single_system_unreleased(premises, members, target_live)
         if zero is None or zero == members:
             break
         members = zero
@@ -546,6 +567,62 @@ def separate_extension_interval(
             raise InternalError("an LP with a known optimum ended infeasible")
         endpoints.append(sign * certified[0][0] / scale)
     return ExtensionInterval(*endpoints, "certified-by-LP")
+
+
+def single_system_unreleased(
+    assessment: Assessment, members: int, outside: int = 0
+) -> Optional[int]:
+    """The mask of the members whose live points get zero weight in every
+    solution of the one hull system of `members` over their live worlds
+    outside the mask `outside`, or None when it has none; `members`
+    itself when no such world is left."""
+    indices = tuple(_bits(members))
+    worlds = 0
+    for j in indices:
+        worlds |= assessment.live_masks[j]
+    if not worlds & ~outside:
+        return members
+    merged = dict.fromkeys(
+        (point, assessment.live_members[k] & members)
+        for k, point, _ in _subset_entries(assessment, indices)
+        if not outside >> k & 1
+    )
+    points, lives = [point for point, _ in merged], [live for _, live in merged]
+    target = tuple(assessment.scaled_previsions[j] for j in indices)
+    if len(indices) == 1:
+        return None if _scalar_separator(points, target) else 0
+    zero = members
+    favoured: list[int] = []
+    while zero:
+        weights = convex_combination(points, target, favoured)
+        if weights is None:
+            return None
+        released = 0
+        for weight, live in zip(weights[0], lives):
+            if weight:
+                released |= live & zero
+        if not released:
+            break
+        zero ^= released
+        favoured = [h for h, live in enumerate(lives) if live & zero]
+    return zero
+
+
+def single_system_levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
+    """The member sets of Gilio's levels, each solved as one system by
+    `single_system_unreleased`, or None when one of them has no
+    solution."""
+    members = (1 << len(assessment)) - 1
+    levels: list[tuple[int, ...]] = []
+    while members:
+        zero = single_system_unreleased(assessment, members)
+        if zero is None:
+            return None
+        if zero == members:
+            break
+        levels.append(tuple(_bits(members)))
+        members = zero
+    return levels
 
 
 def composed_substitute(poly: Poly, valuation) -> Poly:

@@ -14,6 +14,7 @@ from coherekit import coherence, linprog
 from coherekit.coherence import (
     Assessment,
     CoherenceResult,
+    _subset_entries,
     build_points,
     check_coherence,
     find_dutch_book,
@@ -602,8 +603,11 @@ def test_eight_independent_conditionals_sharing_h():
 
 
 def test_ten_independent_conditionals_take_few_pivots(monkeypatch):
-    """One level LP over 1025 distinct payoff points and 11 rows: Bland's
-    rule took 502 pivots on it, Dantzig's takes a few per row."""
+    """The hull system of ten A_i|H on independent atoms, over its 1024
+    distinct payoff points and 11 rows: Bland's rule took 502 pivots on
+    it, Dantzig's takes a few per row.  `check_coherence` solves no such
+    LP: on H the system splits into ten one-member factors, each decided
+    by the interval of its points."""
     real = linprog._pivot
     pivots = 0
 
@@ -612,11 +616,16 @@ def test_ten_independent_conditionals_take_few_pivots(monkeypatch):
         pivots += 1
         real(*args)
 
+    assessment = Assessment(_independent_given(10, ["H"] * 10))
+    members = tuple(range(10))
+    points = list(dict.fromkeys(point for _, point, _ in _subset_entries(assessment, members)))
+    assert len(points) == 1024
     monkeypatch.setattr(linprog, "_pivot", counting)
-    result, lps = _hull_lps(monkeypatch, Assessment(_independent_given(10, ["H"] * 10)))
-    assert result.coherent
-    assert lps == 1
+    assert linprog.convex_combination(points, assessment.scaled_previsions) is not None
     assert pivots <= 30
+    result, lps = _hull_lps(monkeypatch, assessment)
+    assert result.coherent
+    assert lps == 0
 
 
 def test_unbacked_incoherent_level_is_an_internal_error(monkeypatch):

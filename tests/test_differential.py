@@ -13,7 +13,9 @@ eighths that may fall outside [0, 1].
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from coherekit.coherence import (
     Assessment,
     CoherenceResult,
     PointTable,
+    _bits,
     _levels,
     _planar_separator,
     _subset_entries,
@@ -35,10 +38,12 @@ from coherekit.coherence import (
 )
 from coherekit.crq import (
     conditional_event,
+    conditional_quantity,
     conjunction,
     iterated,
     iterated_simple,
     negate,
+    payoff_at,
     support,
 )
 from coherekit.errors import (
@@ -411,6 +416,208 @@ def test_two_level_family_incoherent_at_second_level():
     assert _levels(assessment) is None
     assert check_coherence(assessment).witness == (1,)
     assert exhaustive_coherence(assessment).witness == (1,)
+
+
+SPLIT_REGISTRY = AtomRegistry(["A0", "A1", "A2", "A3", "H", "K"])
+SPLIT_ATOMS = SPLIT_REGISTRY.atoms("A0", "A1", "A2", "A3")
+SPLIT_H = SPLIT_REGISTRY.atom("H")
+SPLIT_CONTROLS = ("uncovered", "shared", "symbol")
+
+
+def _formulas_over(atoms):
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            inner.map(lambda e: ~e),
+            st.tuples(inner, inner).map(lambda pair: pair[0] & pair[1]),
+            st.tuples(inner, inner).map(lambda pair: pair[0] | pair[1]),
+        ),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def split_families(draw):
+    """Groups of members over disjoint atoms that share the conditioning
+    event H: per group, L|H with L a conjunction of literals of all the
+    group's atoms, then conditional events A|(H ∧ C) or the conjunction
+    of two members before it, with A and C formulas over the group's
+    atoms.  Every member that depends on an atom of its group shares it
+    with L|H, and one that depends on none stands on all of H or nowhere
+    on it.  So, unless a control is drawn, the level-0 system of two or
+    more groups splits, into one factor per group and one per constant
+    member.  The controls break that: the first member stands on H ∧ C
+    only (its factor may not cover H), a member depends on atoms of two
+    groups, or a member pays an unassessed symbol.
+
+    The previsions are those of weights on the worlds (1, 0 on a drawn
+    event, 2 on another), so most families are coherent; a member whose
+    live worlds weigh nothing gets a quarter in [0, 1], which the next
+    level decides, and one member in eight draws takes an arbitrary
+    eighth instead.  Returns the assessment, an `outside` mask as
+    `_lp_interval` passes it (a target's support, or none), and whether
+    the whole family's level-0 system must split."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    assume(sum(sizes) <= len(SPLIT_ATOMS))
+    control = draw(st.sampled_from((None,) + SPLIT_CONTROLS))
+    members, groups, start = [], [], 0
+    for g, size in enumerate(sizes):
+        atoms = SPLIT_ATOMS[start : start + size]
+        start += size
+        groups.append(atoms)
+        formulas_here = _formulas_over(atoms)
+        events = []
+        for i in range(draw(st.integers(1, 3))):
+            name = f"g{g}m{i}"
+            if len(events) > 1 and draw(st.booleans()):
+                members.append(conjunction(events[0], events[1], name))
+                continue
+            condition = SPLIT_H
+            if i or (control == "uncovered" and g == 0):
+                condition = SPLIT_H & draw(formulas_here)
+                assume(condition.mask(SPLIT_REGISTRY))
+            if i:
+                consequent = draw(formulas_here)
+            else:
+                literals = [atom if draw(st.booleans()) else ~atom for atom in atoms]
+                consequent = reduce(lambda x, y: x & y, literals)
+            events.append(conditional_event(consequent, condition, name))
+            members.append(events[-1])
+    if control == "shared":
+        assume(len(groups) > 1)
+        mixed = draw(_formulas_over(groups[0])) | draw(_formulas_over(groups[1]))
+        members.append(conditional_event(mixed, SPLIT_H, "shared"))
+    elif control == "symbol":
+        atom = draw(st.sampled_from(groups[-1]))
+        values = [(atom, Poly.sym("unassessed")), (~atom, Fraction(0))]
+        members.append(conditional_quantity(values, SPLIT_H, "symbol"))
+    assume(len(members) <= 5)
+    worlds = SPLIT_REGISTRY.constituents()
+    # Weight 1 at every world, 0 on a drawn event and 2 on another.
+    masks = _formulas_over(SPLIT_ATOMS).map(lambda e: e.mask(SPLIT_REGISTRY))
+    nothing, double = draw(st.one_of(st.just(0), masks)), draw(st.one_of(st.just(0), masks))
+    weights = [0 if nothing >> k & 1 else 2 if double >> k & 1 else 1 for k in range(len(worlds))]
+    valuation: dict[str, Fraction] = {}
+    items = []
+    for member in members:
+        live = [] if member.own_symbol == "symbol" else list(_bits(support(member, valuation)))
+        total = sum(weights[k] for k in live)
+        if total and draw(st.integers(0, 7)) < 7:
+            value = sum(weights[k] * payoff_at(member, worlds[k], valuation) for k in live) / total
+        elif total:
+            value = draw(eighths)
+        else:
+            value = Fraction(draw(st.integers(0, 4)), 4)
+        valuation[member.own_symbol] = value
+        items.append((member, value))
+    outside = 0
+    if draw(st.booleans()):
+        outside = draw(_formulas_over(SPLIT_REGISTRY.atoms("A0", "A1", "A2", "A3", "H", "K")))
+        outside = outside.mask(SPLIT_REGISTRY)
+    return Assessment(items), outside, control is None and len(groups) > 1
+
+
+def _split_case(items, outside=0, splits=False):
+    return Assessment(items), outside, splits
+
+
+SWEEP_REGISTRY = AtomRegistry(["A0", "A1", "A2", "A3", "A4", "H"])
+SWEEP_A = SWEEP_REGISTRY.atoms("A0", "A1", "A2", "A3", "A4")
+SWEEP_H = SWEEP_REGISTRY.atom("H")
+SWEEP_MEMBERS = [
+    conditional_event(a, SWEEP_H, f"p{i}", registry=SWEEP_REGISTRY) for i, a in enumerate(SWEEP_A)
+]
+# The family_sweep shape: five A_i|H and (A0|H) ∧ (A1|H).
+SWEEP_ITEMS = list(zip(SWEEP_MEMBERS, map(Fraction, ("1/3", "1/2", "1/5", "3/4", "2/7"))))
+SWEEP_CONJUNCTION = conjunction(SWEEP_MEMBERS[0], SWEEP_MEMBERS[1], "z")
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(split_families())
+# The family_sweep shape, coherent and below its Fréchet bound 0.
+@example(_split_case(SWEEP_ITEMS + [(SWEEP_CONJUNCTION, Fraction(1, 4))], splits=True))
+@example(_split_case(SWEEP_ITEMS + [(SWEEP_CONJUNCTION, Fraction(1, 2))], splits=True))
+# Off the worlds where A0 holds, the conjunction is a factor of its own.
+@example(
+    _split_case(
+        SWEEP_ITEMS + [(SWEEP_CONJUNCTION, Fraction(1, 4))],
+        (SWEEP_A[0] & SWEEP_H).mask(SWEEP_REGISTRY),
+    )
+)
+# A0|H = 0 leaves the members on H ∧ A0 to level 1, which splits again.
+@example(
+    _split_case(
+        [
+            (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(0)),
+            (conditional_event(SPLIT_ATOMS[3], SPLIT_H, "d"), Fraction(1, 3)),
+            (conditional_event(SPLIT_ATOMS[1], SPLIT_H & SPLIT_ATOMS[0], "b"), Fraction(1, 2)),
+            (conditional_event(SPLIT_ATOMS[2], SPLIT_H & SPLIT_ATOMS[0], "c"), Fraction(1, 4)),
+        ],
+        splits=True,
+    )
+)
+# (1) An unassessed symbol on H.
+@example(
+    _split_case(
+        SWEEP_ITEMS[:2]
+        + [
+            (
+                conditional_quantity(
+                    [(SWEEP_A[2], Poly.sym("s")), (~SWEEP_A[2], Fraction(0))], SWEEP_H, "q"
+                ),
+                Fraction(1, 3),
+            )
+        ]
+    )
+)
+# (2) Off a target's support H ∧ ¬A0 ∧ ¬A1, the worlds H ∧ (A0 ∨ A1)
+# are no subcube: (1/2, 1/2) lies on the segment from (1, 0) to (0, 1),
+# while A1|H, with A0 fixed false, would pay 1 alone.
+@example(
+    _split_case(
+        [
+            (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(1, 2)),
+            (conditional_event(SPLIT_ATOMS[1], SPLIT_H, "b"), Fraction(1, 2)),
+        ],
+        (SPLIT_H & ~SPLIT_ATOMS[0] & ~SPLIT_ATOMS[1]).mask(SPLIT_REGISTRY),
+    )
+)
+# (3) Every member shares an atom with another.
+@example(
+    _split_case(
+        [
+            (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(1, 2)),
+            (conditional_event(SPLIT_ATOMS[1], SPLIT_H, "b"), Fraction(1, 3)),
+            (conditional_event(SPLIT_ATOMS[0] & SPLIT_ATOMS[1], SPLIT_H, "ab"), Fraction(1, 4)),
+        ]
+    )
+)
+# (4) The factor of A1|(H ∧ A2) stands only where A2 holds.
+@example(
+    _split_case(
+        [
+            (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(1, 2)),
+            (conditional_event(SPLIT_ATOMS[1], SPLIT_H & SPLIT_ATOMS[2], "b"), Fraction(1, 3)),
+        ]
+    )
+)
+def test_split_level_step_matches_the_single_system(case):
+    """The level step that splits a system into its independent factors
+    gives the single system's answer, None or the zero mask, for every
+    member mask, with and without the `outside` mask; Gilio's levels are
+    the same, and the verdict is the exhaustive sweep's."""
+    assessment, outside, splits = case
+    full = (1 << len(assessment)) - 1
+    if splits:
+        worlds = reduce(or_, assessment.live_masks)
+        assert coherence._factors(assessment, full, worlds) is not None
+    for members in range(1, full + 1):
+        for mask in {0, outside}:
+            assert _outcome(coherence._unreleased, assessment, members, mask) == _outcome(
+                oracles.single_system_unreleased, assessment, members, mask
+            )
+    assert _outcome(_levels, assessment) == _outcome(oracles.single_system_levels, assessment)
+    assert _outcome(check_coherence, assessment) == _outcome(exhaustive_coherence, assessment)
 
 
 ZERO_REGISTRY = AtomRegistry(["A", "C", "H"])

@@ -1,9 +1,14 @@
 """Every name a coherekit module imports is used in that module.
 
 The package's `__init__.py` is exempt: it imports names to re-export them.
+It loads the document parser only when one of the parser's names is
+asked for.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +53,28 @@ def test_scan_counts_quoted_annotations():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def _run(code: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+def test_package_import_leaves_the_parser_unloaded():
+    code = "import sys, coherekit\nprint('coherekit.dsl' in sys.modules)"
+    assert _run(code).split() == ["False"]
+
+
+def test_parser_names_load_the_parser_on_use():
+    code = (
+        "import sys, coherekit\n"
+        "from coherekit import parse\n"
+        "print('coherekit.dsl' in sys.modules, parse is coherekit.dsl.parse,"
+        " 'serialize' in dir(coherekit), coherekit.__all__.count('dsl'))"
+    )
+    assert _run(code).split() == ["True", "True", "True", "1"]
