@@ -8,17 +8,21 @@ points generated by the possible worlds where at least one bet of the
 subfamily stands (the all-subfamilies characterization).  At a world
 where a bet is called off its coordinate is its own prevision.
 
-An `Assessment` builds its payoff matrix once, from the payoff rows of
-its members: each row's polynomial is evaluated once (substituted when
-an unassessed symbol is left) and fills the member's live worlds in the
-row's region, held as int bitmasks over the worlds.  The matrix is
-integer: member i's payoffs times one common denominator D_i.  Every
-subfamily's point table is a projection of it
-onto the subfamily's members at the union of their live worlds; points
-are deduplicated as int tuples and enter the simplex as integer rows,
-with target D_i·p_i, which scales row i of the hull system and leaves
-its solutions as they are.  `build_points` reads the same projection as
-`Fraction`s.
+An `Assessment` builds its payoffs once, from the payoff rows of its
+members: each row's polynomial is evaluated once (substituted when an
+unassessed symbol is left) and holds on the member's live worlds in the
+row's region, held as an int bitmask over the worlds.  The payoffs are
+integer: member i's times one common denominator D_i.  No column is kept
+per world.  A subfamily's points are read off its pieces: the
+intersections of its members' regions, on each of which every member
+pays one cell (`_pieces`).  One point per piece, pieces ordered by their
+lowest worlds, meets each point first where it first occurs world by
+world, so the hull systems see the points, deduplicated as int tuples,
+in the order of a projection onto the members at the union of their live
+worlds.  They enter the simplex as integer rows, with target D_i·p_i,
+which scales row i of the hull system and leaves its solutions as they
+are.  `build_points` and the stake LP spread the points over their
+worlds again, as `Fraction`s or integer deviations.
 
 `check_coherence` decides this with Gilio's level algorithm (Biazzo &
 Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
@@ -32,11 +36,12 @@ step splits its hull system into independent factors when the input
 allows it: no member's payoff holds an unassessed symbol, the step's
 worlds W are all combinations of the atoms that vary on them, the
 members fall into groups that depend on disjoint sets of those atoms,
-and some member of each group stands at every world of W.  Over W the
+and two or more groups each stand, by some member, at every world of W (a
+group that does not is merged into the first that does).  Over W the
 payoff points, with the members live at each, are then the Cartesian
 product of the groups' own, and conv(P × Q) = conv(P) × conv(Q), so
-each group is solved over the 2^g worlds of its g atoms: no solution
-when one group has none, else the union of the groups' zero masks.
+each group is solved on its own: no solution when one group has none,
+else the union of the groups' zero masks.
 The decision, levels first and the subset loop for a witness, is `_decide`,
 which `check_coherence` runs after its cap check and the extension
 oracle runs on premises plus target.  The family is
@@ -48,21 +53,27 @@ worlds every coordinate of S is called off and deviates from its
 prevision by 0; the other subfamilies are those of the next level.  So
 at most n levels give the verdict, and the subset loop `_first_failure`
 runs only to name an incoherent family's smallest failing subfamily as
-its witness, certified by an integer separator of its integer points,
-re-checked on them and mapped back to the payoffs once, as (s_i·D_i, t)
-divided by the gcd of its entries.  Only a subfamily of three or more
-members takes an LP for it, whose Farkas numerators are the separator.
-A subfamily of one member needs no LP, in a level or in the subset loop:
-the hull of scalars is the interval between the least and the greatest,
-and a prevision outside it is separated at the nearer end.  Nor does a
-subfamily of two in the subset loop: the hull of its points is a
-polygon, a segment or a point of the plane, built by Andrew's monotone
-chain on integers, and a prevision outside it is separated by the
-outward normal of an edge it lies beyond, or, on the line of a segment
-or a point, by the direction from the end it lies beyond.  A sure-win stake vector over a
-subfamily's live worlds exists exactly when its hull membership fails (a
-point outside the hull of finitely many points is strictly separable
-from them), so `find_dutch_book` places its stakes on that witness.
+its witness.  When the whole family's level-0 system splits, it visits
+only the subfamilies inside one factor, a subsequence of the sweep by
+size: a subfamily that straddles factors fails only if one of its parts
+does (`_witness_candidates`), so the least failing subfamilies lie inside
+factors.  The witness is certified by an integer separator of its
+integer points, re-checked on them and mapped back to the payoffs once,
+as (s_i·D_i, t) divided by the gcd of its entries.  Only a subfamily of
+three or more members takes an LP for it, whose Farkas numerators are
+the separator.  A subfamily of one member needs no LP, in a level or in
+the subset loop: the hull of scalars is the interval between the least
+and the greatest, and a prevision outside it is separated at the nearer
+end.  Nor does a subfamily of two in the subset loop: the hull of its
+points is a polygon, a segment or a point of the plane, built by
+Andrew's monotone chain on integers, and a prevision outside it is
+separated by the outward normal of an edge it lies beyond, or, on the
+line of a segment or a point, by the direction from the end it lies
+beyond.  A sure-win
+stake vector over a subfamily's live worlds exists exactly when its hull
+membership fails (a point outside the hull of finitely many points is
+strictly separable from them), so `find_dutch_book` places its stakes
+on that witness.
 
 Symbols appearing in payoffs but assessed nowhere (for instance the
 prevision of B|K inside the table of (B|K)|(A|H) when B|K itself is not
@@ -84,7 +95,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .crq import CRQ, support
@@ -136,24 +147,24 @@ class Assessment:
     definition, and `named_symbols`, every symbol a row or link names,
     so that `propagation` tests a target's symbol against the set.
 
-    The payoff matrix is built once, here, in integer form: member i has
-    one common denominator `scales[i]` = D_i, the lcm of the denominators
-    of its prevision, of its constant payoffs and of the coefficients of
-    its polynomial payoffs.  `scaled[i][k]` is D_i times member i's
-    payoff at world k with the valuation substituted, an int, or the
-    `Poly` itself when unassessed symbols remain (scaled once a corner
-    substitutes its symbols; `symbolic[i]` masks those worlds); where the
-    bet is called off it is `scaled_previsions[i]`, D_i times the
-    prevision.  Sets of worlds and of members are int bitmasks:
+    The payoffs are built once, here, region by region and in integer
+    form, with no column per world: member i has one common denominator
+    `scales[i]` = D_i, the lcm of the denominators of its prevision, of
+    its constant payoffs and of the coefficients of its polynomial
+    payoffs.  Sets of worlds and of members are int bitmasks:
     `live_masks[i]` has bit k set when member i's bet stands at world k
-    (its `support`), and `live_members[k]`, its transpose, has bit i set.
-    `cell_regions[i]` partitions the worlds into member i's called-off
-    worlds, then the live worlds of each payoff row that has some: its
-    payoff is constant on each part.
-    A payoff row is read once: its region is the member's kept row mask
-    (`CRQ.masks`), and its value the polynomial's direct evaluation
-    (`Poly.evaluate`), with substitution only when a symbol is left.
-    Every subfamily's point table is a projection of this matrix.
+    (its `support`).  `cell_regions[i]` partitions the worlds into member
+    i's called-off worlds, then the live worlds of each payoff row that
+    has some, and `region_cells[i]` holds the payoff on each part: first
+    `scaled_previsions[i]`, D_i times the prevision, where the bet is
+    called off, then D_i times the row's payoff with the valuation
+    substituted, an int, or the `Poly` itself when unassessed symbols
+    remain (scaled once a corner substitutes its symbols; `symbolic[i]`
+    masks those worlds).  A payoff row is read once: its region is the
+    member's kept row mask (`CRQ.masks`), and its value the polynomial's
+    direct evaluation (`Poly.evaluate`), with substitution only when a
+    symbol is left.  Every subfamily's points are read off the
+    intersections of its members' regions (`_pieces`).
     """
 
     def __init__(self, items: Sequence[tuple[CRQ, Rational]]):
@@ -194,22 +205,16 @@ class Assessment:
         # none of them is materialised.
         if not registry.size:
             raise PreconditionFailed("registry has no atoms")
-        worlds = registry.full_mask().bit_length()
-        live_members = [0] * worlds
-        for i, live in enumerate(self.live_masks):
-            for k in _bits(live):
-                live_members[k] |= 1 << i
-        self.live_members: tuple[int, ...] = tuple(live_members)
-        # The payoff matrix, built row by row: a payoff row's polynomial is
-        # substituted once and fills the member's live worlds in its region
-        # (the rows partition the worlds); called-off worlds hold the
-        # prevision.  A row's integer value is taken once the member's
-        # denominator is known, not once per world.
-        scaled: list[tuple[Cell, ...]] = []
+        # The payoff cells, built region by region: a payoff row's
+        # polynomial is substituted once and holds on the member's live
+        # worlds in its region (the rows partition the worlds); called-off
+        # worlds hold the prevision.  A row's integer value is taken once
+        # the member's denominator is known.
         scales: list[int] = []
         scaled_previsions: list[int] = []
         symbolic: list[int] = []
         cell_regions: list[tuple[int, ...]] = []
+        region_cells: list[tuple[Cell, ...]] = []
         full = registry.full_mask()
         for (crq, value), live in zip(self.items, self.live_masks):
             regions: list[tuple[int, Union[Fraction, Poly]]] = []
@@ -229,26 +234,24 @@ class Assessment:
                     scale = lcm(scale, payoff.denominator)
                 regions.append((region, payoff))
             prevision = value.numerator * (scale // value.denominator)
-            row: list[Cell] = [prevision] * worlds
+            cells: list[Cell] = [prevision]
             polys = 0
             for region, payoff in regions:
                 if isinstance(payoff, Poly):
                     polys |= region
-                    cell: Cell = payoff
+                    cells.append(payoff)
                 else:
-                    cell = payoff.numerator * (scale // payoff.denominator)
-                for k in _bits(region):
-                    row[k] = cell
-            scaled.append(tuple(row))
+                    cells.append(payoff.numerator * (scale // payoff.denominator))
             scales.append(scale)
             scaled_previsions.append(prevision)
             symbolic.append(polys)
             cell_regions.append((full & ~live, *(region for region, _ in regions)))
+            region_cells.append(tuple(cells))
         self.scales: tuple[int, ...] = tuple(scales)
-        self.scaled: tuple[tuple[Cell, ...], ...] = tuple(scaled)
         self.scaled_previsions: tuple[int, ...] = tuple(scaled_previsions)
         self.symbolic: tuple[int, ...] = tuple(symbolic)
         self.cell_regions: tuple[tuple[int, ...], ...] = tuple(cell_regions)
+        self.region_cells: tuple[tuple[Cell, ...], ...] = tuple(region_cells)
 
     def _derive_valuation(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -403,36 +406,86 @@ def _normalize_subset(assessment: Assessment, subset: Iterable[int]) -> tuple[in
     return tuple(sorted(indices))
 
 
-# A payoff point in integer form: the world index, the point with member
-# j's payoff times its denominator D_j, and the endpoint assignment of the
-# unknown symbols it was substituted at, or None.
-IntegerEntry = tuple[int, tuple[int, ...], Optional[tuple[tuple[str, Fraction], ...]]]
+# A piece: a nonempty set of worlds on which every member of a subfamily
+# pays one cell, as its world mask, the members' cells in subfamily order,
+# and the mask of the members whose bets stand there.
+Piece = tuple[int, tuple[Cell, ...], int]
+
+# A payoff point in integer form: the piece it comes from, the point with
+# member j's payoff times its denominator D_j, and the endpoint assignment
+# of the unknown symbols it was substituted at, or None.
+IntegerEntry = tuple[Piece, tuple[int, ...], Optional[tuple[tuple[str, Fraction], ...]]]
+
+
+def _lowest(piece: Piece) -> int:
+    mask = piece[0]
+    return mask & -mask
+
+
+def _pieces(
+    assessment: Assessment,
+    subset: tuple[int, ...],
+    worlds: int,
+    extra: Iterable[tuple[tuple[int, ...], tuple]] = (),
+) -> list[Piece]:
+    """The pieces of `subset` on the mask `worlds`: the members' cell
+    regions intersected in turn, then the partitions `extra` (regions and
+    their cells, standing for no member), with empty intersections
+    dropped, ordered by their lowest worlds.  Read once per piece in that
+    order, the points meet each value first where it first occurs world by
+    world."""
+    partitions = [
+        (1 << i, assessment.cell_regions[i], assessment.region_cells[i]) for i in subset
+    ]
+    partitions.extend((0, regions, cells) for regions, cells in extra)
+    pieces: list[Piece] = [(worlds, (), 0)]
+    for bit, regions, cells in partitions:
+        # The regions that meet the worlds, each with the mask of the
+        # members that stand on it: none on the first, the called-off one.
+        parts = [
+            (region, cell, bit if k else 0)
+            for k, (region, cell) in enumerate(zip(regions, cells))
+            if region & worlds
+        ]
+        split: list[Piece] = []
+        for mask, vector, live in pieces:
+            for region, cell, stands in parts:
+                part = mask & region
+                if part:
+                    split.append((part, vector + (cell,), live | stands))
+                    mask ^= part
+                    if not mask:
+                        break
+        pieces = split
+    pieces.sort(key=_lowest)
+    return pieces
 
 
 def _subset_entries(
     assessment: Assessment, subset: tuple[int, ...], worlds: int = -1
 ) -> list[IntegerEntry]:
-    """The integer payoff matrix projected onto `subset`'s members, at the
-    worlds of the mask `worlds` (all by default) where one of them stands;
-    unknown symbols are guarded and expanded to endpoint rows, scaled
-    after substitution, where a world's vector holds one."""
+    """The integer payoff points of `subset`'s members, one per piece
+    (`_pieces`) of the worlds of the mask `worlds` (all by default) where
+    one of them stands; unknown symbols are guarded and expanded to
+    endpoint rows, scaled after substitution, once per piece that holds
+    one."""
     live = 0
     symbolic = 0
     for i in subset:
         live |= assessment.live_masks[i]
         symbolic |= assessment.symbolic[i]
     live &= worlds
-    columns = list(zip(*(assessment.scaled[i] for i in subset)))
+    pieces = _pieces(assessment, subset, live)
     symbolic &= live
     if not symbolic:
-        return [(k, columns[k], None) for k in _bits(live)]
+        return [(piece, piece[1], None) for piece in pieces]
     scales = [assessment.scales[i] for i in subset]
     owners: dict[str, tuple[Cell, ...]] = {}
     entries: list[IntegerEntry] = []
-    for k in _bits(live):
-        vec = columns[k]
-        if not symbolic >> k & 1:
-            entries.append((k, vec, None))
+    for piece in pieces:
+        mask, vec, _ = piece
+        if not symbolic & mask:
+            entries.append((piece, vec, None))
             continue
         polys = [cell for cell in vec if isinstance(cell, Poly)]
         # Guard the exact elimination of unknown symbols.
@@ -464,8 +517,19 @@ def _subset_entries(
                 (cell.value(corner_map) * scale).numerator if isinstance(cell, Poly) else cell
                 for cell, scale in zip(vec, scales)
             )
-            entries.append((k, point, tuple(sorted(corner_map.items()))))
+            entries.append((piece, point, tuple(sorted(corner_map.items()))))
     return entries
+
+
+def _world_entries(
+    entries: Iterable[IntegerEntry],
+) -> list[tuple[int, tuple[int, ...], Optional[tuple[tuple[str, Fraction], ...]]]]:
+    """`entries` spread over the worlds of their pieces: the world index,
+    the point and its corner, in world order, each world's corners in
+    their order."""
+    spread = [(k, point, corner) for (mask, _, _), point, corner in entries for k in _bits(mask)]
+    spread.sort(key=itemgetter(0))
+    return spread
 
 
 def _fractions(point: Sequence[int], scales: Sequence[int]) -> tuple[Fraction, ...]:
@@ -476,9 +540,10 @@ def _fractions(point: Sequence[int], scales: Sequence[int]) -> tuple[Fraction, .
 def build_points(assessment: Assessment, subset: Iterable[int]) -> PointTable:
     """The payoff points of a subfamily, one per live world (expanded to
     endpoint rows when unknown symbols were eliminated): the integer
-    projection of `_subset_entries` read as `Fraction`s."""
+    points of `_subset_entries`, spread over their worlds and read as
+    `Fraction`s."""
     indices = _normalize_subset(assessment, subset)
-    entries = _subset_entries(assessment, indices)
+    entries = _world_entries(_subset_entries(assessment, indices))
     if not entries:
         raise EmptySupport("every bet of the subfamily is called off everywhere")
     worlds = assessment.registry.constituents()
@@ -655,27 +720,35 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
     `members` itself when no such world is left.
 
     When the system splits into independent factors (`_factors`), each
-    factor's system is solved over its own few worlds: the step has no
-    solution when some factor has none, and otherwise its zero mask is the
-    union of theirs.  On the level's worlds W the payoff points of the
-    members, with the set of members live at each, are the Cartesian
-    product of the factors' (each combination repeated for every value of
-    the atoms no member depends on), so their hull is the product of the
-    factors' hulls, conv(P × Q) = conv(P) × conv(Q): the marginals of a
-    solution solve the factors, a product of the factors' solutions
-    solves the whole, and member j's weight Phi_j depends only on the
-    marginal of its factor."""
+    factor's system is solved on its own: the step has no solution when
+    some factor has none, and otherwise its zero mask is the union of
+    theirs.  On the level's worlds W the payoff points of the members,
+    with the set of members live at each, are the Cartesian product of
+    the factors' (each combination repeated for every value of the atoms
+    no member depends on), so their hull is the product of the factors'
+    hulls, conv(P × Q) = conv(P) × conv(Q): the marginals of a solution
+    solve the factors, a product of the factors' solutions solves the
+    whole, and member j's weight Phi_j depends only on the marginal of its
+    factor."""
     indices = tuple(_bits(members))
     worlds = reduce(or_, (assessment.live_masks[j] for j in indices), 0) & ~outside
     if not worlds:
         return members
     factors = _factors(assessment, members, worlds) if len(indices) > 1 else None
     if factors is None:
+        # The unknown-symbol guard reads every live world, `outside` too.
         entries = _subset_entries(assessment, indices)
-        return _hull_zero(assessment, indices, [e for e in entries if worlds >> e[0] & 1])
+        if outside:
+            entries = [
+                ((mask & worlds, vec, live), point, corner)
+                for (mask, vec, live), point, corner in entries
+                if mask & worlds
+            ]
+            entries.sort(key=lambda entry: _lowest(entry[0]))
+        return _hull_zero(assessment, indices, entries)
     zero = 0
-    for factor, kept in factors:
-        factor_zero = _hull_zero(assessment, factor, _subset_entries(assessment, factor, kept))
+    for factor in factors:
+        factor_zero = _hull_zero(assessment, factor, _subset_entries(assessment, factor, worlds))
         if factor_zero is None:
             return None
         zero |= factor_zero
@@ -694,8 +767,7 @@ def _hull_zero(
     maximising the weight on the points of the members still at zero
     release the others that can get weight."""
     members = reduce(or_, (1 << j for j in indices))
-    live_members = assessment.live_members
-    merged = dict.fromkeys((point, live_members[k] & members) for k, point, _ in entries)
+    merged = dict.fromkeys((point, live) for (_, _, live), point, _ in entries)
     points, lives = [point for point, _ in merged], [live for _, live in merged]
     target = tuple(assessment.scaled_previsions[j] for j in indices)
     if len(indices) == 1:
@@ -718,36 +790,33 @@ def _hull_zero(
 
 def _factors(
     assessment: Assessment, members: int, worlds: int
-) -> Optional[list[tuple[tuple[int, ...], int]]]:
+) -> Optional[list[tuple[int, ...]]]:
     """The independent factors of the hull system of the mask `members`
-    over the worlds W of the mask `worlds`, each as its members and the
-    worlds it is solved over, or None when the system does not split.
+    over the worlds W of the mask `worlds`, each as its members, or None
+    when the system does not split.
 
     It splits when (1) no member's payoff holds an unassessed symbol (the
     single system's guard reads every live world, also those off W),
     (2) W is a subcube, the 2^m worlds of the m atoms that vary on it,
-    (3) the members fall into two or more groups that depend on disjoint
-    sets of those atoms, and (4) at every world of W some member of each
-    group stands.  Member j depends on atom a when flipping a moves a
-    part of `cell_regions[j]` within W; members that share an atom are
-    grouped together.  A group is solved over the worlds of W where every
-    atom it does not depend on is fixed at its value in W's lowest world,
-    2^g worlds for g atoms."""
+    (3) the members fall into groups that depend on disjoint sets of
+    those atoms, and (4) two or more of the groups stand each at every
+    world of W: a group that does not is merged into the first that
+    does.  Member j depends on atom a when flipping a moves a part of
+    `cell_regions[j]` within W; members that share an atom are grouped
+    together.  On W a factor's points, and the members live at each,
+    depend only on the atoms of its group."""
     indices = tuple(_bits(members))
     if any(assessment.symbolic[j] for j in indices):
         return None
     registry = assessment.registry
     size = registry.size
-    lowest = worlds & -worlds
     # Per varying atom: its bit in a set of them, the distance between two
-    # worlds that differ only in it, the worlds where it is true, and the
-    # worlds where it has its value at W's lowest world.
+    # worlds that differ only in it, and the worlds where it is true.
     varying = []
     for a in range(size):
         mask = registry.atom_mask(a)
         if worlds & mask and worlds & ~mask:
-            fixed = mask if lowest & mask else ~mask
-            varying.append((1 << len(varying), 1 << (size - 1 - a), mask, fixed))
+            varying.append((1 << len(varying), 1 << (size - 1 - a), mask))
     if worlds.bit_count() != 1 << len(varying):
         return None
     # (atoms, members, live worlds) per group; the groups' sets of atoms
@@ -760,10 +829,11 @@ def _factors(
         for part in assessment.cell_regions[j][:-1]:
             part &= worlds
             if part and part != worlds:
-                for bit, shift, mask, _ in varying:
-                    high = part & mask
-                    if high >> shift != part ^ high:
-                        atoms |= bit
+                for bit, shift, mask in varying:
+                    if not atoms & bit:
+                        high = part & mask
+                        if high >> shift != part ^ high:
+                            atoms |= bit
         group, live = 1 << j, assessment.live_masks[j]
         kept = []
         for other in groups:
@@ -777,16 +847,11 @@ def _factors(
             return None
         kept.append((atoms, group, live))
         groups = kept
-    factors = []
-    for atoms, group, live in groups:
-        if worlds & ~live:
-            return None
-        kept_worlds = worlds
-        for bit, _, _, fixed in varying:
-            if not atoms & bit:
-                kept_worlds &= fixed
-        factors.append((tuple(_bits(group)), kept_worlds))
-    return sorted(factors)
+    covering = [group for _, group, live in groups if not worlds & ~live]
+    if len(covering) < 2:
+        return None
+    covering[0] |= members ^ reduce(or_, covering)
+    return sorted(tuple(_bits(group)) for group in covering)
 
 
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
@@ -806,6 +871,33 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
     return levels
 
 
+def _witness_candidates(assessment: Assessment) -> Iterable[tuple[int, ...]]:
+    """The subfamilies among which the witness lies, in the order of
+    `subsets_by_size`: when the whole family's level-0 system splits into
+    factors, those inside one factor, else all.
+
+    A subfamily S = S1 ∪ S2 with its parts in different factors fails
+    only if a part does.  If weights λ on S1's live worlds hit S1's
+    previsions, and μ on S2's hit S2's, then λ × μ, each pair of worlds
+    read as the world of W with S1's atoms from the first and S2's from
+    the second (W is a subcube, and each part's cells depend only on its
+    own atoms), lies on worlds where both parts stand and hits both.  So
+    every failing subfamily of least size lies inside one factor, and the
+    first of them in this order is the first in `subsets_by_size`."""
+    n = len(assessment)
+    if n > 1:
+        factors = _factors(assessment, (1 << n) - 1, reduce(or_, assessment.live_masks))
+        if factors is not None:
+            return (
+                subset
+                for size in range(1, max(map(len, factors)) + 1)
+                for subset in sorted(
+                    inside for factor in factors for inside in itertools.combinations(factor, size)
+                )
+            )
+    return subsets_by_size(n)
+
+
 def _decide(assessment: Assessment) -> CoherenceResult:
     """The verdict of the levels; when they fail, or an unassessed symbol
     stops them, the witness of the subset loop, which raises the first
@@ -816,7 +908,7 @@ def _decide(assessment: Assessment) -> CoherenceResult:
             return CoherenceResult(True)
     except MissingSymbol:
         pass  # the subset loop raises it too, unless some subfamily fails
-    failure = _first_failure(assessment, subsets_by_size(len(assessment)))
+    failure = _first_failure(assessment, _witness_candidates(assessment))
     if failure is None:
         raise InternalError("a level has no hull solution, yet no subfamily fails")
     return failure
@@ -850,7 +942,7 @@ def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Option
     epsilon, stakes = best_uniform_gain(
         [
             tuple(v - p for v, p in zip(point, target))
-            for _, point, _ in _subset_entries(assessment, witness)
+            for _, point, _ in _world_entries(_subset_entries(assessment, witness))
         ],
         scales=[assessment.scales[j] for j in witness],
     )

@@ -48,7 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import or_
 from typing import Optional, Sequence
 
 from .coherence import (
@@ -56,6 +58,7 @@ from .coherence import (
     _bits,
     _check_cap,
     _decide,
+    _pieces,
     _unreleased,
     check_coherence,
     family_cap,
@@ -194,8 +197,9 @@ def extension_interval(
 
 def _linear_target(
     premises: Assessment, target: CRQ
-) -> Optional[tuple[dict[int, tuple[Fraction, Fraction]], int]]:
-    """The target's payoff a + b*z at each world index where it stands, as
+) -> Optional[tuple[list[tuple[int, tuple[Fraction, Fraction]]], int]]:
+    """The target's payoff a + b*z on each region of the worlds where it
+    stands, the live worlds of one payoff row, as the region's mask and
     the pair (a, b), and the mask of those worlds, when the LP path covers
     the target; None otherwise.
 
@@ -222,7 +226,7 @@ def _linear_target(
     # A live row qualifies when its terms, once the premises' values are
     # substituted, are a constant a and a multiple b*z at most.
     linear = {(), ((z, 1),)}
-    payoffs = {}
+    payoffs = []
     for mask, (_, poly) in zip(target.masks, target.rows):
         region = mask & live
         if not region:
@@ -236,17 +240,19 @@ def _linear_target(
         b = terms.get(((z, 1),), 0)
         if not 0 <= b < 1:
             return None
-        payoffs.update(dict.fromkeys(_bits(region), (a, b)))
+        payoffs.append((region, (a, b)))
     return (payoffs, live) if payoffs else None
 
 
 def _lp_interval(
-    premises: Assessment, payoffs: dict[int, tuple[Fraction, Fraction]], target_live: int
+    premises: Assessment,
+    payoffs: Sequence[tuple[int, tuple[Fraction, Fraction]]],
+    target_live: int,
 ) -> tuple[Optional[ExtensionInterval], int]:
-    """Both endpoints for a target with the given live payoffs a + b*z at
-    the worlds of the mask `target_live`, and the mask of the premises
-    that the endpoints' solutions release; (None, 0) when the system has
-    no solution, which coherent premises rule out.
+    """Both endpoints for a target with the given live payoffs a + b*z on
+    the regions that partition the mask `target_live`, and the mask of
+    the premises that the endpoints' solutions release; (None, 0) when
+    the system has no solution, which coherent premises rule out.
 
     In a hull solution y of the combined family the target's row reads
     N(y) = z * D(y) with N = sum(y * a) and D = sum(y * (1 - b)), where a
@@ -282,25 +288,27 @@ def _lp_interval(
     # The premises leave no free symbol, so every cell is an int; premise
     # j's row and prevision are scaled by its denominator D_j, which
     # scales its row of the system and leaves the optima as they are.
-    previsions = premises.scaled_previsions
-    cells = premises.scaled
+    indices = tuple(_bits(members))
+    previsions = [premises.scaled_previsions[j] for j in indices]
     # Scaled by the common denominator D_T of the target's payoffs, the
     # row D = 1 reads sum(y * D_T·(1 - b)) = D_T and the costs are D_T·a,
     # all ints, so the optima are D_T times the endpoints.  A world where
     # the target is called off has a = 0 and b = 1, so (0, 0).
-    scale = lcm(*(v.denominator for pair in payoffs.values() for v in pair))
-    target_cells = {
-        k: (a.numerator * (scale // a.denominator), scale - b.numerator * (scale // b.denominator))
-        for k, (a, b) in payoffs.items()
-    }
-    indices = tuple(_bits(members))
-    # Columns merge by value; each keeps the premises live at its worlds.
+    scale = lcm(*(v.denominator for _, pair in payoffs for v in pair))
+    regions = (premises.registry.full_mask() & ~target_live, *(region for region, _ in payoffs))
+    target_cells = ((0, 0),) + tuple(
+        (a.numerator * (scale // a.denominator), scale - b.numerator * (scale // b.denominator))
+        for _, (a, b) in payoffs
+    )
+    worlds = reduce(or_, (premises.live_masks[j] for j in indices), target_live)
+    # One column per piece of the premises' and the target's regions;
+    # columns merge by value, and each keeps the premises live at its
+    # worlds.
     columns: dict[tuple, int] = {}
-    for k, live in enumerate(premises.live_members):
-        if k in target_cells or live & members:
-            deviations = tuple(cells[j][k] - previsions[j] for j in indices)
-            column = (deviations, *target_cells.get(k, (0, 0)))
-            columns[column] = columns.get(column, 0) | live & members
+    for _, cells, live in _pieces(premises, indices, worlds, [(regions, target_cells)]):
+        deviations = tuple(cell - prevision for cell, prevision in zip(cells, previsions))
+        column = (deviations, *cells[-1])
+        columns[column] = columns.get(column, 0) | live
     matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
     matrix.append([denominator for _, _, denominator in columns])
     rhs = [0] * len(indices) + [scale]

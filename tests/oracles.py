@@ -27,11 +27,21 @@ bound.
 `payoff_cells` is the payoff matrix as `Assessment` built it before it
 went row by row: at every world where a member's bet stands, the payoff
 polynomial looked up at that world with the valuation substituted, and
-the prevision where it is called off.  `point_table` is a subfamily's
-point table as `build_points` read it off those cells before the tables
-became projections of the assessment's own matrix: every cell coerced to
-`Poly`, the unknown-symbol guard run over all live worlds, then one entry
-per world, or one per endpoint corner where unknown symbols remain.
+the prevision where it is called off.  `scaled_cells` is the same table
+in the integer form `Assessment` kept before it went region by region,
+each constant cell times its member's D_i, and `live_members` its
+transpose of the live masks.  `subset_entries` is a subfamily's integer
+points as `coherence._subset_entries` read them before they came from
+pieces of cell regions: a projection of `scaled_cells` onto the
+subfamily, one entry per live world, in world order, with the
+unknown-symbol guard and the corner expansion run world by world.
+`extension_columns` is the system of `propagation._lp_interval` built
+the same way, one column per world, merged by value.  `point_table` is a
+subfamily's point table as `build_points` read it off those cells before
+the tables became projections of the assessment's own matrix: every cell
+coerced to `Poly`, the unknown-symbol guard run over all live worlds,
+then one entry per world, or one per endpoint corner where unknown
+symbols remain.
 
 `assessment_fields` rebuilds every field of an `Assessment`'s payoff
 matrix from scratch, world by world, with no kept row mask and no direct
@@ -61,11 +71,11 @@ endpoint; targets outside the LP path take the bisection search.
 
 `single_system_unreleased` is Gilio's level step as `coherence` ran it
 before a level split into independent factors: one hull system over all
-the members' live worlds outside `outside`, with points merged by value
-and live members, the first solution releasing every member whose
-points hold weight and LPs maximising the weight on the points of the
-members still at zero releasing the others.  `single_system_levels` runs
-the levels on it as `_levels` does.
+the members' live worlds outside `outside`, read off `subset_entries`,
+with points merged by value and live members, the first solution
+releasing every member whose points hold weight and LPs maximising the
+weight on the points of the members still at zero releasing the others.
+`single_system_levels` runs the levels on it as `_levels` does.
 
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
@@ -74,6 +84,7 @@ terms summed `Poly` by `Poly`.
 """
 
 import itertools
+import weakref
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -88,7 +99,6 @@ from coherekit.coherence import (
     _bits,
     _check_cap,
     _scalar_separator,
-    _subset_entries,
     build_points,
     check_coherence,
     solve_sigma,
@@ -216,6 +226,119 @@ def payoff_cells(assessment: Assessment) -> list[list[Poly]]:
     ]
 
 
+_SCALED: "weakref.WeakKeyDictionary[Assessment, tuple]" = weakref.WeakKeyDictionary()
+
+
+def scaled_cells(assessment: Assessment) -> tuple[tuple, ...]:
+    """cells[i][k]: D_i times member i's payoff at world k, an int, or the
+    `Poly` itself when unassessed symbols remain; read off `payoff_cells`
+    once per assessment."""
+    cells = _SCALED.get(assessment)
+    if cells is None:
+        cells = tuple(
+            tuple(
+                int(cell.constant_value() * scale) if cell.is_constant() else cell
+                for cell in row
+            )
+            for row, scale in zip(payoff_cells(assessment), assessment.scales)
+        )
+        _SCALED[assessment] = cells
+    return cells
+
+
+def live_members(assessment: Assessment) -> tuple[int, ...]:
+    """Per world, the mask of the members whose bets stand there."""
+    return tuple(
+        sum(1 << i for i, live in enumerate(assessment.live_masks) if live >> k & 1)
+        for k in range(len(assessment.registry.constituents()))
+    )
+
+
+def subset_entries(assessment: Assessment, subset: tuple[int, ...], worlds: int = -1) -> list:
+    """The integer points of `subset`, one per world of the mask `worlds`
+    (all by default) where one of its bets stands, as (world index, point,
+    corner): `scaled_cells` projected onto the subfamily, with unknown
+    symbols guarded and expanded to endpoint rows world by world."""
+    cells = scaled_cells(assessment)
+    live = 0
+    symbolic = 0
+    for i in subset:
+        live |= assessment.live_masks[i]
+        symbolic |= assessment.symbolic[i]
+    live &= worlds
+    columns = list(zip(*(cells[i] for i in subset)))
+    symbolic &= live
+    if not symbolic:
+        return [(k, columns[k], None) for k in _bits(live)]
+    scales = [assessment.scales[i] for i in subset]
+    owners: dict = {}
+    entries = []
+    for k in _bits(live):
+        vec = columns[k]
+        if not symbolic >> k & 1:
+            entries.append((k, vec, None))
+            continue
+        polys = [cell for cell in vec if isinstance(cell, Poly)]
+        frees = {sym for poly in polys for sym in poly.symbols()}
+        for sym in frees:
+            if sym in owners and owners[sym] != vec:
+                raise MissingSymbol(
+                    f"prevision symbol {sym} is not assessed and appears in "
+                    "several distinct payoff rows; it cannot be eliminated"
+                )
+            owners.setdefault(sym, vec)
+        if len(frees) > _CORNER_LIMIT:
+            raise MissingSymbol(
+                "too many unknown prevision symbols in one payoff row: "
+                + ", ".join(sorted(frees))
+            )
+        for poly in polys:
+            if not poly.is_affine_in(frees):
+                raise MissingSymbol(
+                    "payoff is nonlinear in unknown prevision symbol(s) "
+                    + ", ".join(sorted(frees))
+                )
+        names = sorted(frees)
+        for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(names)):
+            corner_map = dict(zip(names, corner))
+            point = tuple(
+                (cell.value(corner_map) * scale).numerator if isinstance(cell, Poly) else cell
+                for cell, scale in zip(vec, scales)
+            )
+            entries.append((k, point, tuple(sorted(corner_map.items()))))
+    return entries
+
+
+def extension_columns(
+    premises: Assessment, members: int, payoffs, target_live: int
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+    """The endpoint system of `propagation._lp_interval` for the premises
+    of the mask `members` and a target with the live payoffs `payoffs`
+    (regions and their (a, b)) on `target_live`, built world by world:
+    one column per world where the target or one of the premises stands,
+    merged by value, each keeping the premises live at its worlds.
+    Returns the matrix, rhs, costs and per-column live premises."""
+    cells = scaled_cells(premises)
+    previsions = premises.scaled_previsions
+    scale = lcm(*(v.denominator for _, pair in payoffs for v in pair))
+    target_cells = {
+        k: (int(a * scale), int((1 - b) * scale))
+        for region, (a, b) in payoffs
+        for k in _bits(region)
+    }
+    indices = tuple(_bits(members))
+    columns: dict = {}
+    for k, live in enumerate(live_members(premises)):
+        if k in target_cells or live & members:
+            deviations = tuple(cells[j][k] - previsions[j] for j in indices)
+            column = (deviations, *target_cells.get(k, (0, 0)))
+            columns[column] = columns.get(column, 0) | live & members
+    matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
+    matrix.append([denominator for _, _, denominator in columns])
+    rhs = [0] * len(indices) + [scale]
+    return matrix, rhs, [a for _, a, _ in columns], list(columns.values())
+
+
 def point_table(
     assessment: Assessment, subset: tuple[int, ...], cells: Sequence[Sequence[Poly]]
 ) -> PointTable:
@@ -303,9 +426,10 @@ def _stands(crq: CRQ, world, valuation) -> bool:
 
 
 def assessment_fields(assessment: Assessment) -> dict:
-    """`scales`, `scaled`, `scaled_previsions`, `live_masks`,
-    `live_members`, `symbolic`, `cell_regions` and `free_symbols`, rebuilt
-    world by world from the members' events, payoffs and previsions."""
+    """`scales`, `scaled_previsions`, `live_masks`, `symbolic`,
+    `cell_regions`, `region_cells` and `free_symbols`, rebuilt world by
+    world from the members' events, payoffs and previsions: each region's
+    cell is the one its worlds share."""
     valuation = assessment.valuation
     worlds = assessment.registry.constituents()
     free = frozenset(
@@ -316,7 +440,7 @@ def assessment_fields(assessment: Assessment) -> dict:
         if sym not in valuation
     )
     live_masks = []
-    scales, scaled, scaled_previsions, symbolic, cell_regions = [], [], [], [], []
+    scales, scaled_previsions, symbolic, cell_regions, region_cells = [], [], [], [], []
     for crq, prevision in assessment.items:
         stands = [_stands(crq, world, valuation) for world in worlds]
         rows = [
@@ -328,7 +452,8 @@ def assessment_fields(assessment: Assessment) -> dict:
             for row in range(len(crq.rows))
         ]
         called_off = sum(1 << w.index for w, live in zip(worlds, stands) if not live)
-        cell_regions.append((called_off, *(part for part in parts if part)))
+        regions = (called_off, *(part for part in parts if part))
+        cell_regions.append(regions)
         cells = []
         for world, live in zip(worlds, stands):
             if not live:
@@ -349,26 +474,37 @@ def assessment_fields(assessment: Assessment) -> dict:
         scale = lcm(*denominators)
         live_masks.append(sum(1 << w.index for w, live in zip(worlds, stands) if live))
         scales.append(scale)
-        scaled.append(
-            tuple(cell if isinstance(cell, Poly) else int(cell * scale) for cell in cells)
-        )
+        scaled = [cell if isinstance(cell, Poly) else int(cell * scale) for cell in cells]
         scaled_previsions.append(int(prevision * scale))
+        # A region's cell, or every distinct cell of its worlds when they
+        # differ; the called-off region holds the prevision even when it
+        # is empty.
+        shared = [
+            {_typed_cell(scaled[w.index]) for w in worlds if region >> w.index & 1}
+            for region in regions
+        ]
+        shared[0].add(_typed_cell(int(prevision * scale)))
+        region_cells.append(
+            tuple(next(iter(found))[1] if len(found) == 1 else tuple(found) for found in shared)
+        )
         symbolic.append(
             sum(1 << w.index for w, cell in zip(worlds, cells) if isinstance(cell, Poly))
         )
-    live_members = tuple(
-        sum(1 << i for i, live in enumerate(live_masks) if live >> w.index & 1) for w in worlds
-    )
     return {
         "scales": tuple(scales),
-        "scaled": tuple(scaled),
         "scaled_previsions": tuple(scaled_previsions),
         "live_masks": tuple(live_masks),
-        "live_members": live_members,
         "symbolic": tuple(symbolic),
         "cell_regions": tuple(cell_regions),
+        "region_cells": tuple(region_cells),
         "free_symbols": free,
     }
+
+
+def _typed_cell(cell):
+    """An int or `Poly` cell tagged by its type, so that an int never
+    merges with a constant `Poly`."""
+    return (type(cell), cell)
 
 
 def _fraction_pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -544,25 +680,11 @@ def separate_extension_interval(
         if zero is None or zero == members:
             break
         members = zero
-    scale = lcm(*(v.denominator for pair in set(payoffs.values()) for v in pair))
-    target_cells = {
-        k: (int(a * scale), int((1 - b) * scale)) for k, (a, b) in payoffs.items()
-    }
-    indices = tuple(_bits(members))
-    columns = list(
-        dict.fromkeys(
-            (tuple(premises.scaled[j][k] - premises.scaled_previsions[j] for j in indices),)
-            + target_cells.get(k, (0, 0))
-            for k, live in enumerate(premises.live_members)
-            if k in target_cells or live & members
-        )
-    )
-    matrix = [[deviations[i] for deviations, _, _ in columns] for i in range(len(indices))]
-    matrix.append([denominator for _, _, denominator in columns])
-    rhs = [0] * len(indices) + [scale]
+    matrix, rhs, costs, _ = extension_columns(premises, members, payoffs, target_live)
+    scale = rhs[-1]
     endpoints = []
     for sign in (1, -1):
-        certified = certified_minimum(matrix, rhs, [sign * a for _, a, _ in columns])
+        certified = certified_minimum(matrix, rhs, [sign * a for a in costs])
         if certified is None:
             raise InternalError("an LP with a known optimum ended infeasible")
         endpoints.append(sign * certified[0][0] / scale)
@@ -582,9 +704,10 @@ def single_system_unreleased(
         worlds |= assessment.live_masks[j]
     if not worlds & ~outside:
         return members
+    lives = live_members(assessment)
     merged = dict.fromkeys(
-        (point, assessment.live_members[k] & members)
-        for k, point, _ in _subset_entries(assessment, indices)
+        (point, lives[k] & members)
+        for k, point, _ in subset_entries(assessment, indices)
         if not outside >> k & 1
     )
     points, lives = [point for point, _ in merged], [live for _, live in merged]

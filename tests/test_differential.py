@@ -1,10 +1,12 @@
 """Differential tests of the coherence engine against the exhaustive
 hull sweep and stake search of `oracles.py`, on random families over
-three atoms, of the assessment's payoff matrix and point tables against
-their world-by-world construction, of the integer simplex against the
-`Fraction` tableau it replaced, on random linear programs, and of
-polynomial substitution against its product-by-product form, on random
-polynomials.
+three atoms, of the witness search inside a family's independent factors
+against the sweep of every subfamily, of the assessment's region cells,
+the points read off their pieces, point tables and extension systems
+against their world-by-world construction, of the integer simplex
+against the `Fraction` tableau it replaced, on random linear programs,
+and of polynomial substitution against its product-by-product form, on
+random polynomials.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -20,7 +22,7 @@ from operator import or_
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from coherekit import coherence, linprog
+from coherekit import coherence, linprog, propagation
 from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
@@ -30,6 +32,7 @@ from coherekit.coherence import (
     _levels,
     _planar_separator,
     _subset_entries,
+    _world_entries,
     build_points,
     check_coherence,
     find_dutch_book,
@@ -206,20 +209,30 @@ def test_levels_match_exhaustive_hull_sweep(assessment):
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(member_lists(), member_lists(free_inner=True)).map(Assessment))
 def test_payoff_matrix_matches_world_by_world_oracle(assessment):
-    """The row-wise integer matrix, divided by the member's denominator D_i,
-    equals the world-by-world one; D_i is the lcm of the denominators in
-    the member's prevision and payoffs, and its constant cells are ints.
-    Every point table (corner rows included) or `MissingSymbol` message is
-    the one read off the oracle's cells, and so are the integer points of
-    every subfamily divided by the D_i."""
+    """The region cells, spread over their regions and divided by the
+    member's denominator D_i, equal the world-by-world payoffs; D_i is
+    the lcm of the denominators in the member's prevision and payoffs,
+    and its constant cells are ints.  Every point table (corner rows
+    included) or `MissingSymbol` message is the one read off the oracle's
+    cells, and so are the integer points of every subfamily, spread over
+    their worlds and divided by the D_i."""
     cells = oracles.payoff_cells(assessment)
     scales = assessment.scales
+    spread = []
+    for regions, region_cells in zip(assessment.cell_regions, assessment.region_cells):
+        row = [None] * len(assessment.registry.constituents())
+        for region, cell in zip(regions, region_cells):
+            for k in _bits(region):
+                row[k] = cell
+        spread.append(row)
     assert [
         [cell if isinstance(cell, Poly) else Poly.const(Fraction(cell, scale)) for cell in row]
-        for row, scale in zip(assessment.scaled, scales)
+        for row, scale in zip(spread, scales)
     ] == cells
     assert all(
-        type(cell) is int or not cell.is_constant() for row in assessment.scaled for cell in row
+        type(cell) is int or not cell.is_constant()
+        for region_cells in assessment.region_cells
+        for cell in region_cells
     )
     for row, (_, prevision), scale, scaled_prevision in zip(
         cells, assessment.items, scales, assessment.scaled_previsions
@@ -235,7 +248,7 @@ def test_payoff_matrix_matches_world_by_world_oracle(assessment):
             continue
         assert got == expected
         if isinstance(expected, PointTable):
-            entries = _subset_entries(assessment, subset)
+            entries = _world_entries(_subset_entries(assessment, subset))
             assert all(type(v) is int for _, point, _ in entries for v in point)
             assert [
                 (k, tuple(Fraction(v, scales[i]) for v, i in zip(point, subset)), corner)
@@ -437,7 +450,7 @@ def _formulas_over(atoms):
 
 
 @st.composite
-def split_families(draw):
+def split_families(draw, controls=True):
     """Groups of members over disjoint atoms that share the conditioning
     event H: per group, L|H with L a conjunction of literals of all the
     group's atoms, then conditional events A|(H ∧ C) or the conjunction
@@ -456,10 +469,11 @@ def split_families(draw):
     level decides, and one member in eight draws takes an arbitrary
     eighth instead.  Returns the assessment, an `outside` mask as
     `_lp_interval` passes it (a target's support, or none), and whether
-    the whole family's level-0 system must split."""
-    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    the whole family's level-0 system must split.  Without `controls`,
+    none is drawn, and there are two or three groups."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1 if controls else 2, max_size=3))
     assume(sum(sizes) <= len(SPLIT_ATOMS))
-    control = draw(st.sampled_from((None,) + SPLIT_CONTROLS))
+    control = draw(st.sampled_from((None,) + SPLIT_CONTROLS)) if controls else None
     members, groups, start = [], [], 0
     for g, size in enumerate(sizes):
         atoms = SPLIT_ATOMS[start : start + size]
@@ -599,6 +613,20 @@ SWEEP_CONJUNCTION = conjunction(SWEEP_MEMBERS[0], SWEEP_MEMBERS[1], "z")
             (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(1, 2)),
             (conditional_event(SPLIT_ATOMS[1], SPLIT_H & SPLIT_ATOMS[2], "b"), Fraction(1, 3)),
         ]
+    )
+)
+# (4) merged: A3|(H ∧ A3) stands only where A3 holds, so its group joins
+# the first group that stands on all of H, and the groups on A0, on A1
+# and A2, and of (A3 ∧ ¬A3)|H, which pays 0 on all of H, still split.
+@example(
+    _split_case(
+        [
+            (conditional_event(SPLIT_ATOMS[0], SPLIT_H, "a"), Fraction(1, 2)),
+            (conditional_event(SPLIT_ATOMS[1] & SPLIT_ATOMS[2], SPLIT_H, "bc"), Fraction(1, 3)),
+            (conditional_event(SPLIT_ATOMS[3] & ~SPLIT_ATOMS[3], SPLIT_H, "never"), Fraction(0)),
+            (conditional_event(SPLIT_ATOMS[3], SPLIT_H & SPLIT_ATOMS[3], "sure"), Fraction(1)),
+        ],
+        splits=True,
     )
 )
 def test_split_level_step_matches_the_single_system(case):
@@ -1130,3 +1158,160 @@ def test_assessment_fields_match_their_world_by_world_rebuild(assessment):
     expected = oracles.assessment_fields(assessment)
     for name, value in expected.items():
         assert _typed(getattr(assessment, name)) == _typed(value), name
+
+
+def _sweep_case(ps, z):
+    """The family_sweep shape with A_i|H = ps[i] and (A0|H) ∧ (A1|H) = z."""
+    return Assessment(list(zip(SWEEP_MEMBERS, map(Fraction, ps))) + [(SWEEP_CONJUNCTION, z)])
+
+
+# The three witness shapes of family_sweep: z above p0, z above p1 < p0,
+# and z below the Fréchet bound p0 + p1 - 1.
+SWEEP_WITNESS_0N = _sweep_case(("1/3", "1/2", "1/5", "3/4", "2/7"), Fraction(1, 2))
+SWEEP_WITNESS_1N = _sweep_case(("1/2", "1/3", "1/5", "3/4", "2/7"), Fraction(2, 5))
+SWEEP_WITNESS_01N = _sweep_case(("3/4", "1/2", "1/5", "3/4", "2/7"), Fraction(1, 8))
+
+
+@st.composite
+def factorable_incoherent_families(draw):
+    """A family of `split_families` with no control, whose level-0 system
+    splits, in a drawn order, so that the factors interleave, with the
+    previsions of one to three members redrawn as arbitrary eighths, kept
+    when the family is incoherent."""
+    assessment, _, _ = draw(split_families(controls=False))
+    items = draw(st.permutations(assessment.items))
+    for i in draw(st.sets(st.integers(0, len(items) - 1), min_size=1, max_size=3)):
+        items[i] = (items[i][0], draw(eighths))
+    assessment = Assessment(items)
+    full = (1 << len(assessment)) - 1
+    assume(coherence._factors(assessment, full, reduce(or_, assessment.live_masks)))
+    assume(not check_coherence(assessment).coherent)
+    return assessment
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(factorable_incoherent_families())
+@example(SWEEP_WITNESS_0N)
+@example(SWEEP_WITNESS_1N)
+@example(SWEEP_WITNESS_01N)
+def test_witness_inside_factors_matches_the_full_sweep(assessment):
+    """Sought only among the subfamilies inside one factor of the whole
+    family's level-0 system, the witness and its separator are those of
+    the subset loop over every subfamily, and the witness is the
+    exhaustive sweep's."""
+    full = (1 << len(assessment)) - 1
+    assert coherence._factors(assessment, full, reduce(or_, assessment.live_masks))
+    result = check_coherence(assessment)
+    swept = coherence._first_failure(assessment, subsets_by_size(len(assessment)))
+    assert not result.coherent
+    assert (result.witness, result.separator) == (swept.witness, swept.separator)
+    assert result == exhaustive_coherence(assessment)
+
+
+@pytest.mark.parametrize(
+    "assessment, witness, projections, hull_lps",
+    [
+        (SWEEP_WITNESS_0N, (0, 5), 9, 1),
+        (SWEEP_WITNESS_1N, (1, 5), 10, 1),
+        (SWEEP_WITNESS_01N, (0, 1, 5), 11, 2),
+    ],
+    ids=["0n", "1n", "01n"],
+)
+def test_sweep_witnesses_take_few_projections(
+    monkeypatch, assessment, witness, projections, hull_lps
+):
+    """The family_sweep factors are {0, 1, 5}, {2}, {3} and {4}: level 0
+    fails at the first, and the sweep visits the six members, then the
+    pairs and the triple inside it, up to the witness; only the level
+    system and the triple take a hull LP."""
+    counts = {"_subset_entries": 0, "convex_combination": 0}
+
+    def counted(name):
+        real = getattr(coherence, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(coherence, name, counted(name))
+    assert check_coherence(assessment).witness == witness
+    assert counts == {"_subset_entries": projections, "convex_combination": hull_lps}
+
+
+# A world mask over the three atoms, or none.
+outside_masks = st.one_of(st.just(0), possible.map(lambda e: e.mask(REGISTRY)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(member_lists(), member_lists(free_inner=True)).map(Assessment), outside_masks)
+def test_pieces_match_the_world_by_world_points(assessment, outside):
+    """The points read off pieces of cell regions, spread over their
+    worlds, are the world-by-world projection's bit for bit, corners
+    included, with and without a mask of worlds; merged by value, and by
+    value and live members, they come in the same order; an unassessed
+    symbol that cannot be eliminated raises the same `MissingSymbol`; and
+    every level step, with and without an `outside` mask, gives the
+    single system's answer or error."""
+    lives = oracles.live_members(assessment)
+    for subset in subsets_by_size(len(assessment)):
+        members = reduce(or_, (1 << i for i in subset))
+        for worlds in {-1, ~outside}:
+            expected = _outcome_with_message(oracles.subset_entries, assessment, subset, worlds)
+            got = _outcome_with_message(_subset_entries, assessment, subset, worlds)
+            if not isinstance(expected, list):
+                assert got == expected
+                continue
+            assert _world_entries(got) == expected
+            assert list(dict.fromkeys(point for _, point, _ in got)) == list(
+                dict.fromkeys(point for _, point, _ in expected)
+            )
+            assert list(dict.fromkeys((point, live) for (_, _, live), point, _ in got)) == list(
+                dict.fromkeys((point, lives[k] & members) for k, point, _ in expected)
+            )
+        for mask in {0, outside}:
+            assert _outcome_with_message(coherence._unreleased, assessment, members, mask) == (
+                _outcome_with_message(oracles.single_system_unreleased, assessment, members, mask)
+            )
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(separable_extensions(any_premises=True))
+@example(mp_family(0, Fraction(1, 2)))
+def test_extension_columns_match_the_world_by_world_system(case):
+    """The endpoint system built from pieces of the premises' and the
+    target's regions has the matrix, rhs and costs of the one built world
+    by world, and releases the premises that the world-by-world columns
+    release."""
+    premises, target = case
+    linear = _linear_target(premises, target)
+    assume(linear is not None)
+    payoffs, target_live = linear
+    members = (1 << len(premises)) - 1
+    while members:
+        zero = oracles.single_system_unreleased(premises, members, target_live)
+        if zero is None or zero == members:
+            break
+        members = zero
+    matrix, rhs, costs, lives = oracles.extension_columns(premises, members, payoffs, target_live)
+    systems = []
+    real = propagation.certified_minimum
+
+    def recorded(*args, **kwargs):
+        systems.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "certified_minimum", recorded)
+        interval, released = propagation._lp_interval(premises, payoffs, target_live)
+    assert systems == [((matrix, rhs, costs), {"further": [[-a for a in costs]]})]
+    certified = real(matrix, rhs, costs, further=[[-a for a in costs]])
+    if certified is None:
+        assert (interval, released) == (None, 0)
+        return
+    (_, _, (least, _)), (_, _, (most, _)) = certified
+    assert released == reduce(
+        or_, (live for live, low, high in zip(lives, least, most) if low or high), 0
+    )
