@@ -6,13 +6,13 @@ three-atom registry, walks its eight worlds, and checks a few logical
 relations the way the engine does - by exhaustive evaluation.
 """
 
-from coherekit import AtomRegistry, enumerate_constituents, equivalent, evaluate, implies, is_impossible
+from coherekit import AtomRegistry, equivalent, evaluate, implies, is_impossible
 
 registry = AtomRegistry(["A", "C", "H"])
 a, c, h = registry.atom("A"), registry.atom("C"), registry.atom("H")
 
 print("atoms:", ", ".join(registry.names))
-worlds = enumerate_constituents(registry)
+worlds = registry.constituents()
 print(f"{len(worlds)} possible worlds (lexicographic bit order):")
 for world in worlds:
     print("  ", world.label())

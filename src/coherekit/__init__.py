@@ -5,7 +5,6 @@ from .errors import (
     CapExceeded,
     CoherekitError,
     DimensionMismatch,
-    EmptySupport,
     ExtensionSearchFailed,
     ImpossibleConditioningEvent,
     IncoherentPremises,
@@ -23,8 +22,6 @@ from .events import (
     AtomRegistry,
     Constituent,
     Event,
-    constituents_of,
-    enumerate_constituents,
     equivalent,
     evaluate,
     implies,
@@ -49,12 +46,8 @@ from .coherence import (
     Assessment,
     CoherenceResult,
     DutchBook,
-    PointTable,
-    SigmaSolution,
-    build_points,
     check_coherence,
     find_dutch_book,
-    solve_sigma,
     subsets_by_size,
 )
 from .propagation import (

@@ -21,8 +21,8 @@ world, so the hull systems see the points, deduplicated as int tuples,
 in the order of a projection onto the members at the union of their live
 worlds.  They enter the simplex as integer rows, with target D_i·p_i,
 which scales row i of the hull system and leaves its solutions as they
-are.  `build_points` and the stake LP spread the points over their
-worlds again, as `Fraction`s or integer deviations.
+are.  Only the stake LP spreads the points over their worlds again, as
+integer deviations (`_world_entries`).
 
 `check_coherence` decides this with Gilio's level algorithm (Biazzo &
 Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
@@ -100,15 +100,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .crq import CRQ, support
 from .linprog import best_uniform_gain, check_separator, convex_combination
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    EmptySupport,
-    InternalError,
-    MissingSymbol,
-    PreconditionFailed,
-)
-from .events import AtomRegistry, Constituent
+from .errors import CapExceeded, InternalError, MissingSymbol, PreconditionFailed
+from .events import AtomRegistry
 from .polynomials import Poly, Rational
 
 DEFAULT_FAMILY_CAP = 12
@@ -314,56 +307,6 @@ def _solve_affine(
     return sym, (target - constant) / slope
 
 
-# -- point tables -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointEntry:
-    """One payoff point: the world it comes from, the rational vector, and
-    the endpoint assignment used when unknown symbols were eliminated."""
-
-    constituent: Constituent
-    values: tuple[Fraction, ...]
-    corner: Optional[tuple[tuple[str, Fraction], ...]] = None
-
-
-@dataclass(frozen=True)
-class PointTable:
-    """Payoff points of a subfamily over its live worlds."""
-
-    subset: tuple[int, ...]
-    entries: tuple[PointEntry, ...]
-    previsions: tuple[Fraction, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.subset)
-
-    @property
-    def points(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(entry.values for entry in self.entries)
-
-
-@dataclass(frozen=True)
-class SigmaSolution:
-    """Nonnegative weights putting the assessed previsions inside the hull."""
-
-    lambdas: tuple[Fraction, ...]
-
-    def verify(self, table: PointTable) -> bool:
-        if len(self.lambdas) != len(table.entries):
-            return False
-        if any(w < 0 for w in self.lambdas) or sum(self.lambdas) != 1:
-            return False
-        for d in range(table.dimension):
-            total = sum(
-                w * entry.values[d] for w, entry in zip(self.lambdas, table.entries)
-            )
-            if total != table.previsions[d]:
-                return False
-        return True
-
-
 @dataclass(frozen=True)
 class DutchBook:
     """A sure-win combination of bets against an incoherent assessment."""
@@ -392,18 +335,6 @@ class CoherenceResult:
 
     def __bool__(self) -> bool:
         return self.coherent
-
-
-def _normalize_subset(assessment: Assessment, subset: Iterable[int]) -> tuple[int, ...]:
-    indices = tuple(subset)
-    if not indices:
-        raise PreconditionFailed("subset must be nonempty")
-    if len(set(indices)) != len(indices):
-        raise PreconditionFailed("subset has repeated indices")
-    for i in indices:
-        if not 0 <= i < len(assessment):
-            raise PreconditionFailed(f"index {i} outside the family")
-    return tuple(sorted(indices))
 
 
 # A piece: a nonempty set of worlds on which every member of a subfamily
@@ -490,7 +421,8 @@ def _subset_entries(
         polys = [cell for cell in vec if isinstance(cell, Poly)]
         # Guard the exact elimination of unknown symbols.
         frees = {sym for poly in polys for sym in poly.symbols()}
-        for sym in frees:
+        names = sorted(frees)
+        for sym in names:
             if sym in owners and owners[sym] != vec:
                 raise MissingSymbol(
                     f"prevision symbol {sym} is not assessed and appears in "
@@ -499,16 +431,13 @@ def _subset_entries(
             owners.setdefault(sym, vec)
         if len(frees) > _CORNER_LIMIT:
             raise MissingSymbol(
-                "too many unknown prevision symbols in one payoff row: "
-                + ", ".join(sorted(frees))
+                "too many unknown prevision symbols in one payoff row: " + ", ".join(names)
             )
         for poly in polys:
             if not poly.is_affine_in(frees):
                 raise MissingSymbol(
-                    "payoff is nonlinear in unknown prevision symbol(s) "
-                    + ", ".join(sorted(frees))
+                    "payoff is nonlinear in unknown prevision symbol(s) " + ", ".join(names)
                 )
-        names = sorted(frees)
         for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(names)):
             corner_map = dict(zip(names, corner))
             # D_j clears the denominators of the coefficients, and a corner
@@ -530,55 +459,6 @@ def _world_entries(
     spread = [(k, point, corner) for (mask, _, _), point, corner in entries for k in _bits(mask)]
     spread.sort(key=itemgetter(0))
     return spread
-
-
-def _fractions(point: Sequence[int], scales: Sequence[int]) -> tuple[Fraction, ...]:
-    """The payoffs of an integer point: each coordinate over its D_j."""
-    return tuple(Fraction(value, scale) for value, scale in zip(point, scales))
-
-
-def build_points(assessment: Assessment, subset: Iterable[int]) -> PointTable:
-    """The payoff points of a subfamily, one per live world (expanded to
-    endpoint rows when unknown symbols were eliminated): the integer
-    points of `_subset_entries`, spread over their worlds and read as
-    `Fraction`s."""
-    indices = _normalize_subset(assessment, subset)
-    entries = _world_entries(_subset_entries(assessment, indices))
-    if not entries:
-        raise EmptySupport("every bet of the subfamily is called off everywhere")
-    worlds = assessment.registry.constituents()
-    scales = [assessment.scales[i] for i in indices]
-    previsions = tuple(assessment.items[i][1] for i in indices)
-    return PointTable(
-        indices,
-        tuple(
-            PointEntry(worlds[k], _fractions(point, scales), corner)
-            for k, point, corner in entries
-        ),
-        previsions,
-    )
-
-
-def solve_sigma(
-    table: PointTable, previsions: Optional[Sequence[Rational]] = None
-) -> Optional[SigmaSolution]:
-    """Exact feasibility of the prevision vector as a convex combination of
-    the table's points; None when it lies outside the hull."""
-    target = (
-        table.previsions
-        if previsions is None
-        else tuple(Fraction(v) for v in previsions)
-    )
-    if len(target) != table.dimension:
-        raise DimensionMismatch("prevision vector does not match table dimension")
-    weights = convex_combination(table.points, target)
-    if weights is None:
-        return None
-    numerators, scale = weights
-    solution = SigmaSolution(tuple(Fraction(w, scale) for w in numerators))
-    if not solution.verify(PointTable(table.subset, table.entries, tuple(target))):
-        raise InternalError("hull weights fail their exact re-check")
-    return solution
 
 
 def subsets_by_size(n: int) -> Iterator[tuple[int, ...]]:
@@ -934,7 +814,7 @@ def find_dutch_book(assessment: Assessment, cap: Optional[int] = None) -> Option
     multipliers of one LP (`best_uniform_gain`), the witness's hull system
     with L1 slack, whose optimum is that gain.  Its rows are integer: the
     witness's integer points minus their targets, D_j·p_j - D_j·P_j, one
-    per live world as `build_points` lists them."""
+    per live world, in world order (`_world_entries`)."""
     witness = check_coherence(assessment, cap).witness
     if witness is None:
         return None

@@ -29,10 +29,6 @@ class DimensionMismatch(CoherekitError):
     """Vector/point dimensions do not agree."""
 
 
-class EmptySupport(CoherekitError):
-    """Every bet in the selected family is called off at every possible world."""
-
-
 class IncoherentPremises(CoherekitError):
     """An extension was requested from premises that are not coherent."""
 

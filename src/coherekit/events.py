@@ -104,10 +104,15 @@ class AtomRegistry:
         if cached is not None:
             return cached
         # World k has the atom true when bit n - 1 - index of k is set:
-        # runs of `half` worlds alternate false and true, and the full mask
-        # divided by 2^half + 1 sets the false runs.
+        # runs of `half` worlds alternate false and true.  The pattern of
+        # the first true run doubles in length until it spans every world.
+        worlds = self.full_mask().bit_length()
         half = 1 << (self.size - 1 - index)
-        mask = self.full_mask() // ((1 << half) + 1) << half
+        mask = ((1 << half) - 1) << half
+        width = 2 * half
+        while width < worlds:
+            mask |= mask << width
+            width *= 2
         self._atom_masks[index] = mask
         return mask
 
@@ -287,23 +292,9 @@ def _common_registry(*events: Event) -> Optional[AtomRegistry]:
     return registry
 
 
-def enumerate_constituents(registry: AtomRegistry) -> tuple[Constituent, ...]:
-    """All possible worlds of the registry, in lexicographic bit order."""
-    return registry.constituents()
-
-
 def evaluate(event: Event, constituent: Constituent) -> bool:
     """Classical truth-functional evaluation at one possible world."""
     return bool(event.mask(constituent.registry) >> constituent.index & 1)
-
-
-def constituents_of(event: Event, registry: Optional[AtomRegistry] = None) -> frozenset[Constituent]:
-    """The set of possible worlds at which the event is true."""
-    reg = registry or _common_registry(event)
-    if reg is None:
-        raise UnknownAtom("cannot enumerate a constant event without a registry")
-    mask = event.mask(reg)
-    return frozenset(c for c in reg.constituents() if mask >> c.index & 1)
 
 
 def implies(a: Event, b: Event, registry: Optional[AtomRegistry] = None) -> bool:

@@ -5,18 +5,19 @@ ran before the level algorithm: solve the hull system of every
 subfamily, smallest first, and report the first one outside its hull.
 A subfamily whose table cannot be built for an unassessed symbol decides
 nothing and is skipped; its error is raised only when none fails.
-It is built from `build_points` and `solve_sigma` alone, so it never
-touches the level code.
+It is built from the world-by-world `point_table` and `convex_combination`
+alone, so it never touches the level code or the pieces of cell regions.
 
 `exhaustive_dutch_book` is the betting-scheme search that `find_dutch_book`
 used before it solved one stake LP on the hull witness: for every
 subfamily, smallest first, maximize the worst-case gain over its live
-worlds subject to unit stake bounds, and report the first subfamily with
-a strictly positive optimum.  Its stake LP is the same `best_uniform_gain`
-that `find_dutch_book` solves, but it never calls `convex_combination` or
-the level code, so its verdict is independent of `check_coherence`; the
-epsilon of that LP is checked against `primal_uniform_gain` on random
-deviation vectors in `test_linprog.py`.
+worlds (its `point_table`) subject to unit stake bounds, and report the
+first subfamily with a strictly positive optimum.  Its stake LP is the
+same `best_uniform_gain` that `find_dutch_book` solves, but it never
+calls `convex_combination` or the level code, so its verdict is
+independent of `check_coherence`; the epsilon of that LP is checked
+against `primal_uniform_gain` on random deviation vectors in
+`test_linprog.py`.
 
 `primal_uniform_gain` is the stake LP as `best_uniform_gain` solved it
 before it read the stakes off the multipliers of the hull system: the
@@ -37,11 +38,11 @@ subfamily, one entry per live world, in world order, with the
 unknown-symbol guard and the corner expansion run world by world.
 `extension_columns` is the system of `propagation._lp_interval` built
 the same way, one column per world, merged by value.  `point_table` is a
-subfamily's point table as `build_points` read it off those cells before
-the tables became projections of the assessment's own matrix: every cell
-coerced to `Poly`, the unknown-symbol guard run over all live worlds,
-then one entry per world, or one per endpoint corner where unknown
-symbols remain.
+subfamily's payoff points as `Fraction`s, read off `payoff_cells` as the
+point tables were before they became projections of the assessment's
+own matrix: every cell coerced to `Poly`, the unknown-symbol guard run
+over all live worlds, then one entry per world, or one per endpoint
+corner where unknown symbols remain.
 
 `assessment_fields` rebuilds every field of an `Assessment`'s payoff
 matrix from scratch, world by world, with no kept row mask and no direct
@@ -94,14 +95,10 @@ from coherekit.coherence import (
     Assessment,
     CoherenceResult,
     DutchBook,
-    PointEntry,
-    PointTable,
     _bits,
     _check_cap,
     _scalar_separator,
-    build_points,
     check_coherence,
-    solve_sigma,
     subsets_by_size,
 )
 from coherekit.crq import (
@@ -117,7 +114,6 @@ from coherekit.crq import (
 )
 from coherekit.errors import (
     DimensionMismatch,
-    EmptySupport,
     IncoherentPremises,
     InternalError,
     MissingSymbol,
@@ -143,17 +139,18 @@ def exhaustive_coherence(
     subfamily fails."""
     if subsets is None:
         subsets = subsets_by_size(len(assessment))
-    for subset, table in _decided_tables(assessment, subsets):
-        if solve_sigma(table) is None:
+    for subset, points, previsions in _decided_tables(assessment, subsets):
+        if convex_combination(points, previsions) is None:
             return CoherenceResult(False, subset)
     return CoherenceResult(True)
 
 
 def exhaustive_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
-    for subset, table in _decided_tables(assessment, subsets_by_size(len(assessment))):
+    subsets = subsets_by_size(len(assessment))
+    for subset, points, previsions in _decided_tables(assessment, subsets):
         deviations = [
-            tuple(value - prevision for value, prevision in zip(point, table.previsions))
-            for point in table.points
+            tuple(value - prevision for value, prevision in zip(point, previsions))
+            for point in points
         ]
         epsilon, stakes = best_uniform_gain(deviations)
         if epsilon > 0:
@@ -163,18 +160,22 @@ def exhaustive_dutch_book(assessment: Assessment) -> Optional[DutchBook]:
 
 def _decided_tables(
     assessment: Assessment, subsets: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], PointTable]]:
-    """The point table of each of `subsets` that has live worlds and can
-    be built; once they are exhausted, the first `MissingSymbol` met is
-    raised.  A caller that stops at a failing subfamily never sees it."""
+) -> Iterator[tuple[tuple[int, ...], list, tuple[Fraction, ...]]]:
+    """Each of `subsets` whose `point_table` can be built and is not
+    empty, with its points and previsions; once they are exhausted, the
+    first `MissingSymbol` met is raised.  A caller that stops at a failing
+    subfamily never sees it."""
+    cells = payoff_cells(assessment)
     undecided = None
     for subset in subsets:
         try:
-            yield subset, build_points(assessment, subset)
-        except EmptySupport:
-            continue
+            table = point_table(assessment, subset, cells)
         except MissingSymbol as error:
             undecided = undecided or error
+            continue
+        if table:
+            previsions = tuple(assessment.items[i][1] for i in subset)
+            yield subset, [values for _, values, _ in table], previsions
     if undecided is not None:
         raise undecided
 
@@ -280,7 +281,7 @@ def subset_entries(assessment: Assessment, subset: tuple[int, ...], worlds: int 
             continue
         polys = [cell for cell in vec if isinstance(cell, Poly)]
         frees = {sym for poly in polys for sym in poly.symbols()}
-        for sym in frees:
+        for sym in sorted(frees):
             if sym in owners and owners[sym] != vec:
                 raise MissingSymbol(
                     f"prevision symbol {sym} is not assessed and appears in "
@@ -341,9 +342,11 @@ def extension_columns(
 
 def point_table(
     assessment: Assessment, subset: tuple[int, ...], cells: Sequence[Sequence[Poly]]
-) -> PointTable:
-    """The point table of `subset` over the worlds where one of its bets
-    stands, read off `cells`; it has no entries when there are none."""
+) -> list[tuple[int, tuple[Fraction, ...], Optional[tuple[tuple[str, Fraction], ...]]]]:
+    """The payoff points of `subset` over the worlds where one of its bets
+    stands, read off `cells`, as (world index, point, corner) in world
+    order, each world's corners in their order; empty when there are no
+    such worlds."""
     live = 0
     for i in subset:
         live |= assessment.live_masks[i]
@@ -355,7 +358,7 @@ def point_table(
     owners: dict[str, tuple[Poly, ...]] = {}
     for _, vec in raw:
         frees = {sym for poly in vec for sym in poly.symbols()}
-        for sym in frees:
+        for sym in sorted(frees):
             if sym in owners and owners[sym] != vec:
                 raise MissingSymbol(
                     f"prevision symbol {sym} is not assessed and appears in "
@@ -377,14 +380,13 @@ def point_table(
     for c, vec in raw:
         frees = sorted({sym for poly in vec for sym in poly.symbols()})
         if not frees:
-            entries.append(PointEntry(c, tuple(poly.constant_value() for poly in vec)))
+            entries.append((c.index, tuple(poly.constant_value() for poly in vec), None))
             continue
         for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(frees)):
             corner_map = dict(zip(frees, corner))
             values = tuple(poly.value(corner_map) for poly in vec)
-            entries.append(PointEntry(c, values, tuple(sorted(corner_map.items()))))
-    previsions = tuple(assessment.items[i][1] for i in subset)
-    return PointTable(subset, tuple(entries), previsions)
+            entries.append((c.index, values, tuple(sorted(corner_map.items()))))
+    return entries
 
 
 def _truth(event, world) -> bool:

@@ -1,12 +1,17 @@
-"""Coherence engine: point tables, hull systems, Dutch books.
+"""Coherence engine: payoff points, hull systems, Dutch books.
 
 Expected Q-point vectors and the explicit hull weights for the
 three-member nested family {A|H, C|(A|H), C|(¬A|H)} are frozen from the
-published derivation and asserted symbolically.
+published derivation and asserted symbolically, and on the engine's own
+integer points (`_subset_entries`) read as `Fraction`s.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,10 +20,9 @@ from coherekit.coherence import (
     Assessment,
     CoherenceResult,
     _subset_entries,
-    build_points,
+    _world_entries,
     check_coherence,
     find_dutch_book,
-    solve_sigma,
     subsets_by_size,
 )
 from coherekit.crq import (
@@ -32,18 +36,55 @@ from coherekit.crq import (
 from coherekit.errors import (
     CapExceeded,
     CoherekitError,
-    EmptySupport,
     InternalError,
     MissingSymbol,
     PreconditionFailed,
 )
 from coherekit.events import FALSE, TRUE, AtomRegistry
-from coherekit.linprog import check_separator
+from coherekit.linprog import check_separator, convex_combination
 from coherekit.polynomials import ONE, Poly
 from oracles import exhaustive_dutch_book
 
 F = Fraction
 x, y, z = Poly.sym("x"), Poly.sym("y"), Poly.sym("z")
+
+
+def world_points(assessment, subset):
+    """The payoff points of `subset` as (world index, point, corner), one
+    per live world (one per corner where unknown symbols remain), in world
+    order: the integer points of `_subset_entries`, spread over their
+    worlds, over the members' denominators `Assessment.scales`."""
+    scales = [assessment.scales[i] for i in subset]
+    return [
+        (k, tuple(F(v, scale) for v, scale in zip(point, scales)), corner)
+        for k, point, corner in _world_entries(_subset_entries(assessment, subset))
+    ]
+
+
+def points_of(assessment, subset):
+    return [point for _, point, _ in world_points(assessment, subset)]
+
+
+def previsions_of(assessment, subset):
+    return tuple(assessment.items[i][1] for i in subset)
+
+
+def hull_weights(assessment, subset):
+    """Weights, as `Fraction`s, that put the previsions of `subset` in the
+    hull of its points (`convex_combination`), or None when they lie
+    outside it."""
+    weights = convex_combination(points_of(assessment, subset), previsions_of(assessment, subset))
+    if weights is None:
+        return None
+    numerators, scale = weights
+    return [F(w, scale) for w in numerators]
+
+
+def fits(assessment, subset):
+    """Whether `subset` passes its hull test: its previsions lie in the
+    hull of its points, or it has none (every bet is called off
+    everywhere, so it imposes nothing)."""
+    return not _subset_entries(assessment, subset) or hull_weights(assessment, subset) is not None
 
 
 def nested_triple(reg=None):
@@ -114,13 +155,13 @@ def test_nested_triple_interior_points_are_convex_combinations():
 
 
 def test_build_points_numeric_full_family():
+    """The six Q-vectors at x = y = z = 1/2, on the engine's points."""
     reg, ce_a, q2, q3 = nested_triple()
     a = Assessment([(ce_a, F(1, 2)), (q2, F(1, 2)), (q3, F(1, 2))])
-    table = build_points(a, (0, 1, 2))
-    assert table.dimension == 3
+    table = world_points(a, (0, 1, 2))
     # all eight worlds are live (support union is the sure event)
-    assert len(table.entries) == 8
-    got = {entry.values for entry in table.entries}
+    assert [k for k, _, _ in table] == list(range(8))
+    got = {point for _, point, _ in table}
     assert got == {
         (F(1), F(1), F(1, 2)),
         (F(0), F(1, 2), F(1)),
@@ -136,10 +177,11 @@ def test_build_points_pair_at_vanishing_inner_prevision():
     family's table collapses onto the worlds of H."""
     reg, ce_a, q2, q3 = nested_triple()
     a = Assessment([(ce_a, 0), (q2, F(2, 5))])
-    table = build_points(a, (0, 1))
-    assert {e.constituent.truth("H") for e in table.entries} == {True}
-    assert len(table.entries) == 4
-    assert {e.values for e in table.entries} == {
+    table = world_points(a, (0, 1))
+    worlds = reg.constituents()
+    assert {worlds[k].truth("H") for k, _, _ in table} == {True}
+    assert len(table) == 4
+    assert {point for _, point, _ in table} == {
         (F(1), F(1)),
         (F(0), F(2, 5)),
         (F(1), F(0)),
@@ -149,8 +191,7 @@ def test_build_points_pair_at_vanishing_inner_prevision():
 def test_build_points_single_conditional():
     reg = AtomRegistry(["A", "H"])
     ce = conditional_event(reg.atom("A"), reg.atom("H"), "x")
-    table = build_points(Assessment([(ce, F(1, 3))]), (0,))
-    assert {e.values for e in table.entries} == {(F(1),), (F(0),)}
+    assert set(points_of(Assessment([(ce, F(1, 3))]), (0,))) == {(F(1),), (F(0),)}
 
 
 def test_solve_sigma_accepts_published_weights():
@@ -159,15 +200,18 @@ def test_solve_sigma_accepts_published_weights():
     reg, ce_a, q2, q3 = nested_triple()
     xv = yv = zv = F(1, 2)
     a = Assessment([(ce_a, xv), (q2, yv), (q3, zv)])
-    table = build_points(a, (0, 1, 2))
-    solution = solve_sigma(table)
-    assert solution is not None and solution.verify(table)
+    lambdas = hull_weights(a, (0, 1, 2))
+    assert lambdas is not None
+    assert all(w >= 0 for w in lambdas) and sum(lambdas) == 1
+    points = points_of(a, (0, 1, 2))
+    assert tuple(sum(w * p[d] for w, p in zip(lambdas, points)) for d in range(3)) == (xv, yv, zv)
     corners = {
         (F(1), F(1), zv): xv * yv,
         (F(0), yv, F(1)): zv * (1 - xv),
         (F(1), F(0), zv): (1 - yv) * xv,
         (F(0), yv, F(0)): (1 - xv) * (1 - zv),
     }
+    assert set(corners) <= set(points)
     assert set(corners.values()) == {F(1, 4)}
     target = (xv, yv, zv)
     combo = [F(0)] * 3
@@ -181,8 +225,7 @@ def test_solve_sigma_pair_segment():
     reg, ce_a, q2, q3 = nested_triple()
     yv, zv = F(1, 3), F(2, 7)
     a = Assessment([(ce_a, F(1, 2)), (q2, yv), (q3, zv)])
-    table = build_points(a, (1, 2))
-    assert solve_sigma(table) is not None
+    assert hull_weights(a, (1, 2)) is not None
     assert yv * F(1) + (1 - yv) * F(0) == yv
     assert yv * zv + (1 - yv) * zv == zv
 
@@ -190,8 +233,7 @@ def test_solve_sigma_pair_segment():
 def test_solve_sigma_rejects_outside_target():
     reg = AtomRegistry(["A", "H"])
     ce = conditional_event(reg.atom("A"), reg.atom("H"), "x")
-    table = build_points(Assessment([(ce, F(3, 2))]), (0,))
-    assert solve_sigma(table) is None
+    assert hull_weights(Assessment([(ce, F(3, 2))]), (0,)) is None
 
 
 # -- coherence verdicts ------------------------------------------------------
@@ -292,8 +334,7 @@ def test_witness_full_family_when_only_joint_system_fails():
     assert not result.coherent
     assert result.witness == (0, 1, 2)
     for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
-        table = build_points(a, subset)
-        assert solve_sigma(table) is not None, subset
+        assert hull_weights(a, subset) is not None, subset
 
 
 def test_duplicate_quantity_with_conflicting_prevision_is_incoherent():
@@ -340,8 +381,7 @@ def test_vacuous_family_member_and_empty_support():
     inner = conditional_event(impossible, h, "x")
     nested = iterated_simple(inner, c, "y")
     a = Assessment([(inner, 0), (nested, F(1, 3))])
-    with pytest.raises(EmptySupport):
-        build_points(a, (1,))
+    assert _subset_entries(a, (1,)) == []
     assert check_coherence(a).coherent
 
 
@@ -354,6 +394,47 @@ def test_unknown_symbol_in_two_distinct_rows_rejected():
     a = Assessment([(q1, F(1, 4)), (q2, F(1, 4))])
     with pytest.raises(MissingSymbol):
         check_coherence(a)
+
+
+TWO_FREE_CONJUNCTIONS = """
+from fractions import Fraction as F
+from coherekit.coherence import Assessment, _subset_entries
+from coherekit.crq import conditional_event, iterated
+from coherekit.errors import MissingSymbol
+from coherekit.events import AtomRegistry
+
+reg = AtomRegistry(["A", "B", "C", "D", "E"])
+A, B, C, D, E = reg.atoms("A", "B", "C", "D", "E")
+x0 = conditional_event(C, D, "x0")
+x1 = conditional_event(E & B, D | ~A, "x1")
+a = Assessment([
+    (x0, F(1, 2)),
+    (x1, F(1, 3)),
+    (iterated(x0, conditional_event(C, E | ~C, "y0"), "it0", "cj0"), F(1, 8)),
+    (iterated(x1, conditional_event(~B, E, "y1"), "it1", "cj1"), F(3, 8)),
+])
+try:
+    _subset_entries(a, (2, 3))
+except MissingSymbol as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "3"])
+def test_missing_symbol_names_the_least_symbol_under_any_hash_seed(seed):
+    """The two iterated conditionals leave cj0 and cj1 unassessed, and a
+    payoff row of the pair holds both, each in several distinct rows.  The
+    guard names the least of them, cj0, whatever order the string hash
+    gives a set of symbols (under these seeds a set yields cj1 first)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", TWO_FREE_CONJUNCTIONS],
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.startswith("prevision symbol cj0 is not assessed")
 
 
 # -- Dutch books -------------------------------------------------------------
@@ -514,7 +595,7 @@ def test_one_member_witness_takes_no_hull_lp(monkeypatch, prevision, separator):
     result = check_coherence(assessment)
     assert result.witness == (0,)
     assert result.separator == separator
-    check_separator(build_points(assessment, (0,)).points, assessment.previsions, separator)
+    check_separator(points_of(assessment, (0,)), assessment.previsions, separator)
 
 
 def test_two_member_witness_takes_no_hull_lp(monkeypatch):
@@ -540,7 +621,7 @@ def test_two_member_witness_takes_no_hull_lp(monkeypatch):
     assert result.witness == (0, 1)
     assert separating == 0
     assert result.separator == ((1, 1), -1)
-    check_separator(build_points(assessment, (0, 1)).points, assessment.previsions, result.separator)
+    check_separator(points_of(assessment, (0, 1)), assessment.previsions, result.separator)
 
 
 def test_assessment_enumerates_no_worlds(monkeypatch):

@@ -14,7 +14,7 @@ from coherekit.errors import (
     MissingSymbol,
     PreconditionFailed,
 )
-from coherekit.events import FALSE, TRUE, AtomRegistry, constituents_of, equivalent
+from coherekit.events import FALSE, TRUE, AtomRegistry, equivalent
 from coherekit.polynomials import ONE, ZERO, Poly
 from coherekit.crq import (
     add,
@@ -33,16 +33,22 @@ from coherekit.crq import (
 x, y, mu, z = Poly.sym("x"), Poly.sym("y"), Poly.sym("mu"), Poly.sym("z")
 
 
+def worlds_of(event, registry):
+    """The set of possible worlds at which the event is true."""
+    mask = event.mask(registry)
+    return frozenset(c for c in registry.constituents() if mask >> c.index & 1)
+
+
 def rows_as_dict(q):
     """Map each payoff region (by constituent set) to its polynomial."""
-    return {constituents_of(event, q.registry): poly for event, poly in q.rows}
+    return {worlds_of(event, q.registry): poly for event, poly in q.rows}
 
 
 def assert_table(q, expected):
     """`expected`: list of (event, poly); compared semantically region-wise."""
     got = rows_as_dict(q)
     want = {
-        constituents_of(event, q.registry): Poly.coerce(poly)
+        worlds_of(event, q.registry): Poly.coerce(poly)
         for event, poly in expected
     }
     assert got == want

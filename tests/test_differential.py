@@ -27,16 +27,13 @@ from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
     CoherenceResult,
-    PointTable,
     _bits,
     _levels,
     _planar_separator,
     _subset_entries,
     _world_entries,
-    build_points,
     check_coherence,
     find_dutch_book,
-    solve_sigma,
     subsets_by_size,
 )
 from coherekit.crq import (
@@ -52,7 +49,6 @@ from coherekit.crq import (
 from coherekit.errors import (
     CapExceeded,
     CoherekitError,
-    EmptySupport,
     IncoherentPremises,
     InternalError,
     MissingSymbol,
@@ -69,6 +65,7 @@ from coherekit.propagation import (
 import oracles
 from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_form, fraction_simplex
 from test_cli import MP_DOC, _corrupted_multipliers
+from test_coherence import fits, points_of, previsions_of, world_points
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
 ATOMS = REGISTRY.atoms("A", "B", "C")
@@ -193,11 +190,7 @@ def test_engine_matches_exhaustive_stake_search(assessment):
         _assert_sure_win(assessment, expected)
         return
     for subset in subsets_by_size(len(assessment)):
-        try:
-            table = build_points(assessment, subset)
-        except EmptySupport:
-            continue
-        assert solve_sigma(table) is not None, subset
+        assert fits(assessment, subset), subset
 
 
 @settings(deadline=None, max_examples=150)
@@ -212,10 +205,11 @@ def test_payoff_matrix_matches_world_by_world_oracle(assessment):
     """The region cells, spread over their regions and divided by the
     member's denominator D_i, equal the world-by-world payoffs; D_i is
     the lcm of the denominators in the member's prevision and payoffs,
-    and its constant cells are ints.  Every point table (corner rows
-    included) or `MissingSymbol` message is the one read off the oracle's
-    cells, and so are the integer points of every subfamily, spread over
-    their worlds and divided by the D_i."""
+    and its constant cells are ints.  The integer points of every
+    subfamily, spread over their worlds and divided by the D_i, are the
+    oracle's points read off its cells, world by world and corner rows
+    included, and so is every `MissingSymbol` message; a subfamily has no
+    points where the oracle's table is empty."""
     cells = oracles.payoff_cells(assessment)
     scales = assessment.scales
     spread = []
@@ -242,18 +236,10 @@ def test_payoff_matrix_matches_world_by_world_oracle(assessment):
         assert scaled_prevision == prevision * scale
     for subset in subsets_by_size(len(assessment)):
         expected = _outcome_with_message(oracles.point_table, assessment, subset, cells)
-        got = _outcome_with_message(build_points, assessment, subset)
-        if isinstance(expected, PointTable) and not expected.entries:
-            assert got[0] is EmptySupport
-            continue
-        assert got == expected
-        if isinstance(expected, PointTable):
-            entries = _world_entries(_subset_entries(assessment, subset))
+        assert _outcome_with_message(world_points, assessment, subset) == expected
+        if isinstance(expected, list):
+            entries = _subset_entries(assessment, subset)
             assert all(type(v) is int for _, point, _ in entries for v in point)
-            assert [
-                (k, tuple(Fraction(v, scales[i]) for v, i in zip(point, subset)), corner)
-                for k, point, corner in entries
-            ] == [(e.constituent.index, e.values, e.corner) for e in expected.entries]
 
 
 @st.composite
@@ -371,7 +357,7 @@ def test_undecidable_premise_subfamily_leaves_the_failing_pair_to_decide():
     premises, not_a = _undecidable_pair_premises()
     combined = Assessment(tuple(premises.items) + ((not_a, Fraction(5, 8)),))
     with pytest.raises(MissingSymbol):
-        build_points(combined, (0, 2))
+        _subset_entries(combined, (0, 2))
     assert not _coherent_with_target(premises, not_a, Fraction(5, 8))
     interval = extension_interval(premises, not_a)
     assert (interval.as_tuple(), interval.exactness) == ((0, 0), "certified-by-LP")
@@ -390,15 +376,15 @@ def test_witness_skips_the_undecidable_subfamilies():
     for subset in subsets_by_size(4):
         if subset in undecidable:
             with pytest.raises(MissingSymbol):
-                build_points(combined, subset)
+                _subset_entries(combined, subset)
         else:
-            fits = solve_sigma(build_points(combined, subset)) is not None
-            assert fits == (subset != (1, 3)), subset
+            assert fits(combined, subset) == (subset != (1, 3)), subset
     result = check_coherence(combined)
     assert result == exhaustive_coherence(combined) == CoherenceResult(False, (1, 3))
     assert result.separator == ((1, 1), -1)
-    table = build_points(combined, (1, 3))
-    linprog.check_separator(table.points, table.previsions, result.separator)
+    linprog.check_separator(
+        points_of(combined, (1, 3)), previsions_of(combined, (1, 3)), result.separator
+    )
     book = find_dutch_book(combined)
     assert book.subset == (1, 3) and book == exhaustive_dutch_book(combined)
     _assert_sure_win(combined, book)
@@ -679,10 +665,11 @@ def test_incoherent_verdicts_carry_a_checked_separator(assessment):
         assert result.separator is None
         return
     slopes, offset = result.separator
-    table = build_points(assessment, result.witness)
+    points = points_of(assessment, result.witness)
+    previsions = previsions_of(assessment, result.witness)
     assert len(slopes) == len(result.witness)
-    assert all(sum(s * v for s, v in zip(slopes, point)) + offset <= 0 for point in table.points)
-    assert sum(s * v for s, v in zip(slopes, table.previsions)) + offset > 0
+    assert all(sum(s * v for s, v in zip(slopes, point)) + offset <= 0 for point in points)
+    assert sum(s * v for s, v in zip(slopes, previsions)) + offset > 0
     assert all(v.denominator == 1 for v in (*slopes, offset))
     assert gcd(*(v.numerator for v in (*slopes, offset))) == 1
 
@@ -889,16 +876,11 @@ def test_level_and_witness_lps_build_no_fraction(monkeypatch):
     assert lps
 
 
-def test_dutch_book_reads_no_payoff_as_a_fraction(monkeypatch):
+def test_dutch_book_reads_no_payoff_as_a_fraction():
     """The stake LP's rows are the witness's integer points minus their
-    integer targets, so `find_dutch_book` never reads the payoffs back as
-    `Fraction`s, and its book is still the exhaustive stake search's."""
+    integer targets, one per live world; its book is the exhaustive stake
+    search's, whose rows are the world-by-world payoffs as `Fraction`s."""
     expected = exhaustive_dutch_book(Assessment(BELOW_FRECHET))
-
-    def no_fractions(*args):
-        raise AssertionError("the payoffs were read as Fractions")
-
-    monkeypatch.setattr(coherence, "_fractions", no_fractions)
     assert find_dutch_book(Assessment(BELOW_FRECHET)) == expected
     assert expected.subset == (0, 1, 2)
 

@@ -11,7 +11,6 @@ from coherekit.events import (
     FALSE,
     TRUE,
     AtomRegistry,
-    enumerate_constituents,
     equivalent,
     evaluate,
     implies,
@@ -21,19 +20,19 @@ from coherekit.events import (
 
 def test_single_atom_constituents_in_order():
     reg = AtomRegistry(["A"])
-    worlds = enumerate_constituents(reg)
+    worlds = reg.constituents()
     assert len(worlds) == 2
     assert [c.bits for c in worlds] == [(False,), (True,)]
 
 
 def test_three_atoms_give_eight_worlds():
     reg = AtomRegistry(["A", "C", "H"])
-    assert len(enumerate_constituents(reg)) == 8
+    assert len(reg.constituents()) == 8
 
 
 def test_four_atoms_give_sixteen_worlds():
     reg = AtomRegistry(["A", "B", "H", "K"])
-    worlds = enumerate_constituents(reg)
+    worlds = reg.constituents()
     assert len(worlds) == 16
     assert len(set(c.bits for c in worlds)) == 16
 
@@ -51,6 +50,8 @@ def test_cap_exceeded_by_masks():
         is_impossible(a & ~a)
     with pytest.raises(CapExceeded):
         a.mask(reg)
+    with pytest.raises(CapExceeded):
+        reg.atom_mask(0)
     with pytest.raises(CapExceeded):
         reg.full_mask()
 
@@ -156,6 +157,20 @@ def test_atom_mask_on_fresh_registry():
     assert reg.atom_mask(0) == 0b1100
     assert reg.atom_mask(0) == 0b1100
     assert reg.atom_mask(1) == 0b1010
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_atom_mask_matches_world_by_world_bits(size):
+    """Each atom's mask sets bit k exactly where the atom is true at world
+    k (`bits[index]` of the k-th constituent); the first mask freezes the
+    registry."""
+    reg = AtomRegistry([f"X{i}" for i in range(size)])
+    masks = [reg.atom_mask(index) for index in range(size)]
+    with pytest.raises(PreconditionFailed):
+        reg.atom("Y")
+    worlds = reg.constituents()
+    for index, mask in enumerate(masks):
+        assert mask == sum(1 << c.index for c in worlds if c.bits[index])
 
 
 def test_registry_frozen_after_first_mask():

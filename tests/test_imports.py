@@ -2,7 +2,8 @@
 
 The package's `__init__.py` is exempt: it imports names to re-export them.
 It loads the document parser only when one of the parser's names is
-asked for.
+asked for.  Its public API, `coherekit.__all__`, is pinned here: adding or
+removing a name means editing `PUBLIC_API`.
 """
 
 import ast
@@ -78,3 +79,94 @@ def test_parser_names_load_the_parser_on_use():
         " 'serialize' in dir(coherekit), coherekit.__all__.count('dsl'))"
     )
     assert _run(code).split() == ["True", "True", "True", "1"]
+
+
+PUBLIC_API = [
+    "Assessment",
+    "AssessmentDocument",
+    "AtomRegistry",
+    "CapExceeded",
+    "CoherekitError",
+    "CoherenceResult",
+    "ConditionalRandomQuantity",
+    "Constituent",
+    "DimensionMismatch",
+    "DutchBook",
+    "Event",
+    "ExtensionInterval",
+    "ExtensionSearchFailed",
+    "FALSE",
+    "ImpossibleConditioningEvent",
+    "IncoherentPremises",
+    "InternalError",
+    "MissingSymbol",
+    "OutOfRange",
+    "ParseError",
+    "Poly",
+    "PreconditionFailed",
+    "TRUE",
+    "UndeclaredAtom",
+    "UnknownAtom",
+    "add",
+    "build",
+    "check_coherence",
+    "coherence",
+    "conditional_event",
+    "conditional_quantity",
+    "conjunction",
+    "crq",
+    "dsl",
+    "equivalent",
+    "errors",
+    "evaluate",
+    "events",
+    "extension_interval",
+    "find_dutch_book",
+    "given_event",
+    "implies",
+    "is_impossible",
+    "iterated",
+    "iterated_simple",
+    "linprog",
+    "mp_bounds",
+    "mp_family",
+    "negate",
+    "parse",
+    "parse_expression",
+    "payoff_at",
+    "polynomials",
+    "product_prevision",
+    "propagation",
+    "reduce_nested",
+    "serialize",
+    "subsets_by_size",
+    "support",
+    "verify_decomposition",
+]
+
+# Names the package once exported, and what replaces each (README, "Public
+# API changes").
+RETIRED = [
+    "EmptySupport",
+    "PointEntry",
+    "PointTable",
+    "SigmaSolution",
+    "build_points",
+    "constituents_of",
+    "enumerate_constituents",
+    "solve_sigma",
+]
+
+
+def test_public_api_is_pinned():
+    import coherekit
+
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert coherekit.__all__ == PUBLIC_API
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_name_is_gone(name):
+    import coherekit
+
+    assert not hasattr(coherekit, name)
