@@ -1,6 +1,8 @@
 """coherekit: exact coherence checking and prevision propagation for
 conditional, conjoined, and iterated conditional bets."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     CapExceeded,
     CoherekitError,
@@ -63,7 +65,11 @@ from .propagation import (
 # builds families in Python does not pay for importing it.
 _PARSER_NAMES = ("AssessmentDocument", "build", "parse", "parse_expression", "serialize")
 
-__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["dsl", *_PARSER_NAMES])
+# The submodules that the imports above bind are not part of it.
+__all__ = sorted(
+    [name for name in dir() if not (name[0] == "_" or isinstance(globals()[name], _ModuleType))]
+    + list(_PARSER_NAMES)
+)
 __version__ = "0.1.0"
 
 

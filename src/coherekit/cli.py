@@ -7,7 +7,8 @@ Subcommands:
 * ``cohere extend FILE [--target EXPR] [--tol 2^-K] [--json]`` - interval
   of coherent previsions for a new target quantity, by default the file's
   ``query extend`` target; ``--tol`` is read only by the bisection search
-  that targets outside the exact LP path take.
+  that targets outside the exact LP path take, but a K outside 0..256
+  exits 2 whatever the target.
 * ``cohere mp --x P/Q --y P/Q [--classical] [--json]`` - closed-form
   conclusion bounds from premises x and y, cross-checked against the
   generic engine; the command fails loudly if the two disagree.
@@ -95,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     extend.add_argument(
         "--tol",
         default="2^-20",
-        help="bisection tolerance, e.g. 2^-20; read only for targets that the "
-        "exact LP path does not cover (such as a target named inside a premise's payoffs)",
+        help="bisection tolerance 2^-K, K in 0..256, e.g. 2^-20; read only for targets that "
+        "the exact LP path does not cover (such as a target named inside a premise's payoffs)",
     )
     extend.add_argument("--json", action="store_true")
     extend.set_defaults(handler=_cmd_extend)

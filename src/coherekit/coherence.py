@@ -26,37 +26,40 @@ integer deviations (`_world_entries`).
 
 `check_coherence` decides this with Gilio's level algorithm (Biazzo &
 Gilio, IJAR 24, 2000; Gilio & Sanfilippo, Studia Logica 102, 2014).
-Level 0 solves the hull system of the whole family; LPs on the same
-points that maximise the weight on the supports of the members still at
-weight zero release every member whose support can get weight, and level
+Level 0 takes one solution of the hull system of the whole family and
+releases every member that stands at a world the solution weights; level
 k + 1 solves the system of the members left at zero.  That step is one
 function, `_unreleased`, on a member mask; the extension LP of
 `propagation` runs it too, on the worlds off its target's support.  A
-step splits its hull system into independent factors when the input
-allows it: no member's payoff holds an unassessed symbol, the step's
-worlds W are all combinations of the atoms that vary on them, the
-members fall into groups that depend on disjoint sets of those atoms,
-and two or more groups each stand, by some member, at every world of W (a
-group that does not is merged into the first that does).  Over W the
-payoff points, with the members live at each, are then the Cartesian
-product of the groups' own, and conv(P × Q) = conv(P) × conv(Q), so
-each group is solved on its own: no solution when one group has none,
-else the union of the groups' zero masks.
+step solves its hull system factor by factor (`_factors`), the unsplit
+system being one factor.  It splits when the input allows it: no
+member's payoff holds an unassessed symbol, the step's worlds W are all
+combinations of the atoms that vary on them, the members fall into
+groups that depend on disjoint sets of those atoms, and two or more
+groups each stand, by some member, at every world of W (a group that
+does not is merged into the first that does).  Over W the payoff points,
+with the members live at each, are then the Cartesian product of the
+groups' own, and conv(P × Q) = conv(P) × conv(Q), so each group is
+solved on its own: no solution when one group has none, else the union
+of the groups' zero masks.
 The decision, levels first and the subset loop for a witness, is `_decide`,
 which `check_coherence` runs after its cap check and the extension
 oracle runs on premises plus target.  The family is
 coherent when every level is solvable and no member, or no live world,
-is left.  This is the all-subfamilies test: a level-k solution giving
-weight to a member of a subfamily S of the level, restricted to S's
-worlds and renormalised, is a hull witness for S, because at the other
-worlds every coordinate of S is called off and deviates from its
-prevision by 0; the other subfamilies are those of the next level.  So
-at most n levels give the verdict, and the subset loop `_first_failure`
-runs only to name an incoherent family's smallest failing subfamily as
-its witness.  When the whole family's level-0 system splits, it visits
-only the subfamilies inside one factor, a subsequence of the sweep by
-size: a subfamily that straddles factors fails only if one of its parts
-does (`_witness_candidates`), so the least failing subfamilies lie inside
+is left.  This is the all-subfamilies test, whichever solution each
+level takes: a level-k solution giving weight to a member of a
+subfamily S of the level, restricted to S's worlds and renormalised, is
+a hull witness for S, because at the other worlds every coordinate of S
+is called off and deviates from its prevision by 0; every other
+subfamily of the level lies in that solution's zero set, the next level;
+and a coherent family solves each level, one of its subfamilies.  Each
+solution weights some live world, so it releases a member: at most n
+levels give the verdict.  The subset loop `_first_failure` runs only to
+name an incoherent family's smallest failing subfamily as its witness.
+When the whole family's level-0 system splits, it visits only the
+subfamilies inside one factor, a subsequence of the sweep by size: a
+subfamily that straddles factors fails only if one of its parts does
+(`_witness_candidates`), so the least failing subfamilies lie inside
 factors.  The witness is certified by an integer separator of its
 integer points, re-checked on them and mapped back to the payoffs once,
 as (s_i·D_i, t) divided by the gcd of its entries.  Only a subfamily of
@@ -594,91 +597,58 @@ def _first_failure(
 
 
 def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optional[int]:
-    """One level step: the mask of the members whose live points get zero
-    weight in every solution of the hull system of `members` over their
-    live worlds outside the mask `outside`, or None when it has none;
-    `members` itself when no such world is left.
+    """One level step: the mask of the members that stand at no weighted
+    point of one solution of the hull system of `members` over their live
+    worlds outside the mask `outside`, or None when it has none; `members`
+    itself when no such world is left.  Any solution will do: Gilio's
+    algorithm needs only that each level's solution weights some member of
+    every subfamily it does not leave to the next level (module docstring).
 
-    When the system splits into independent factors (`_factors`), each
-    factor's system is solved on its own: the step has no solution when
-    some factor has none, and otherwise its zero mask is the union of
-    theirs.  On the level's worlds W the payoff points of the members,
-    with the set of members live at each, are the Cartesian product of
-    the factors' (each combination repeated for every value of the atoms
-    no member depends on), so their hull is the product of the factors'
-    hulls, conv(P × Q) = conv(P) × conv(Q): the marginals of a solution
-    solve the factors, a product of the factors' solutions solves the
-    whole, and member j's weight Phi_j depends only on the marginal of its
-    factor."""
-    indices = tuple(_bits(members))
-    worlds = reduce(or_, (assessment.live_masks[j] for j in indices), 0) & ~outside
+    The system is solved factor by factor (`_factors`), the unsplit system
+    being one factor: the step has no solution when some factor has none,
+    and otherwise its zero mask is the union of theirs.  On the level's
+    worlds W the payoff points of the members, with the set of members live
+    at each, are the Cartesian product of the factors' (each combination
+    repeated for every value of the atoms no member depends on), so their
+    hull is the product of the factors' hulls, conv(P × Q) = conv(P) ×
+    conv(Q): the marginals of a solution solve the factors, a product of
+    the factors' solutions solves the whole, and member j's weight Phi_j
+    depends only on the marginal of its factor.  Points merge by value and
+    live members, since Phi_j sums the weights of the worlds where member
+    j stands.  One member is decided by the interval of its points (0 or
+    None), more by one hull LP, whose weights are re-checked nonnegative,
+    so a member that stands at a point of nonzero weight has Phi > 0
+    exactly."""
+    worlds = reduce(or_, (assessment.live_masks[j] for j in _bits(members)), 0) & ~outside
     if not worlds:
         return members
-    factors = _factors(assessment, members, worlds) if len(indices) > 1 else None
-    if factors is None:
-        # The unknown-symbol guard reads every live world, `outside` too.
-        entries = _subset_entries(assessment, indices)
-        if outside:
-            entries = [
-                ((mask & worlds, vec, live), point, corner)
-                for (mask, vec, live), point, corner in entries
-                if mask & worlds
-            ]
-            entries.sort(key=lambda entry: _lowest(entry[0]))
-        return _hull_zero(assessment, indices, entries)
     zero = 0
-    for factor in factors:
-        factor_zero = _hull_zero(assessment, factor, _subset_entries(assessment, factor, worlds))
-        if factor_zero is None:
-            return None
-        zero |= factor_zero
-    return zero
-
-
-def _hull_zero(
-    assessment: Assessment, indices: tuple[int, ...], entries: Iterable[IntegerEntry]
-) -> Optional[int]:
-    """The mask of the members `indices` whose points get zero weight in
-    every solution of the hull system of `entries`, or None when it has
-    none.  Points merge by value and live members, since Phi_j sums the
-    weights of the worlds where member j stands.  One member is decided
-    by the interval of its points (0 or None).  Otherwise the first
-    solution releases every member whose points hold weight, and LPs
-    maximising the weight on the points of the members still at zero
-    release the others that can get weight."""
-    members = reduce(or_, (1 << j for j in indices))
-    merged = dict.fromkeys((point, live) for (_, _, live), point, _ in entries)
-    points, lives = [point for point, _ in merged], [live for _, live in merged]
-    target = tuple(assessment.scaled_previsions[j] for j in indices)
-    if len(indices) == 1:
-        return None if _scalar_separator(points, target) else 0
-    zero = members
-    favoured: list[int] = []
-    while zero:
-        weights = convex_combination(points, target, favoured)
+    for factor in _factors(assessment, members, worlds):
+        entries = _subset_entries(assessment, factor, worlds)
+        merged = dict.fromkeys((point, live) for (_, _, live), point, _ in entries)
+        points = [point for point, _ in merged]
+        target = tuple(assessment.scaled_previsions[j] for j in factor)
+        if len(factor) == 1:
+            if _scalar_separator(points, target):
+                return None
+            continue
+        weights = convex_combination(points, target)
         if weights is None:
             return None
-        # Weights are re-checked nonnegative, so a member whose support
-        # holds a nonzero weight has Phi > 0 exactly.
-        released = zero & reduce(or_, (live for w, live in zip(weights[0], lives) if w), 0)
-        if not released:
-            break
-        zero ^= released
-        favoured = [h for h, live in enumerate(lives) if live & zero]
+        weighted = reduce(or_, (live for w, (_, live) in zip(weights[0], merged) if w), 0)
+        zero |= reduce(or_, (1 << j for j in factor)) & ~weighted
     return zero
 
 
-def _factors(
-    assessment: Assessment, members: int, worlds: int
-) -> Optional[list[tuple[int, ...]]]:
+def _factors(assessment: Assessment, members: int, worlds: int) -> list[tuple[int, ...]]:
     """The independent factors of the hull system of the mask `members`
-    over the worlds W of the mask `worlds`, each as its members, or None
-    when the system does not split.
+    over the worlds W of the mask `worlds`, each as its members: one
+    factor, all of them, when the system does not split.
 
-    It splits when (1) no member's payoff holds an unassessed symbol (the
-    single system's guard reads every live world, also those off W),
-    (2) W is a subcube, the 2^m worlds of the m atoms that vary on it,
-    (3) the members fall into groups that depend on disjoint sets of
+    It splits when (1) there are two or more members, none of whose
+    payoffs holds an unassessed symbol (the symbol guard reads a factor's
+    rows together), (2) W is a subcube, the 2^m worlds of the m atoms that
+    vary on it, (3) the members fall into groups that depend on disjoint sets of
     those atoms, and (4) two or more of the groups stand each at every
     world of W: a group that does not is merged into the first that
     does.  Member j depends on atom a when flipping a moves a part of
@@ -686,8 +656,8 @@ def _factors(
     together.  On W a factor's points, and the members live at each,
     depend only on the atoms of its group."""
     indices = tuple(_bits(members))
-    if any(assessment.symbolic[j] for j in indices):
-        return None
+    if len(indices) == 1 or any(assessment.symbolic[j] for j in indices):
+        return [indices]
     registry = assessment.registry
     size = registry.size
     # Per varying atom: its bit in a set of them, the distance between two
@@ -698,7 +668,7 @@ def _factors(
         if worlds & mask and worlds & ~mask:
             varying.append((1 << len(varying), 1 << (size - 1 - a), mask))
     if worlds.bit_count() != 1 << len(varying):
-        return None
+        return [indices]
     # (atoms, members, live worlds) per group; the groups' sets of atoms
     # are disjoint.
     groups: list[tuple[int, int, int]] = []
@@ -724,12 +694,12 @@ def _factors(
             else:
                 kept.append(other)
         if group == members:
-            return None
+            return [indices]
         kept.append((atoms, group, live))
         groups = kept
     covering = [group for _, group, live in groups if not worlds & ~live]
     if len(covering) < 2:
-        return None
+        return [indices]
     covering[0] |= members ^ reduce(or_, covering)
     return sorted(tuple(_bits(group)) for group in covering)
 
@@ -751,10 +721,10 @@ def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
     return levels
 
 
-def _witness_candidates(assessment: Assessment) -> Iterable[tuple[int, ...]]:
+def _witness_candidates(assessment: Assessment) -> Iterator[tuple[int, ...]]:
     """The subfamilies among which the witness lies, in the order of
-    `subsets_by_size`: when the whole family's level-0 system splits into
-    factors, those inside one factor, else all.
+    `subsets_by_size`: those inside one factor of the whole family's
+    level-0 system, all of them when it does not split.
 
     A subfamily S = S1 ∪ S2 with its parts in different factors fails
     only if a part does.  If weights λ on S1's live worlds hit S1's
@@ -764,18 +734,12 @@ def _witness_candidates(assessment: Assessment) -> Iterable[tuple[int, ...]]:
     own atoms), lies on worlds where both parts stand and hits both.  So
     every failing subfamily of least size lies inside one factor, and the
     first of them in this order is the first in `subsets_by_size`."""
-    n = len(assessment)
-    if n > 1:
-        factors = _factors(assessment, (1 << n) - 1, reduce(or_, assessment.live_masks))
-        if factors is not None:
-            return (
-                subset
-                for size in range(1, max(map(len, factors)) + 1)
-                for subset in sorted(
-                    inside for factor in factors for inside in itertools.combinations(factor, size)
-                )
-            )
-    return subsets_by_size(n)
+    members = (1 << len(assessment)) - 1
+    factors = _factors(assessment, members, reduce(or_, assessment.live_masks))
+    for size in range(1, max(map(len, factors)) + 1):
+        yield from sorted(
+            inside for factor in factors for inside in itertools.combinations(factor, size)
+        )
 
 
 def _decide(assessment: Assessment) -> CoherenceResult:

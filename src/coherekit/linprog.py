@@ -296,18 +296,10 @@ def certified_minimum(
     return certified
 
 
-def convex_combination(
-    points: Sequence[Vector],
-    target: Vector,
-    favoured: Sequence[int] = (),
-    *,
-    separate: bool = False,
-):
+def convex_combination(points: Sequence[Vector], target: Vector, *, separate: bool = False):
     """Weights expressing `target` as a convex combination of `points`,
     as (W, d) with weight h equal to W_h / d, or None when `target` lies
-    outside their convex hull.  Exact.  Among all such weights, those
-    returned maximise the total weight on the points indexed by
-    `favoured`.
+    outside their convex hull.  Exact.
 
     With `separate`, the result is a pair (weights, separator) of which
     one is None: a target outside the hull comes with the integer pair
@@ -323,8 +315,6 @@ def convex_combination(
     matrix = [*zip(*points), [1] * count]
     rhs = [*target, 1]
     costs = [0] * count
-    for h in favoured:
-        costs[h] = -1
     if separate:
         status, solution, _, pi = simplex_minimize(matrix, rhs, costs, multipliers=True)
     else:

@@ -17,7 +17,8 @@ turns into one exact LP: minimise or maximise N subject to the
 homogeneous premise rows and D = 1.  When the premises can put all their
 weight off T's support, T may keep weight zero, and the level step of
 Biazzo & Gilio (IJAR 24, 2000), the one of `coherence` on the worlds off
-T's support, repeats the LPs on the premises that get no weight there.
+T's support, repeats the LPs on the premises that one solution there
+leaves at weight zero.
 The two endpoint LPs share their rows, so they are one system: one
 phase 1, then min N, then max N from the minimum's basis.  Both optima
 are re-checked exactly with their LP multipliers (primal and dual
@@ -86,6 +87,8 @@ from .linprog import certified_minimum
 from .polynomials import Rational
 
 DEFAULT_TOLERANCE_EXPONENT = 20
+# Bisection to 2^-K runs K steps on ever longer rationals: K is held to this.
+MAX_TOLERANCE_EXPONENT = 256
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,9 @@ def extension_interval(
     snapped to exact candidates that pass certification: the endpoint is
     coherent and one tolerance step outside it is not.  A search endpoint
     that no candidate certifies is coherent, within the tolerance of the
-    true bound, and the interval is tagged `bisection(2^-k)`.
+    true bound, and the interval is tagged `bisection(2^-k)`.  A
+    `tolerance_exponent` outside 0..256 raises `OutOfRange` before
+    anything else, whichever path the target takes.
 
     The premises and the combined family are both held to `cap` (by
     default COHERE_SUBSET_CAP): the premises first, then the combined
@@ -179,6 +184,10 @@ def extension_interval(
     The endpoint system runs only when the combined family is within the
     cap, and no oracle call runs before both checks.
     """
+    if not 0 <= tolerance_exponent <= MAX_TOLERANCE_EXPONENT:
+        raise OutOfRange(
+            f"tolerance exponent {tolerance_exponent} lies outside 0..{MAX_TOLERANCE_EXPONENT}"
+        )
     _check_cap(len(premises), cap)
     linear = _linear_target(premises, target) if len(premises) < family_cap(cap) else None
     if linear is not None:
@@ -262,13 +271,16 @@ def _lp_interval(
     y >= 0, the homogeneous premise rows sum(y * (v_i - p_i)) = 0 and
     D = 1; the members left at weight zero by such a solution are
     premises alone, which are coherent.  If some solution puts all weight
-    off the target's support, the target can stay at weight zero at this
-    level, and its values are those of the next level (Biazzo & Gilio
-    2000): the premises whose supports get zero weight in every such
-    solution, plus the target.  That level's values contain this one's,
-    since its family is a subfamily, and it has fewer premises, so the
-    loop ends; with no premise left, D = 1 is feasible when the premises
-    are coherent.
+    off the target's support, it solves the combined level-0 system for
+    every value z, with the target at weight zero, and the values are
+    those of the next level (Biazzo & Gilio 2000): the premises that
+    stand at no world that one such solution weights, plus the target.
+    Any one solution will do, since the levels decide coherence whichever
+    solution each takes (`coherence`), so the coherent z are those of
+    that zero set plus the target, whichever solution gave it.  That
+    level's values contain this one's, since its family is a subfamily,
+    and it has fewer premises, so the loop ends; with no premise left,
+    D = 1 is feasible when the premises are coherent.
 
     Both objectives, min N and then max N from the minimum's basis, share
     one phase 1.  When no premise was dropped, the sum of the two

@@ -71,12 +71,16 @@ target's support and one independent `certified_minimum` LP per
 endpoint; targets outside the LP path take the bisection search.
 
 `single_system_unreleased` is Gilio's level step as `coherence` ran it
-before a level split into independent factors: one hull system over all
-the members' live worlds outside `outside`, read off `subset_entries`,
-with points merged by value and live members, the first solution
-releasing every member whose points hold weight and LPs maximising the
-weight on the points of the members still at zero releasing the others.
-`single_system_levels` runs the levels on it as `_levels` does.
+before a level split into independent factors and took one solution per
+factor: one hull system over all the members' live worlds outside
+`outside`, read off `subset_entries`, with points merged by value and
+live members, the first solution releasing every member whose points
+hold weight and LPs maximising the weight on the points of the members
+still at zero releasing the others, so that its zero mask is the least
+of any solution's.  `released_by_one_solution` runs it on the points
+whose live members lie in a given set, to check that one solution
+releases exactly that set.  `single_system_levels` runs the levels on
+it as `_levels` does.
 
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
@@ -694,12 +698,15 @@ def separate_extension_interval(
 
 
 def single_system_unreleased(
-    assessment: Assessment, members: int, outside: int = 0
+    assessment: Assessment, members: int, outside: int = 0, *, within: int = -1
 ) -> Optional[int]:
     """The mask of the members whose live points get zero weight in every
     solution of the one hull system of `members` over their live worlds
     outside the mask `outside`, or None when it has none; `members`
-    itself when no such world is left."""
+    itself when no such world is left.  With `within`, the system keeps
+    only the points whose live members all lie in that mask.  Each LP
+    after the first maximises the total weight on the points of the
+    members still at zero, through `certified_minimum` at cost -1 on them."""
     indices = tuple(_bits(members))
     worlds = 0
     for j in indices:
@@ -710,27 +717,43 @@ def single_system_unreleased(
     merged = dict.fromkeys(
         (point, lives[k] & members)
         for k, point, _ in subset_entries(assessment, indices)
-        if not outside >> k & 1
+        if not outside >> k & 1 and not lives[k] & members & ~within
     )
     points, lives = [point for point, _ in merged], [live for _, live in merged]
     target = tuple(assessment.scaled_previsions[j] for j in indices)
     if len(indices) == 1:
-        return None if _scalar_separator(points, target) else 0
+        return None if not points or _scalar_separator(points, target) else 0
+    matrix = [*zip(*points), [1] * len(points)]
     zero = members
-    favoured: list[int] = []
+    favoured = 0
     while zero:
-        weights = convex_combination(points, target, favoured)
-        if weights is None:
+        costs = [-1 if live & favoured else 0 for live in lives]
+        certified = certified_minimum(matrix, [*target, 1], costs) if points else None
+        if certified is None:
             return None
+        [(_, _, (weights, _))] = certified
         released = 0
-        for weight, live in zip(weights[0], lives):
+        for weight, live in zip(weights, lives):
             if weight:
                 released |= live & zero
         if not released:
             break
         zero ^= released
-        favoured = [h for h, live in enumerate(lives) if live & zero]
+        favoured = zero
     return zero
+
+
+def released_by_one_solution(
+    assessment: Assessment, members: int, outside: int, released: int
+) -> bool:
+    """Whether one solution of the one hull system of `members` over their
+    live worlds outside `outside` gives weight to exactly the members of
+    `released`: restricted to the points whose live members lie in
+    `released`, the system has a solution and releases each of them (the
+    mean of solutions that release each one releases all)."""
+    return single_system_unreleased(assessment, members, outside, within=released) == (
+        members & ~released
+    )
 
 
 def single_system_levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:

@@ -252,6 +252,24 @@ def test_tolerance_with_too_many_digits_exit_code(write, capsys):
         assert capsys.readouterr().err == error
 
 
+PRODUCT_RULE_DOC = """\
+atoms A B H K
+assess P(A given H) = 1/2
+assess P((B given K) given (A given H)) = 1/3
+query extend (A given H) and (B given K)
+"""
+
+
+@pytest.mark.parametrize("doc", [MP_DOC, PRODUCT_RULE_DOC], ids=["lp", "search"])
+def test_tolerance_exponent_above_256_exit_code(write, capsys, doc):
+    """Bisection to 2^-K takes K steps on ever longer rationals, so K is
+    held to 0..256 on every target, whether or not its path reads it."""
+    assert main(["extend", write(doc), "--tol", "2^-257"]) == 2
+    assert capsys.readouterr().err == "error: tolerance exponent 257 lies outside 0..256\n"
+    assert main(["extend", write(doc), "--tol", "2^-256"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # 1/10^2500: each input value is short enough to read, but the products
 # that the commands print have 5001-digit denominators, more than one
 # int-to-str conversion allows by default.

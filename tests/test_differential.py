@@ -66,6 +66,7 @@ import oracles
 from oracles import exhaustive_coherence, exhaustive_dutch_book, fraction_form, fraction_simplex
 from test_cli import MP_DOC, _corrupted_multipliers
 from test_coherence import fits, points_of, previsions_of, world_points
+from test_propagation import _counted
 
 REGISTRY = AtomRegistry(["A", "B", "C"])
 ATOMS = REGISTRY.atoms("A", "B", "C")
@@ -454,7 +455,8 @@ def split_families(draw, controls=True):
     live worlds weigh nothing gets a quarter in [0, 1], which the next
     level decides, and one member in eight draws takes an arbitrary
     eighth instead.  Returns the assessment, an `outside` mask as
-    `_lp_interval` passes it (a target's support, or none), and whether
+    `_lp_interval` passes it (a target's support, or none; none for a
+    family with an unassessed symbol, which it never sees), and whether
     the whole family's level-0 system must split.  Without `controls`,
     none is drawn, and there are two or three groups."""
     sizes = draw(st.lists(st.integers(1, 2), min_size=1 if controls else 2, max_size=3))
@@ -511,7 +513,7 @@ def split_families(draw, controls=True):
         valuation[member.own_symbol] = value
         items.append((member, value))
     outside = 0
-    if draw(st.booleans()):
+    if control != "symbol" and draw(st.booleans()):
         outside = draw(_formulas_over(SPLIT_REGISTRY.atoms("A0", "A1", "A2", "A3", "H", "K")))
         outside = outside.mask(SPLIT_REGISTRY)
     return Assessment(items), outside, control is None and len(groups) > 1
@@ -616,22 +618,40 @@ SWEEP_CONJUNCTION = conjunction(SWEEP_MEMBERS[0], SWEEP_MEMBERS[1], "z")
     )
 )
 def test_split_level_step_matches_the_single_system(case):
-    """The level step that splits a system into its independent factors
-    gives the single system's answer, None or the zero mask, for every
-    member mask, with and without the `outside` mask; Gilio's levels are
-    the same, and the verdict is the exhaustive sweep's."""
+    """The level step, one solution per independent factor, agrees with
+    the single system's maximal step for every member mask, with and
+    without the `outside` mask (`_assert_level_step`); Gilio's levels
+    fail exactly when the single system's do, and the verdict is the
+    exhaustive sweep's."""
     assessment, outside, splits = case
     full = (1 << len(assessment)) - 1
     if splits:
         worlds = reduce(or_, assessment.live_masks)
-        assert coherence._factors(assessment, full, worlds) is not None
+        assert len(coherence._factors(assessment, full, worlds)) > 1
     for members in range(1, full + 1):
         for mask in {0, outside}:
-            assert _outcome(coherence._unreleased, assessment, members, mask) == _outcome(
-                oracles.single_system_unreleased, assessment, members, mask
-            )
-    assert _outcome(_levels, assessment) == _outcome(oracles.single_system_levels, assessment)
+            _assert_level_step(assessment, members, mask)
+    levels = _outcome(_levels, assessment)
+    assert (levels is None) == (_outcome(oracles.single_system_levels, assessment) is None)
     assert _outcome(check_coherence, assessment) == _outcome(exhaustive_coherence, assessment)
+
+
+def _assert_level_step(assessment, members, outside):
+    """`_unreleased` on `members` off the worlds of `outside` gives None,
+    or the same error, exactly when the single system's maximal step
+    does.  Otherwise its zero mask contains the maximal step's, it
+    releases a member when some world is left, and one solution of the
+    single system gives weight to exactly the members it releases."""
+    got = _outcome_with_message(coherence._unreleased, assessment, members, outside)
+    least = _outcome_with_message(oracles.single_system_unreleased, assessment, members, outside)
+    if not isinstance(got, int) or not isinstance(least, int):
+        assert got == least
+        return
+    assert got & least == least
+    assert (got == members) == (least == members)
+    released = members & ~got
+    if released:
+        assert oracles.released_by_one_solution(assessment, members, outside, released)
 
 
 ZERO_REGISTRY = AtomRegistry(["A", "C", "H"])
@@ -640,6 +660,48 @@ A, C, H = ZERO_REGISTRY.atoms("A", "C", "H")
 
 def _event(event, condition, symbol):
     return conditional_event(event, condition, symbol, registry=ZERO_REGISTRY)
+
+
+# A|C = A|H = 1/4: the level-0 LP's solution lies on H ∧ ¬C, where A|C is
+# called off, so the step leaves A|C to level 1, though other solutions
+# weight it.
+ONE_SOLUTION_PAIR = [(_event(A, C, "ac"), Fraction(1, 4)), (_event(A, H, "ah"), Fraction(1, 4))]
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])
+@given(split_families())
+@example(_split_case(ONE_SOLUTION_PAIR))
+@example(_split_case(SWEEP_ITEMS + [(SWEEP_CONJUNCTION, Fraction(1, 4))], splits=True))
+def test_level_step_takes_one_lp_per_factor(case):
+    """A level step solves each factor of two or more members by one hull
+    LP, and a factor of one member by none; the LPs stop at the first
+    factor with no solution."""
+    assessment, outside, _ = case
+    full = (1 << len(assessment)) - 1
+    worlds = reduce(or_, assessment.live_masks) & ~outside
+    assume(worlds)
+    factors = coherence._factors(assessment, full, worlds)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counted(patch, coherence, "convex_combination")
+        zero = _outcome(coherence._unreleased, assessment, full, outside)
+    lps = sum(len(factor) > 1 for factor in factors)
+    if isinstance(zero, int):
+        assert len(calls) == lps
+    else:
+        assert len(calls) <= lps
+
+
+def test_one_solution_leaves_a_member_to_the_next_level(monkeypatch):
+    """The one solution of the pair's level 0 leaves A|C at zero weight,
+    where the single system's maximal step releases both; level 1 then
+    decides A|C by the interval of its points.  The verdict is the same,
+    from one LP."""
+    assessment = Assessment(ONE_SOLUTION_PAIR)
+    assert oracles.single_system_levels(assessment) == [(0, 1)]
+    lps = _counted(monkeypatch, linprog, "simplex_minimize")
+    assert _levels(assessment) == [(0, 1), (0,)]
+    assert len(lps) == 1
+    assert check_coherence(assessment) == exhaustive_coherence(assessment) == CoherenceResult(True)
 
 
 # A|H = C|H = 3/4 with (A∧C)|H = 1/4, below the Fréchet bound 1/2: every
@@ -746,6 +808,30 @@ def test_lp_endpoints_are_tight(case):
         assert searched.as_tuple() == interval.as_tuple()
 
 
+@st.composite
+def free_symbol_extensions(draw):
+    """Premises with an unassessed symbol and a target over their atoms: a
+    conditional or unconditional event, or C|(A|H) on the premises' A|H."""
+    premises = draw(st.one_of(member_lists(), member_lists(free_inner=True)).map(Assessment))
+    assume(premises.free_symbols)
+    bases = [crq for crq, _ in premises.items if crq.own_symbol == "pa"]
+    kind = draw(st.sampled_from(["conditional", "unconditional"] + ["c_given_a"] * len(bases)))
+    if kind == "c_given_a":
+        return premises, iterated_simple(bases[0], draw(formulas), "t")
+    condition = draw(possible) if kind == "conditional" else TRUE
+    return premises, conditional_event(draw(formulas), condition, "t", registry=REGISTRY)
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
+@given(free_symbol_extensions())
+def test_no_lp_target_over_premises_with_an_unassessed_symbol(case):
+    """Premises that leave a symbol unassessed never take the extension
+    LP, so its level step, the only one with an `outside` mask, reads no
+    symbolic cell."""
+    premises, target = case
+    assert _linear_target(premises, target) is None
+
+
 # A|H = 1/2 and ¬A|H = 3/4 over-commit to H; the target C is unrelated.
 OVERCOMMITTED_HALF = [(_event(A, H, "a"), Fraction(1, 2)), (_event(~A, H, "na"), Fraction(3, 4))]
 COHERENT_PAIR = [(_event(A, H, "a"), Fraction(1, 2)), (_event(~A, H, "na"), Fraction(1, 2))]
@@ -792,7 +878,7 @@ def test_incoherent_premises_raise_before_the_cap_of_the_combined_family(items, 
             [(_event(H, TRUE, "h"), 0), (_event(A, H, "ah"), Fraction(1, 3))],
             _event(A & C, H, "t"),
             (0, Fraction(1, 3)),
-            5,
+            3,
         ),
         # D = 1 is feasible (all weight on ¬A·H), yet all weight may also
         # lie on ¬H, where A|H is called off: no bound follows.
@@ -804,7 +890,9 @@ def test_zero_denominator_takes_the_next_level(monkeypatch, premises, target, ex
     """A one-premise level off the target's support is decided by the
     interval of its points, so only the one system of both endpoints
     remains.  The level step drops a premise in every case, so the
-    premises' own check runs as well: it takes no LP for one premise."""
+    premises' own check runs as well: it takes no LP for one premise.
+    Two premises take one LP in each of those two level-0 steps, whose
+    one solution leaves A|H, called off there, at weight zero."""
     calls = 0
     real = linprog.simplex_minimize
 
@@ -1166,7 +1254,7 @@ def factorable_incoherent_families(draw):
         items[i] = (items[i][0], draw(eighths))
     assessment = Assessment(items)
     full = (1 << len(assessment)) - 1
-    assume(coherence._factors(assessment, full, reduce(or_, assessment.live_masks)))
+    assume(len(coherence._factors(assessment, full, reduce(or_, assessment.live_masks))) > 1)
     assume(not check_coherence(assessment).coherent)
     return assessment
 
@@ -1182,7 +1270,7 @@ def test_witness_inside_factors_matches_the_full_sweep(assessment):
     the subset loop over every subfamily, and the witness is the
     exhaustive sweep's."""
     full = (1 << len(assessment)) - 1
-    assert coherence._factors(assessment, full, reduce(or_, assessment.live_masks))
+    assert len(coherence._factors(assessment, full, reduce(or_, assessment.live_masks))) > 1
     result = check_coherence(assessment)
     swept = coherence._first_failure(assessment, subsets_by_size(len(assessment)))
     assert not result.coherent
@@ -1235,8 +1323,9 @@ def test_pieces_match_the_world_by_world_points(assessment, outside):
     included, with and without a mask of worlds; merged by value, and by
     value and live members, they come in the same order; an unassessed
     symbol that cannot be eliminated raises the same `MissingSymbol`; and
-    every level step, with and without an `outside` mask, gives the
-    single system's answer or error."""
+    every level step agrees with the single system's maximal step
+    (`_assert_level_step`), with an `outside` mask too when no symbol is
+    left unassessed."""
     lives = oracles.live_members(assessment)
     for subset in subsets_by_size(len(assessment)):
         members = reduce(or_, (1 << i for i in subset))
@@ -1253,10 +1342,10 @@ def test_pieces_match_the_world_by_world_points(assessment, outside):
             assert list(dict.fromkeys((point, live) for (_, _, live), point, _ in got)) == list(
                 dict.fromkeys((point, lives[k] & members) for k, point, _ in expected)
             )
-        for mask in {0, outside}:
-            assert _outcome_with_message(coherence._unreleased, assessment, members, mask) == (
-                _outcome_with_message(oracles.single_system_unreleased, assessment, members, mask)
-            )
+        # The extension LP passes an `outside` mask only for premises with
+        # no unassessed symbol (`_linear_target`).
+        for mask in {0} if assessment.free_symbols else {0, outside}:
+            _assert_level_step(assessment, members, mask)
 
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.filter_too_much])

@@ -172,8 +172,7 @@ def test_mp_grid_intervals_take_at_most_four_lps(monkeypatch):
     """Each interval: one system for both endpoints, whose solutions
     prove the premises coherent, and no oracle call.  At x = 0, C|(A|H)
     stands only at AH, which every premise hull solution leaves at weight
-    zero, so the premises' own check runs and adds two LPs: its level-0
-    LP and the one that tries to give C|(A|H) weight.
+    zero, so the premises' own check runs and adds its level-0 LP.
     Machine-independent, unlike a timing."""
     oracle = _counted(monkeypatch, propagation, "_coherent_with_target")
     lps = _counted(monkeypatch, linprog, "simplex_minimize")
@@ -186,7 +185,7 @@ def test_mp_grid_intervals_take_at_most_four_lps(monkeypatch):
                 decisions.clear()
                 interval = extension_interval(*mp_family(xv, yv, classical=classical))
                 assert interval.as_tuple() == mp_bounds(xv, yv).as_tuple()
-                assert len(lps) == (1 if xv else 3), (xv, yv, classical, len(lps))
+                assert len(lps) == (1 if xv else 2), (xv, yv, classical, len(lps))
                 assert len(decisions) == (0 if xv else 1)
     assert oracle == []
 
@@ -200,6 +199,17 @@ def _product_rule_family():
     ce_b = conditional_event(b, k, "y")
     premises = Assessment([(ce_a, F(1, 2)), (iterated(ce_a, ce_b, "mu", "zc"), F(1, 3))])
     return premises, conjunction(ce_a, ce_b, "zc")
+
+
+@pytest.mark.parametrize("exponent", [-1, 257, 10**6])
+@pytest.mark.parametrize("family", [_product_rule_family, lambda: mp_family(0, F(1, 2))])
+def test_tolerance_exponent_outside_0_to_256_is_out_of_range(monkeypatch, family, exponent):
+    """Checked first, before any LP or oracle call, on the search path and
+    on the LP path alike."""
+    lps = _counted(monkeypatch, linprog, "simplex_minimize")
+    with pytest.raises(OutOfRange, match=f"tolerance exponent {exponent} lies outside 0..256"):
+        extension_interval(*family(), tolerance_exponent=exponent)
+    assert lps == []
 
 
 def test_product_rule_target_still_takes_the_search(monkeypatch):
