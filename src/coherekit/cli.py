@@ -127,8 +127,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> BuiltDocument:
+    # The bytes are decoded in one piece: `parse` splits the lines itself,
+    # so text mode's newline translation has nothing to add.  The path is
+    # opened as a `Path`, whose normal form an error message names.
+    with open(Path(path), "rb") as file:
+        data = file.read()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as error:
         reason = f"{error.reason} at byte {error.start}"
         raise ParseError(f"{path} is not UTF-8 text: {reason}") from None

@@ -96,7 +96,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -138,10 +138,11 @@ class Assessment:
     The valuation maps every determinable symbol to its value: each
     quantity's own symbol gets its assessed prevision, and linked symbols
     (negations, sums) are solved for in both directions.  Symbols left
-    over are the free ones handled by exact elimination.  One pass over
-    the members' rows and links collects `links`, each linked symbol's
-    definition, and `named_symbols`, every symbol a row or link names,
-    so that `propagation` tests a target's symbol against the set.
+    over are the free ones handled by exact elimination.  `links` holds
+    each linked symbol's definition.  `named_symbols`, every symbol a row
+    or link names, which `propagation` tests a target's symbol against,
+    and `free_symbols`, the row symbols the valuation leaves, are read off
+    the rows on first use.
 
     The payoffs are built once, here, region by region and in integer
     form, with no column per world: member i has one common denominator
@@ -158,54 +159,44 @@ class Assessment:
     remain (scaled once a corner substitutes its symbols; `symbolic[i]`
     masks those worlds).  A payoff row is read once: its region is the
     member's kept row mask (`CRQ.masks`), and its value the polynomial's
-    direct evaluation (`Poly.evaluate`), with substitution only when a
-    symbol is left.  Every subfamily's points are read off the
-    intersections of its members' regions (`_pieces`).
+    direct evaluation as a numerator and denominator in lowest terms
+    (`Poly.ratio`), scaled with integer lcm and division, with
+    substitution only when a symbol is left.  Every subfamily's points are
+    read off the intersections of its members' regions (`_pieces`).
     """
 
     def __init__(self, items: Sequence[tuple[CRQ, Rational]]):
         if not items:
             raise PreconditionFailed("assessment needs at least one quantity")
         self.items: tuple[tuple[CRQ, Fraction], ...] = tuple(
-            (crq, Fraction(value)) for crq, value in items
+            (crq, value if type(value) is Fraction else Fraction(value)) for crq, value in items
         )
         registry = self.items[0][0].registry
         for crq, _ in self.items:
             if crq.registry is not registry:
                 raise PreconditionFailed("family members use different registries")
-        self.registry: AtomRegistry = registry
-        row_symbols: set[str] = set()
         links: dict[str, Poly] = {}
         for crq, _ in self.items:
-            for _, poly in crq.rows:
-                for mono in poly.terms:
-                    for sym, _ in mono:
-                        row_symbols.add(sym)
             for name, poly in crq.links:
                 if links.setdefault(name, poly) != poly:
                     raise PreconditionFailed(
                         f"conflicting definitions for linked symbol {name}"
                     )
+        self.registry: AtomRegistry = registry
         self.links: dict[str, Poly] = links
-        self.named_symbols: frozenset[str] = frozenset(
-            row_symbols.union(links, *(poly.symbols() for poly in links.values()))
-        )
-        self.valuation: dict[str, Fraction] = self._derive_valuation()
-        self.free_symbols: frozenset[str] = frozenset(row_symbols - self.valuation.keys())
+        valuation = self.valuation = self._derive_valuation()
         # Called-off analysis per member (fails fast when an inner
         # prevision needed by the support rule is not determined).
-        self.live_masks: tuple[int, ...] = tuple(
-            support(crq, self.valuation) for crq, _ in self.items
-        )
+        self.live_masks: tuple[int, ...] = tuple(support(crq, valuation) for crq, _ in self.items)
         # The worlds are the 2^n bit patterns of the (frozen) registry;
         # none of them is materialised.
         if not registry.size:
             raise PreconditionFailed("registry has no atoms")
-        # The payoff cells, built region by region: a payoff row's
-        # polynomial is substituted once and holds on the member's live
-        # worlds in its region (the rows partition the worlds); called-off
-        # worlds hold the prevision.  A row's integer value is taken once
-        # the member's denominator is known.
+        # The payoff cells, built region by region: a payoff row's value is
+        # read once and holds on the member's live worlds in its region
+        # (the rows partition the worlds); called-off worlds hold the
+        # prevision.  A row's integer value is taken once the member's
+        # denominator is known.
         scales: list[int] = []
         scaled_previsions: list[int] = []
         symbolic: list[int] = []
@@ -213,41 +204,68 @@ class Assessment:
         region_cells: list[tuple[Cell, ...]] = []
         full = registry.full_mask()
         for (crq, value), live in zip(self.items, self.live_masks):
-            regions: list[tuple[int, Union[Fraction, Poly]]] = []
+            regions = [full ^ live]
+            payoffs: list[Union[tuple[int, int], Poly]] = []
             scale = value.denominator
+            polys = 0
             for mask, (_, poly) in zip(crq.masks, crq.rows):
                 region = mask & live
                 if not region:
                     continue
-                payoff = poly.evaluate(self.valuation)
+                payoff = poly.ratio(valuation)
                 if payoff is None:
-                    payoff = poly.substitute(self.valuation)
-                    if payoff.is_constant():
-                        payoff = payoff.constant_value()
-                if isinstance(payoff, Poly):
-                    scale = lcm(scale, *(c.denominator for c in payoff.terms.values()))
-                else:
-                    scale = lcm(scale, payoff.denominator)
-                regions.append((region, payoff))
+                    reduced = poly.substitute(valuation)
+                    if reduced.is_constant():
+                        payoff = reduced.ratio(valuation)
+                    else:
+                        polys |= region
+                        scale = lcm(scale, *(c.denominator for c in reduced.terms.values()))
+                        payoff = reduced
+                if type(payoff) is tuple:
+                    scale = lcm(scale, payoff[1])
+                regions.append(region)
+                payoffs.append(payoff)
             prevision = value.numerator * (scale // value.denominator)
             cells: list[Cell] = [prevision]
-            polys = 0
-            for region, payoff in regions:
-                if isinstance(payoff, Poly):
-                    polys |= region
-                    cells.append(payoff)
-                else:
-                    cells.append(payoff.numerator * (scale // payoff.denominator))
+            for payoff in payoffs:
+                cells.append(_scaled(payoff, scale) if type(payoff) is tuple else payoff)
             scales.append(scale)
             scaled_previsions.append(prevision)
             symbolic.append(polys)
-            cell_regions.append((full & ~live, *(region for region, _ in regions)))
+            cell_regions.append(tuple(regions))
             region_cells.append(tuple(cells))
         self.scales: tuple[int, ...] = tuple(scales)
         self.scaled_previsions: tuple[int, ...] = tuple(scaled_previsions)
         self.symbolic: tuple[int, ...] = tuple(symbolic)
         self.cell_regions: tuple[tuple[int, ...], ...] = tuple(cell_regions)
         self.region_cells: tuple[tuple[Cell, ...], ...] = tuple(region_cells)
+
+    @cached_property
+    def _row_symbols(self) -> frozenset[str]:
+        return frozenset(
+            sym
+            for crq, _ in self.items
+            for _, poly in crq.rows
+            for mono in poly.terms
+            for sym, _ in mono
+        )
+
+    @cached_property
+    def named_symbols(self) -> frozenset[str]:
+        return self._row_symbols.union(
+            self.links, *(poly.symbols() for poly in self.links.values())
+        )
+
+    @cached_property
+    def free_symbols(self) -> frozenset[str]:
+        return self._row_symbols.difference(self.valuation)
+
+    @cached_property
+    def _family_factors(self) -> list[tuple[int, ...]]:
+        """The independent factors (`_factors`) of the whole family's
+        level-0 hull system, found once: `_levels` solves level 0 on them,
+        and `_witness_candidates` seeks the witness inside them."""
+        return _factors(self, (1 << len(self.items)) - 1, reduce(or_, self.live_masks))
 
     def _derive_valuation(self) -> dict[str, Fraction]:
         values: dict[str, Fraction] = {}
@@ -259,7 +277,7 @@ class Assessment:
             for name, poly in self.links.items():
                 unknowns = poly.symbols() - values.keys()
                 if name not in values and not unknowns:
-                    values[name] = poly.value(values)
+                    values[name] = poly.evaluate(values)
                     changed = True
                 elif name in values and len(unknowns) == 1:
                     solved = _solve_affine(poly, values, values[name])
@@ -444,13 +462,20 @@ def _subset_entries(
         for corner in itertools.product((Fraction(0), Fraction(1)), repeat=len(names)):
             corner_map = dict(zip(names, corner))
             # D_j clears the denominators of the coefficients, and a corner
-            # sums some of them.
+            # sums some of them, so the value's denominator divides D_j.
             point = tuple(
-                (cell.value(corner_map) * scale).numerator if isinstance(cell, Poly) else cell
+                _scaled(cell.ratio(corner_map), scale) if isinstance(cell, Poly) else cell
                 for cell, scale in zip(vec, scales)
             )
             entries.append((piece, point, tuple(sorted(corner_map.items()))))
     return entries
+
+
+def _scaled(ratio: tuple[int, int], scale: int) -> int:
+    """The value numerator / denominator times `scale`, which the
+    denominator divides."""
+    numerator, denominator = ratio
+    return numerator * (scale // denominator)
 
 
 def _world_entries(
@@ -596,7 +621,12 @@ def _first_failure(
     return None
 
 
-def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optional[int]:
+def _unreleased(
+    assessment: Assessment,
+    members: int,
+    outside: int = 0,
+    factors: Optional[list[tuple[int, ...]]] = None,
+) -> Optional[int]:
     """One level step: the mask of the members that stand at no weighted
     point of one solution of the hull system of `members` over their live
     worlds outside the mask `outside`, or None when it has none; `members`
@@ -604,9 +634,10 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
     algorithm needs only that each level's solution weights some member of
     every subfamily it does not leave to the next level (module docstring).
 
-    The system is solved factor by factor (`_factors`), the unsplit system
-    being one factor: the step has no solution when some factor has none,
-    and otherwise its zero mask is the union of theirs.  On the level's
+    The system is solved factor by factor (`_factors`, or `factors` when
+    they are given), the unsplit system being one factor: the step has no
+    solution when some factor has none, and otherwise its zero mask is the
+    union of theirs.  On the level's
     worlds W the payoff points of the members, with the set of members live
     at each, are the Cartesian product of the factors' (each combination
     repeated for every value of the atoms no member depends on), so their
@@ -623,7 +654,9 @@ def _unreleased(assessment: Assessment, members: int, outside: int = 0) -> Optio
     if not worlds:
         return members
     zero = 0
-    for factor in _factors(assessment, members, worlds):
+    if factors is None:
+        factors = _factors(assessment, members, worlds)
+    for factor in factors:
         entries = _subset_entries(assessment, factor, worlds)
         merged = dict.fromkeys((point, live) for (_, _, live), point, _ in entries)
         points = [point for point, _ in merged]
@@ -707,11 +740,14 @@ def _factors(assessment: Assessment, members: int, worlds: int) -> list[tuple[in
 def _levels(assessment: Assessment) -> Optional[list[tuple[int, ...]]]:
     """Gilio's levels I_0 ⊃ I_1 ⊃ ...: the member sets whose hull systems
     were solved, each by one `_unreleased` step, or None when one of them
-    has no solution."""
+    has no solution.  Level 0 is solved on the whole family's factors,
+    which `_witness_candidates` reads too (`Assessment._family_factors`)."""
     members = (1 << len(assessment)) - 1
     levels: list[tuple[int, ...]] = []
+    factors: Optional[list[tuple[int, ...]]] = assessment._family_factors
     while members:
-        zero = _unreleased(assessment, members)
+        zero = _unreleased(assessment, members, factors=factors)
+        factors = None
         if zero is None:
             return None
         if zero == members:
@@ -734,8 +770,7 @@ def _witness_candidates(assessment: Assessment) -> Iterator[tuple[int, ...]]:
     own atoms), lies on worlds where both parts stand and hits both.  So
     every failing subfamily of least size lies inside one factor, and the
     first of them in this order is the first in `subsets_by_size`."""
-    members = (1 << len(assessment)) - 1
-    factors = _factors(assessment, members, reduce(or_, assessment.live_masks))
+    factors = assessment._family_factors
     for size in range(1, max(map(len, factors)) + 1):
         yield from sorted(
             inside for factor in factors for inside in itertools.combinations(factor, size)

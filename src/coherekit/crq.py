@@ -29,7 +29,6 @@ from .events import (
     Constituent,
     Event,
     implies,
-    is_impossible,
 )
 from .polynomials import ONE, ZERO, Poly, Rational
 
@@ -115,9 +114,12 @@ class ConditionalRandomQuantity:
 
     `rows` is an ordered tuple of `(region event, payoff polynomial)` pairs
     whose regions partition the sure event.  `masks` holds each row's
-    region as a world mask (bit k = world k, as in `Event.mask`), computed
-    once, when the partition is checked; `payoff_poly`, `support`, `add`
-    and `coherence.Assessment` read these, not the region events.
+    region as a world mask (bit k = world k, as in `Event.mask`): the
+    constructors below read it off their operands' masks with int
+    operations and pass it in, and when none is passed it is each region
+    event's own mask; either way it is checked to partition the worlds.
+    `payoff_poly`, `support`, `add` and `coherence.Assessment` read these,
+    not the region events.
     `links` records symbols whose value is determined by other symbols
     (e.g. the negation of a quantity carries `new = 1 - old`).
     """
@@ -131,26 +133,16 @@ class ConditionalRandomQuantity:
         registry: AtomRegistry,
         shape: Shape,
         links: Sequence[tuple[str, Poly]] = (),
+        masks: Optional[Sequence[int]] = None,
     ):
-        self.rows = tuple((event, Poly.coerce(poly)) for event, poly in rows)
+        self.rows = tuple([(event, Poly.coerce(poly)) for event, poly in rows])
         self.own_symbol = own_symbol
         self.registry = registry
         self.shape = shape
         self.links = tuple(links)
-        self.masks: tuple[int, ...] = self._check_partition()
-
-    def _check_partition(self) -> tuple[int, ...]:
-        """The rows' world masks, once they are known to partition the
-        worlds."""
-        masks = tuple(event.mask(self.registry) for event, _ in self.rows)
-        seen = 0
-        for mask in masks:
-            if mask & seen:
-                raise PreconditionFailed("payoff rows overlap")
-            seen |= mask
-        if seen != self.registry.full_mask():
-            raise PreconditionFailed("payoff rows do not cover every world")
-        return masks
+        if masks is None:
+            masks = [event.mask(registry) for event, _ in self.rows]
+        self.masks: tuple[int, ...] = _partition(masks, registry)
 
     # -- payoffs ------------------------------------------------------
 
@@ -194,6 +186,18 @@ class ConditionalRandomQuantity:
 CRQ = ConditionalRandomQuantity
 
 
+def _partition(masks: Sequence[int], registry: AtomRegistry) -> tuple[int, ...]:
+    """`masks` as a tuple, once they are known to partition the worlds."""
+    seen = 0
+    for mask in masks:
+        if mask & seen:
+            raise PreconditionFailed("payoff rows overlap")
+        seen |= mask
+    if seen != registry.full_mask():
+        raise PreconditionFailed("payoff rows do not cover every world")
+    return tuple(masks)
+
+
 # -- constructors ----------------------------------------------------------
 
 
@@ -213,9 +217,12 @@ def _registry_for(*events: Event, registry: Optional[AtomRegistry] = None) -> At
     return reg
 
 
-def _require_possible(h: Event, registry: AtomRegistry) -> None:
-    if is_impossible(h, registry):
+def _condition_mask(h: Event, registry: AtomRegistry) -> int:
+    """The world mask of a conditioning event, which must be possible."""
+    mask = h.mask(registry)
+    if not mask:
         raise ImpossibleConditioningEvent(f"conditioning event {h} is impossible")
+    return mask
 
 
 def conditional_event(
@@ -227,13 +234,28 @@ def conditional_event(
 ) -> CRQ:
     """A|H: pays 1 on AH, 0 on ¬A·H, and its own prevision on ¬H."""
     reg = _registry_for(consequent, condition, registry=registry)
-    _require_possible(condition, reg)
+    h = _condition_mask(condition, reg)
+    return _conditional(consequent, condition, symbol, reg, consequent.mask(reg), h)
+
+
+def _conditional(
+    consequent: Event,
+    condition: Event,
+    symbol: str,
+    reg: AtomRegistry,
+    a: int,
+    h: int,
+    links: Sequence[tuple[str, Poly]] = (),
+) -> CRQ:
+    """A|H over `reg`, where a and h are the masks of A and of H."""
     rows = [
         (consequent & condition, ONE),
         (~consequent & condition, ZERO),
         (~condition, Poly.sym(symbol)),
     ]
-    return CRQ(rows, symbol, reg, ConditionalEventShape(consequent, condition))
+    masks = (a & h, h & ~a, reg.full_mask() ^ h)
+    shape = ConditionalEventShape(consequent, condition)
+    return CRQ(rows, symbol, reg, shape, links, masks)
 
 
 def conditional_quantity(
@@ -245,18 +267,22 @@ def conditional_quantity(
 ) -> CRQ:
     """X|H for a finite quantity X given as value regions partitioning H."""
     reg = _registry_for(condition, *(e for e, _ in values), registry=registry)
-    _require_possible(condition, reg)
-    rows = [(event & condition, poly) for event, poly in values]
+    h = _condition_mask(condition, reg)
+    rows = []
+    masks = []
     seen = 0
-    for event, _ in rows:
-        mask = event.mask(reg)
+    for event, poly in values:
+        mask = event.mask(reg) & h
         if mask & seen:
             raise PreconditionFailed("value regions overlap inside the condition")
         seen |= mask
-    if seen != condition.mask(reg):
+        rows.append((event & condition, poly))
+        masks.append(mask)
+    if seen != h:
         raise PreconditionFailed("value regions do not cover the condition")
     rows.append((~condition, Poly.sym(symbol)))
-    return CRQ(rows, symbol, reg, PlainShape(condition))
+    masks.append(reg.full_mask() ^ h)
+    return CRQ(rows, symbol, reg, PlainShape(condition), masks=masks)
 
 
 def negate(q: CRQ, symbol: Optional[str] = None) -> CRQ:
@@ -267,13 +293,14 @@ def negate(q: CRQ, symbol: Optional[str] = None) -> CRQ:
     """
     name = symbol if symbol is not None else f"not({q.own_symbol})"
     links = _merge_links(q.links, ((name, ONE - Poly.sym(q.own_symbol)),))
-    if isinstance(q.shape, ConditionalEventShape):
-        out = conditional_event(
-            ~q.shape.consequent, q.shape.condition, name, registry=q.registry
-        )
-        return CRQ(out.rows, name, q.registry, out.shape, links)
+    shape = q.shape
+    if isinstance(shape, ConditionalEventShape):
+        reg = q.registry
+        not_a = reg.full_mask() ^ shape.consequent.mask(reg)
+        h = shape.condition.mask(reg)
+        return _conditional(~shape.consequent, shape.condition, name, reg, not_a, h, links)
     rows = [(event, ONE - poly) for event, poly in q.rows]
-    return CRQ(rows, name, q.registry, NegationShape(q), links)
+    return CRQ(rows, name, q.registry, NegationShape(q), links, q.masks)
 
 
 def conjunction(left: CRQ, right: CRQ, symbol: str) -> CRQ:
@@ -282,8 +309,11 @@ def conjunction(left: CRQ, right: CRQ, symbol: str) -> CRQ:
     a, h, x = _conditional_parts(left)
     b, k, y = _conditional_parts(right)
     reg = _registry_for(a, h, b, k, registry=left.registry)
-    _require_possible(h, reg)
-    _require_possible(k, reg)
+    hm = _condition_mask(h, reg)
+    km = _condition_mask(k, reg)
+    ahm = a.mask(reg) & hm
+    bkm = b.mask(reg) & km
+    full = reg.full_mask()
     ah, not_h, not_k = a & h, ~h, ~k
     certain = ah & b & k
     left_void = not_h & b & k
@@ -296,8 +326,10 @@ def conjunction(left: CRQ, right: CRQ, symbol: str) -> CRQ:
         (both_void, Poly.sym(symbol)),
         (~(certain | left_void | right_void | both_void), ZERO),
     ]
+    masks = [ahm & bkm, bkm & ~hm, ahm & ~km, full ^ (hm | km)]
+    masks.append(full ^ (masks[0] | masks[1] | masks[2] | masks[3]))
     links = _merge_links(left.links, right.links)
-    return CRQ(rows, symbol, reg, ConjunctionShape(left, right), links)
+    return CRQ(rows, symbol, reg, ConjunctionShape(left, right), links, masks)
 
 
 def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CRQ:
@@ -311,8 +343,11 @@ def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CR
     a, h, x_sym = _conditional_parts(inner)
     b, k, y_sym = _conditional_parts(outer)
     reg = _registry_for(a, h, b, k, registry=inner.registry)
-    _require_possible(h, reg)
-    _require_possible(k, reg)
+    hm = _condition_mask(h, reg)
+    km = _condition_mask(k, reg)
+    am = a.mask(reg)
+    bm = b.mask(reg)
+    ahm, not_hm = am & hm, reg.full_mask() ^ hm
     x = Poly.sym(x_sym)
     y = Poly.sym(y_sym)
     mu = Poly.sym(symbol)
@@ -328,15 +363,27 @@ def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CR
         (not_h & not_b & k, hedge),
         (not_h & not_k, z + hedge),
     ]
+    masks = (
+        ahm & bm & km,
+        ahm & km & ~bm,
+        ahm & ~km,
+        hm & ~am,
+        not_hm & bm & km,
+        not_hm & km & ~bm,
+        not_hm & ~km,
+    )
     links = _merge_links(inner.links, outer.links)
-    return CRQ(rows, symbol, reg, IteratedShape(inner, outer), links)
+    return CRQ(rows, symbol, reg, IteratedShape(inner, outer), links, masks)
 
 
 def iterated_simple(inner: CRQ, consequent: Event, symbol: str) -> CRQ:
     """C|(A|H) for a conditional event inner = A|H and plain event C."""
     a, h, x_sym = _conditional_parts(inner)
     reg = _registry_for(a, h, consequent, registry=inner.registry)
-    _require_possible(h, reg)
+    hm = _condition_mask(h, reg)
+    am = a.mask(reg)
+    cm = consequent.mask(reg)
+    ahm, not_hm = am & hm, reg.full_mask() ^ hm
     x = Poly.sym(x_sym)
     y = Poly.sym(symbol)
     hedge = y * (ONE - x)
@@ -348,16 +395,19 @@ def iterated_simple(inner: CRQ, consequent: Event, symbol: str) -> CRQ:
         (not_h & consequent, x + hedge),
         (not_h & not_c, hedge),
     ]
-    return CRQ(rows, symbol, reg, IteratedEventShape(inner, consequent), inner.links)
+    masks = (ahm & cm, ahm & ~cm, hm & ~am, not_hm & cm, not_hm & ~cm)
+    return CRQ(rows, symbol, reg, IteratedEventShape(inner, consequent), inner.links, masks)
 
 
 def given_event(q: CRQ, condition: Event, symbol: str) -> CRQ:
     """(X|H)|K: condition an existing quantity on a further event K."""
     reg = _registry_for(condition, registry=q.registry)
-    _require_possible(condition, reg)
+    k = _condition_mask(condition, reg)
     rows = [(event & condition, poly) for event, poly in q.rows]
     rows.append((~condition, Poly.sym(symbol)))
-    return CRQ(rows, symbol, reg, NestedEventShape(q, condition), q.links)
+    masks = [mask & k for mask in q.masks]
+    masks.append(reg.full_mask() ^ k)
+    return CRQ(rows, symbol, reg, NestedEventShape(q, condition), q.links, masks)
 
 
 def add(left: CRQ, right: CRQ, symbol: Optional[str] = None) -> CRQ:
@@ -366,13 +416,15 @@ def add(left: CRQ, right: CRQ, symbol: Optional[str] = None) -> CRQ:
         raise PreconditionFailed("summands belong to different registries")
     name = symbol if symbol is not None else f"({left.own_symbol}+{right.own_symbol})"
     rows = []
+    masks = []
     for m1, (ev1, p1) in zip(left.masks, left.rows):
         for m2, (ev2, p2) in zip(right.masks, right.rows):
             if m1 & m2:
                 rows.append((ev1 & ev2, p1 + p2))
+                masks.append(m1 & m2)
     link = (name, Poly.sym(left.own_symbol) + Poly.sym(right.own_symbol))
     links = _merge_links(left.links, right.links) + (link,)
-    return CRQ(rows, name, left.registry, SumShape(left, right), links)
+    return CRQ(rows, name, left.registry, SumShape(left, right), links, masks)
 
 
 def reduce_nested(q: CRQ, valuation: Optional[Valuation] = None) -> CRQ:
@@ -430,7 +482,8 @@ def support(q: CRQ, valuation: Valuation) -> int:
     C|(A|H) is live on AH when the inner prevision is 0 and on AH∨¬H
     otherwise.  A fully nested iterated conditional is live wherever its
     payoff, with every determined symbol substituted, is not identically
-    its own prevision symbol.
+    its own prevision symbol: on every row that does not name that symbol,
+    and on those rows that name it where the substitution leaves more.
 
     Every mask is read off masks already computed: the rows' own, or the
     cached masks of the events a shape names.
@@ -453,24 +506,39 @@ def support(q: CRQ, valuation: Valuation) -> int:
         return ah if x == 0 else ah | q.registry.full_mask() ^ h
     if isinstance(shape, IteratedShape):
         _inner_prevision(shape.inner, valuation)  # required to be determined
-        subst = {name: v for name, v in valuation.items() if name != q.own_symbol}
-        own = Poly.sym(q.own_symbol)
+        name = q.own_symbol
+        at_zero, at_one = {**valuation, name: 0}, {**valuation, name: 1}
         mask = 0
         for region, (_, poly) in zip(q.masks, q.rows):
-            if poly.substitute(subst) != own:
+            if not poly.degree_in(name) or not _pays_own_prevision(poly, name, at_zero, at_one):
                 mask |= region
         return mask
     raise PreconditionFailed(f"unknown shape {type(shape).__name__}")
 
 
-def _inner_prevision(inner: CRQ, valuation: Valuation) -> Fraction:
+def _pays_own_prevision(poly: Poly, name: str, at_zero: Valuation, at_one: Valuation) -> bool:
+    """Whether `poly`, with every other symbol that a valuation assigns
+    substituted, is the symbol `name` itself; `at_zero` and `at_one` are
+    that valuation with `name` set to 0 and to 1.  When `poly` is affine in
+    `name` and every other symbol is assigned, it is a + b*name with a its
+    value at name = 0 and a + b at name = 1, so it is `name` exactly when
+    those values are 0 and 1; otherwise the substitution decides."""
+    if poly.degree_in(name) == 1:
+        value = poly.ratio(at_zero)
+        if value is not None:
+            return value == (0, 1) and poly.ratio(at_one) == (1, 1)
+    others = {sym: value for sym, value in at_zero.items() if sym != name}
+    return poly.substitute(others) == Poly.sym(name)
+
+
+def _inner_prevision(inner: CRQ, valuation: Valuation) -> Rational:
     name = inner.own_symbol
     if name not in valuation:
         raise MissingSymbol(
             f"inner prevision {name} must be assessed or derivable to "
             "determine the called-off set of an iterated conditional"
         )
-    return Fraction(valuation[name])
+    return valuation[name]
 
 
 def payoff_at(q: CRQ, c: Constituent, valuation: Valuation) -> Fraction:

@@ -21,9 +21,10 @@ fractions `p/q`, or decimals.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .coherence import Assessment
 from .crq import (
@@ -37,7 +38,7 @@ from .crq import (
     negate,
 )
 from .errors import ParseError, PreconditionFailed, UndeclaredAtom
-from .events import TRUE, FALSE, AtomRegistry, Event, equivalent
+from .events import TRUE, FALSE, AtomRegistry, Event
 
 QUERY_KINDS = ("check", "extend", "mp", "dutchbook", "table")
 
@@ -103,8 +104,7 @@ def render_expr(expr: Expr, parent_level: int = 0) -> str:
     if isinstance(expr, Given):
         return f"({render_expr(expr.left)} given {render_expr(expr.right)})"
     if isinstance(expr, CondAnd):
-        parts = sorted((render_expr(expr.left), render_expr(expr.right)))
-        return f"({parts[0]} and {parts[1]})"
+        return _conjoined(render_expr(expr.left), render_expr(expr.right))
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -159,8 +159,7 @@ def serialize(document: AssessmentDocument) -> str:
 # -- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | punct | end
     text: str
     line: int
@@ -168,67 +167,104 @@ class Token:
 
 
 _NUMBER = r"-?\d+(?:/\d+|\.\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+# One scan finds a line's tokens: the scan skips blanks and tabs, a comment
+# runs to the end of the line, and every other character that starts no
+# token is a token of its own, an unexpected one.  No two branches match
+# on the same first character, so a token's first character gives its
+# kind (`_KINDS`, `_kind`).
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<number>""" + _NUMBER + r""")
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()=!&|])
+    r"""[A-Za-z_][A-Za-z0-9_]*     # ident
+      | [()=!&|]                  # punct
+      | """ + _NUMBER + r"""      # number
+      | \#.*                      # comment
+      | [^ \t]                    # unexpected
     """,
     re.VERBOSE,
 )
+_KINDS = {
+    **dict.fromkeys("()=!&|", "punct"),
+    **dict.fromkeys(string.ascii_letters + "_", "ident"),
+    **dict.fromkeys(string.digits, "number"),
+    "#": "comment",
+}
+_CONNECTIVES = ("given", "and")
+_RESERVED = frozenset(_CONNECTIVES + QUERY_KINDS)
 
 
-def _tokenize_line(text: str, line_no: int) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        pos = match.end()
-        if match.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(
-            Token(match.lastgroup, match.group(), line_no, match.start() + 1)
-        )
-    tokens.append(Token("end", "", line_no, len(text) + 1))
-    return tokens
+def _kind(text: str) -> str:
+    """The kind of a token whose first character `_KINDS` does not list:
+    a number that starts with a minus sign or with a decimal digit beyond
+    ASCII, else an unexpected character (one character long)."""
+    return "number" if len(text) > 1 or text.isdecimal() else "error"
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The tokens of one line and a position in them.
+
+    The line is scanned once (`_TOKEN_RE.findall`) into the tokens' texts
+    and kinds, ending with an `end` token; an unexpected character raises
+    before any token is read.  `kind` and `text` are the current token's.
+    Columns are found only for a diagnostic, by a second scan that keeps
+    each token's start."""
+
+    __slots__ = ("kinds", "texts", "source", "starts", "line", "pos", "kind", "text")
+
+    def __init__(self, text: str, line: int):
+        texts = self.texts = _TOKEN_RE.findall(text)
+        kinds = self.kinds = [_KINDS.get(token[0]) or _kind(token) for token in texts]
+        self.source = text
+        self.starts: Optional[list[int]] = None
+        self.line = line
         self.pos = 0
+        if "error" in kinds:
+            pos = kinds.index("error")
+            raise ParseError(f"unexpected character {texts[pos]!r}", line, self.column(pos))
+        if kinds and kinds[-1] == "comment":
+            kinds.pop()
+            texts.pop()
+        kinds.append("end")
+        texts.append("")
+        self.kind = kinds[0]
+        self.text = texts[0]
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def column(self, pos: Optional[int] = None) -> int:
+        """The column of the token at `pos`, the current one by default;
+        the end token's is the one after the line."""
+        if self.starts is None:
+            self.starts = [match.start() + 1 for match in _TOKEN_RE.finditer(self.source)]
+        if pos is None:
+            pos = self.pos
+        return self.starts[pos] if self.kinds[pos] != "end" else len(self.source) + 1
 
-    def next(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
+    def tokens(self) -> list[Token]:
+        return [
+            Token(kind, text, self.line, self.column(pos))
+            for pos, (kind, text) in enumerate(zip(self.kinds, self.texts))
+        ]
+
+    def advance(self) -> str:
+        """The current token's text; moves past the token unless it is the
+        end."""
+        text = self.text
+        if self.kind != "end":
             self.pos += 1
-        return token
+            self.kind = self.kinds[self.pos]
+            self.text = self.texts[self.pos]
+        return text
 
-    def expect(self, text: str) -> Token:
-        token = self.peek()
-        if token.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {token.text or 'end of line'!r}",
-                token.line,
-                token.column,
-            )
-        return self.next()
+    def error(self, message: str) -> ParseError:
+        """A diagnostic at the current token."""
+        return ParseError(message, self.line, self.column())
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
+    def expect(self, text: str) -> None:
+        if self.text != text:
+            raise self.error(f"expected {text!r}, found {self.text or 'end of line'!r}")
+        self.advance()
 
     def require_end(self) -> None:
-        token = self.peek()
-        if token.kind != "end":
-            raise ParseError(
-                f"unexpected trailing {token.text!r}", token.line, token.column
-            )
+        if self.kind != "end":
+            raise self.error(f"unexpected trailing {self.text!r}")
 
 
 # -- expression parsing --------------------------------------------------------
@@ -236,18 +272,12 @@ class _Cursor:
 
 def _parse_mixed(cur: _Cursor) -> Expr:
     left = _parse_or(cur)
-    token = cur.peek()
-    if token.kind == "ident" and token.text in ("given", "and"):
-        cur.next()
+    if cur.kind == "ident" and cur.text in _CONNECTIVES:
+        word = cur.advance()
         right = _parse_or(cur)
-        follow = cur.peek()
-        if follow.kind == "ident" and follow.text in ("given", "and"):
-            raise ParseError(
-                "parenthesize nested conditional expressions",
-                follow.line,
-                follow.column,
-            )
-        if token.text == "given":
+        if cur.kind == "ident" and cur.text in _CONNECTIVES:
+            raise cur.error("parenthesize nested conditional expressions")
+        if word == "given":
             return Given(left, right)
         first, second = sorted((left, right), key=render_expr)
         return CondAnd(first, second)
@@ -256,8 +286,8 @@ def _parse_mixed(cur: _Cursor) -> Expr:
 
 def _parse_or(cur: _Cursor) -> Expr:
     left = _parse_and(cur)
-    while cur.peek().text == "|":
-        cur.next()
+    while cur.text == "|":
+        cur.advance()
         right = _parse_and(cur)
         left = _event_binop("|", left, right, cur)
     return left
@@ -265,72 +295,59 @@ def _parse_or(cur: _Cursor) -> Expr:
 
 def _parse_and(cur: _Cursor) -> Expr:
     left = _parse_unary(cur)
-    while cur.peek().text == "&":
-        cur.next()
+    while cur.text == "&":
+        cur.advance()
         right = _parse_unary(cur)
         left = _event_binop("&", left, right, cur)
     return left
 
 
 def _event_binop(op: str, left: Expr, right: Expr, cur: _Cursor) -> Expr:
-    for side in (left, right):
-        if is_conditional(side):
-            token = cur.peek()
-            raise ParseError(
-                f"conditional expressions cannot be combined with {op!r}; "
-                "use 'and' between conditionals",
-                token.line,
-                token.column,
-            )
+    if is_conditional(left) or is_conditional(right):
+        raise cur.error(
+            f"conditional expressions cannot be combined with {op!r}; "
+            "use 'and' between conditionals"
+        )
     return BinOp(op, left, right)
 
 
 def _parse_unary(cur: _Cursor) -> Expr:
-    token = cur.peek()
-    if token.text == "!":
-        cur.next()
+    if cur.text == "!":
+        pos = cur.pos
+        cur.advance()
         operand = _parse_unary(cur)
         if is_conditional(operand):
             raise ParseError(
-                "'!' applies to events, not conditional expressions",
-                token.line,
-                token.column,
+                "'!' applies to events, not conditional expressions", cur.line, cur.column(pos)
             )
         return Not(operand)
     return _parse_primary(cur)
 
 
 def _parse_primary(cur: _Cursor) -> Expr:
-    token = cur.peek()
-    if token.text == "(":
-        cur.next()
+    if cur.text == "(":
+        cur.advance()
         inner = _parse_mixed(cur)
         cur.expect(")")
         return inner
-    if token.kind == "ident":
-        if token.text in ("given", "and") or token.text in QUERY_KINDS:
-            raise ParseError(
-                f"unexpected keyword {token.text!r}", token.line, token.column
-            )
-        cur.next()
-        if token.text == "TOP":
+    if cur.kind == "ident":
+        if cur.text in _RESERVED:
+            raise cur.error(f"unexpected keyword {cur.text!r}")
+        text = cur.advance()
+        if text == "TOP":
             return Const(True)
-        if token.text == "BOT":
+        if text == "BOT":
             return Const(False)
-        return Name(token.text)
-    raise ParseError(
-        f"expected an expression, found {token.text or 'end of line'!r}",
-        token.line,
-        token.column,
-    )
+        return Name(text)
+    raise cur.error(f"expected an expression, found {cur.text or 'end of line'!r}")
 
 
 def parse_value(text: str, line_no: int = 0, column: int = 0) -> Fraction:
     """A rational in document syntax: an integer, P/Q or a decimal."""
-    if not re.fullmatch(_NUMBER, text):
+    if not _NUMBER_RE.fullmatch(text):
         raise ParseError(f"expected a rational value, found {text!r}", line_no, column)
     try:
-        return Fraction(text)
+        return _number(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}", line_no, column) from None
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
@@ -339,8 +356,33 @@ def parse_value(text: str, line_no: int = 0, column: int = 0) -> Fraction:
         ) from None
 
 
+def _number(text: str) -> Fraction:
+    """The value of `text`, which has the number syntax: an integer or P/Q
+    from its ints, a decimal as `Fraction` reads it."""
+    numerator, slash, denominator = text.partition("/")
+    if slash:
+        return Fraction(int(numerator), int(denominator))
+    if "." in text:
+        return Fraction(text)
+    return Fraction(int(text))
+
+
+def _parse_value(cur: _Cursor) -> Fraction:
+    """The value of the current token, which it moves past; otherwise the
+    diagnostic of `parse_value`, whose column is found only then."""
+    if cur.kind == "number":
+        try:
+            value = _number(cur.text)
+        except (ZeroDivisionError, ValueError):
+            pass
+        else:
+            cur.advance()
+            return value
+    return parse_value(cur.text, cur.line, cur.column())  # raises
+
+
 def parse_expression(text: str, line_no: int = 1) -> Expr:
-    cur = _Cursor(_tokenize_line(text, line_no))
+    cur = _Cursor(text, line_no)
     expr = _parse_mixed(cur)
     cur.require_end()
     return expr
@@ -358,38 +400,26 @@ def parse(text: str) -> AssessmentDocument:
     declared: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
-        cur = _Cursor(tokens)
-        if cur.at_end():
+        cur = _Cursor(raw, line_no)
+        if cur.kind == "end":
             continue
-        head = cur.next()
-        if head.kind != "ident":
-            raise ParseError(
-                f"expected a directive, found {head.text!r}", line_no, head.column
-            )
-        if head.text == "atoms":
-            while not cur.at_end():
-                token = cur.next()
-                if token.kind != "ident":
-                    raise ParseError(
-                        f"atom names must be identifiers, found {token.text!r}",
-                        line_no,
-                        token.column,
-                    )
-                if token.text in declared:
-                    raise ParseError(
-                        f"name {token.text!r} declared twice", line_no, token.column
-                    )
-                atoms.append(token.text)
-                declared.add(token.text)
-        elif head.text == "define":
-            token = cur.next()
-            if token.kind != "ident":
-                raise ParseError("expected a name after 'define'", line_no, token.column)
-            if token.text in declared:
-                raise ParseError(
-                    f"name {token.text!r} declared twice", line_no, token.column
-                )
+        if cur.kind != "ident":
+            raise cur.error(f"expected a directive, found {cur.text!r}")
+        head = cur.advance()
+        if head == "atoms":
+            while cur.kind != "end":
+                if cur.kind != "ident":
+                    raise cur.error(f"atom names must be identifiers, found {cur.text!r}")
+                if cur.text in declared:
+                    raise cur.error(f"name {cur.text!r} declared twice")
+                declared.add(cur.text)
+                atoms.append(cur.advance())
+        elif head == "define":
+            if cur.kind != "ident":
+                raise cur.error("expected a name after 'define'")
+            if cur.text in declared:
+                raise cur.error(f"name {cur.text!r} declared twice")
+            name = cur.advance()
             cur.expect("=")
             expr = _parse_mixed(cur)
             cur.require_end()
@@ -398,45 +428,38 @@ def parse(text: str) -> AssessmentDocument:
                     "definitions name events, not conditional expressions", line_no, 1
                 )
             _check_declared(expr, declared, line_no)
-            definitions.append((token.text, expr))
-            declared.add(token.text)
-        elif head.text == "assess":
-            token = cur.peek()
-            if token.text != "P":
-                raise ParseError("expected P(...) after 'assess'", line_no, token.column)
-            cur.next()
+            definitions.append((name, expr))
+            declared.add(name)
+        elif head == "assess":
+            if cur.text != "P":
+                raise cur.error("expected P(...) after 'assess'")
+            cur.advance()
             cur.expect("(")
             expr = _parse_mixed(cur)
             cur.expect(")")
             cur.expect("=")
-            token = cur.next()
-            value = parse_value(token.text, line_no, token.column)
+            value = _parse_value(cur)
             cur.require_end()
             _check_declared(expr, declared, line_no)
             statements.append(Statement(expr, value))
-        elif head.text == "query":
+        elif head == "query":
             if query is not None:
-                raise ParseError("only one query per document", line_no, head.column)
-            token = cur.next()
-            if token.kind != "ident" or token.text not in QUERY_KINDS:
-                raise ParseError(
-                    "query kind must be one of " + ", ".join(QUERY_KINDS),
-                    line_no,
-                    token.column,
-                )
-            kind = token.text
+                raise ParseError("only one query per document", line_no, cur.column(0))
+            if cur.kind != "ident" or cur.text not in QUERY_KINDS:
+                raise cur.error("query kind must be one of " + ", ".join(QUERY_KINDS))
+            kind = cur.advance()
             target: Optional[Expr] = None
-            if not cur.at_end():
+            if cur.kind != "end":
                 target = _parse_mixed(cur)
                 cur.require_end()
                 _check_declared(target, declared, line_no)
             query = Query(kind, target)
         else:
             raise ParseError(
-                f"unknown directive {head.text!r} (expected atoms, define, "
+                f"unknown directive {head!r} (expected atoms, define, "
                 "assess, or query)",
                 line_no,
-                head.column,
+                cur.column(0),
             )
     return AssessmentDocument(
         tuple(atoms), tuple(definitions), tuple(statements), query
@@ -444,21 +467,18 @@ def parse(text: str) -> AssessmentDocument:
 
 
 def _check_declared(expr: Expr, declared: set[str], line_no: int) -> None:
-    for name in _names_in(expr):
-        if name not in declared:
-            raise UndeclaredAtom(f"undeclared name {name!r}", line_no)
-
-
-def _names_in(expr: Expr) -> set[str]:
-    if isinstance(expr, Name):
-        return {expr.ident}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, Not):
-        return _names_in(expr.operand)
-    if isinstance(expr, (BinOp, Given, CondAnd)):
-        return _names_in(expr.left) | _names_in(expr.right)
-    raise TypeError(f"not an expression: {expr!r}")
+    """Raise for the leftmost name in `expr` that is not declared."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            if node.ident not in declared:
+                raise UndeclaredAtom(f"undeclared name {node.ident!r}", line_no)
+        elif isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (BinOp, Given, CondAnd)):
+            stack.append(node.right)
+            stack.append(node.left)
 
 
 # -- building quantities --------------------------------------------------------
@@ -484,7 +504,7 @@ class QuantityBuilder:
         if isinstance(expr, Name):
             if expr.ident in self.definitions:
                 return self.event(self.definitions[expr.ident])
-            if expr.ident not in self.registry.names:
+            if expr.ident not in self.registry:
                 raise UndeclaredAtom(f"undeclared name {expr.ident!r}")
             return self.registry.atom(expr.ident)
         if isinstance(expr, Const):
@@ -499,25 +519,30 @@ class QuantityBuilder:
         )
 
     def symbol(self, expr: Expr) -> str:
-        text = render_expr(expr)
-        if is_conditional(expr):
-            text = text[1:-1]
-        return f"P({text})"
+        return _symbol(render_expr(expr), is_conditional(expr))
 
     def crq(self, expr: Expr) -> CRQ:
-        key = render_expr(expr)
+        texts: dict[int, str] = {}
+        _render_parts(expr, texts)
+        return self._crq(expr, texts)
+
+    def _crq(self, expr: Expr, texts: dict[int, str]) -> CRQ:
+        """The quantity of `expr`, keyed by its canonical text; `texts`
+        holds the texts of `expr` and its parts by their ids
+        (`_render_parts`)."""
+        key = texts[id(expr)]
         cached = self._cache.get(key)
         if cached is None:
-            cached = self._build(expr)
+            cached = self._build(expr, key, texts)
             self._cache[key] = cached
         return cached
 
-    def _build(self, expr: Expr) -> CRQ:
-        symbol = self.symbol(expr)
+    def _build(self, expr: Expr, key: str, texts: dict[int, str]) -> CRQ:
+        symbol = _symbol(key, is_conditional(expr))
         if not is_conditional(expr):
             return self._conditional_event(self.event(expr), TRUE, symbol)
         if isinstance(expr, CondAnd):
-            left, right = self._two_conditionals(expr.left, expr.right)
+            left, right = self._two_conditionals(expr.left, expr.right, texts)
             return conjunction(left, right, symbol)
         assert isinstance(expr, Given)
         antecedent_cond = is_conditional(expr.right)
@@ -527,7 +552,7 @@ class QuantityBuilder:
                 self.event(expr.left), self.event(expr.right), symbol
             )
         if antecedent_cond and not consequent_cond:
-            inner = self.crq(expr.right)
+            inner = self._crq(expr.right, texts)
             if not isinstance(inner.shape, ConditionalEventShape):
                 raise PreconditionFailed(
                     "the antecedent of a nested conditional must be an event "
@@ -535,36 +560,72 @@ class QuantityBuilder:
                 )
             return iterated_simple(inner, self.event(expr.left), symbol)
         if antecedent_cond and consequent_cond:
-            inner, outer = self._two_conditionals(expr.right, expr.left)
-            return iterated(
-                inner, outer, symbol, self.symbol(CondAnd(expr.right, expr.left))
-            )
+            inner, outer = self._two_conditionals(expr.right, expr.left, texts)
+            both = _conjoined(texts[id(expr.right)], texts[id(expr.left)])
+            return iterated(inner, outer, symbol, _symbol(both, True))
         # conditional consequent over a plain event: (X|H) given K
-        inner = self.crq(expr.left)
+        inner = self._crq(expr.left, texts)
         return given_event(inner, self.event(expr.right), symbol)
 
-    def _two_conditionals(self, left: Expr, right: Expr) -> tuple[CRQ, CRQ]:
+    def _two_conditionals(
+        self, left: Expr, right: Expr, texts: dict[int, str]
+    ) -> tuple[CRQ, CRQ]:
         out = []
         for expr in (left, right):
-            crq = self.crq(expr)
+            crq = self._crq(expr, texts)
             if not isinstance(crq.shape, ConditionalEventShape):
                 raise PreconditionFailed(
-                    "only plain conditional events can be combined here, got "
-                    + render_expr(expr)
+                    "only plain conditional events can be combined here, got " + texts[id(expr)]
                 )
             out.append(crq)
         return out[0], out[1]
 
     def _conditional_event(self, consequent: Event, condition: Event, symbol: str) -> CRQ:
+        """`consequent|condition`, or the negation of a conditional event
+        already built over the same condition with the complementary
+        consequent."""
+        masks = None
         for built in self._cache.values():
             shape = built.shape
             if not isinstance(shape, ConditionalEventShape):
                 continue
-            if equivalent(shape.condition, condition, self.registry) and equivalent(
-                shape.consequent, ~consequent, self.registry
+            if masks is None:
+                full = self.registry.full_mask()
+                masks = condition.mask(self.registry), full ^ consequent.mask(self.registry)
+            if (
+                shape.condition.mask(self.registry) == masks[0]
+                and shape.consequent.mask(self.registry) == masks[1]
             ):
                 return negate(built, symbol)
         return conditional_event(consequent, condition, symbol, registry=self.registry)
+
+
+def _render_parts(expr: Expr, texts: dict[int, str]) -> str:
+    """`render_expr(expr)`, rendering each node once and recording the
+    text of `expr` and of the operands of its conditionals in `texts` by
+    their ids."""
+    if isinstance(expr, Given):
+        left = _render_parts(expr.left, texts)
+        text = f"({left} given {_render_parts(expr.right, texts)})"
+    elif isinstance(expr, CondAnd):
+        text = _conjoined(_render_parts(expr.left, texts), _render_parts(expr.right, texts))
+    else:
+        text = render_expr(expr)
+    texts[id(expr)] = text
+    return text
+
+
+def _conjoined(left: str, right: str) -> str:
+    """The text of the conjunction of two conditionals with these texts."""
+    first, second = sorted((left, right))
+    return f"({first} and {second})"
+
+
+def _symbol(text: str, conditional: bool) -> str:
+    """The prevision symbol of an expression with canonical text `text`;
+    a conditional's text drops its outer parentheses, which P(...)
+    supplies."""
+    return f"P({text[1:-1]})" if conditional else f"P({text})"
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ class AtomRegistry:
         event = self._events[name] = Event("atom", (atom,))
         return event
 
+    def __contains__(self, name: str) -> bool:
+        """Whether an atom of that name is registered."""
+        return name in self._events
+
     def atoms(self, *names: str) -> tuple["Event", ...]:
         return tuple(self.atom(n) for n in names)
 
@@ -180,10 +184,10 @@ class Event:
     # -- construction -------------------------------------------------
 
     def __and__(self, other: "Event") -> "Event":
-        return Event("and", (self, _as_event(other)))
+        return Event("and", (self, other if isinstance(other, Event) else _as_event(other)))
 
     def __or__(self, other: "Event") -> "Event":
-        return Event("or", (self, _as_event(other)))
+        return Event("or", (self, other if isinstance(other, Event) else _as_event(other)))
 
     def __invert__(self) -> "Event":
         if self.kind == "not":

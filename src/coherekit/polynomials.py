@@ -4,12 +4,18 @@ coefficients.
 Payoff entries of conditional random quantities are small polynomials in
 named prevision symbols (strings).  Degrees stay tiny, so terms are kept
 as a dict mapping a sorted monomial tuple `((symbol, power), ...)` to a
-`Fraction` coefficient.
+nonzero coefficient in one exact form: an `int` when it is integral, else
+a `Fraction`.  The payoff tables are built from small integers (`1 - x`,
+`y*(1 - x)`), which this keeps in int arithmetic.  `value`,
+`constant_value` and `evaluate` return `Fraction`s; `ratio` returns the
+value as an integer numerator and denominator in lowest terms, for callers
+that scale it to an integer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Union
 
 from .errors import MissingSymbol
@@ -17,7 +23,23 @@ from .errors import MissingSymbol
 Rational = Union[Fraction, int]
 _EMPTY: tuple = ()
 _ZERO = Fraction(0)
-_UNIT = Fraction(1)
+
+
+def _exact(value: Rational) -> Rational:
+    """`value` in coefficient form: an int when it is integral, else a
+    `Fraction`."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _poly(terms: dict) -> "Poly":
+    """A `Poly` on `terms`, whose coefficients are nonzero and exact."""
+    poly = object.__new__(Poly)
+    poly.terms = terms
+    return poly
 
 
 class Poly:
@@ -26,17 +48,17 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, terms: Mapping[tuple, Rational]):
+        self.terms = {m: c if type(c) is int else _exact(c) for m, c in terms.items() if c}
 
     @classmethod
     def const(cls, value: Rational) -> "Poly":
-        value = Fraction(value)
-        return cls({_EMPTY: value} if value else {})
+        value = _exact(value)
+        return _poly({_EMPTY: value} if value else {})
 
     @classmethod
     def sym(cls, name: str) -> "Poly":
-        return cls({((name, 1),): _UNIT})
+        return _poly({((name, 1),): 1})
 
     @classmethod
     def coerce(cls, value: Union["Poly", Rational]) -> "Poly":
@@ -46,27 +68,42 @@ class Poly:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: Union["Poly", Rational]) -> "Poly":
-        other = Poly.coerce(other)
+    def _combine(self, other: Union["Poly", Rational], sign: int) -> "Poly":
+        """self + sign * other, for sign 1 or -1."""
+        if not isinstance(other, Poly):
+            other = Poly.const(other)
         terms = dict(self.terms)
         for mono, coef in other.terms.items():
-            terms[mono] = terms[mono] + coef if mono in terms else coef
-        return Poly(terms)
+            if mono in terms:
+                coef = terms[mono] + sign * coef
+                if not coef:
+                    del terms[mono]
+                    continue
+                if type(coef) is not int:
+                    coef = _exact(coef)
+            elif sign < 0:
+                coef = -coef
+            terms[mono] = coef
+        return _poly(terms)
+
+    def __add__(self, other: Union["Poly", Rational]) -> "Poly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Union["Poly", Rational]) -> "Poly":
-        return self + (-Poly.coerce(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other: Union["Poly", Rational]) -> "Poly":
-        return Poly.coerce(other) + (-self)
+        return Poly.coerce(other)._combine(self, -1)
 
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
-        other = Poly.coerce(other)
-        terms: dict[tuple, Fraction] = {}
+        if not isinstance(other, Poly):
+            other = Poly.const(other)
+        terms: dict[tuple, Rational] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _merge(m1, m2)
@@ -82,12 +119,13 @@ class Poly:
         return {name for mono in self.terms for name, _ in mono}
 
     def is_constant(self) -> bool:
-        return all(m == _EMPTY for m in self.terms)
+        return not any(self.terms)
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if any(self.terms):
             raise MissingSymbol(f"polynomial {self} is not constant")
-        return self.terms.get(_EMPTY, _ZERO)
+        value = self.terms.get(_EMPTY)
+        return _ZERO if value is None else Fraction(value)
 
     def degree_in(self, name: str) -> int:
         best = 0
@@ -113,10 +151,8 @@ class Poly:
         A numeric value is folded into its term's coefficient, and the
         terms are summed in one dict; a term with a `Poly`-valued symbol
         is expanded as a product of polynomials."""
-        terms: dict[tuple, Fraction] = {}
+        terms: dict[tuple, Rational] = {}
         for mono, coef in self.terms.items():
-            if type(coef) is not Fraction:
-                coef = Fraction(coef)
             kept = []
             factors = []
             for sym, power in mono:
@@ -142,26 +178,42 @@ class Poly:
                 terms[key] = terms[key] + coefficient if key in terms else coefficient
         return Poly(terms)
 
-    def evaluate(self, valuation: Mapping[str, Rational]) -> Optional[Fraction]:
-        """The exact value when `valuation` assigns every symbol, else None.
+    def ratio(self, valuation: Mapping[str, Rational]) -> Optional[tuple[int, int]]:
+        """The exact value as an integer numerator and a positive
+        denominator in lowest terms when `valuation` assigns every symbol,
+        else None.
 
-        The values are `Fraction`s or ints.  A constant is its own
-        coefficient; otherwise the terms are summed as one integer
-        numerator over one integer denominator, normalised once, and
-        nothing is built when a symbol is missing."""
-        if not any(self.terms):
-            return self.terms.get(_EMPTY, _ZERO)
+        The values are `Fraction`s or ints.  The terms are summed as one
+        numerator over one denominator and reduced once; nothing is built
+        when a symbol is missing."""
         num, den = 0, 1
         for mono, coef in self.terms.items():
-            n, d = coef.numerator, coef.denominator
+            if type(coef) is int:
+                n, d = coef, 1
+            else:
+                n, d = coef.numerator, coef.denominator
             for sym, power in mono:
                 value = valuation.get(sym)
                 if value is None:
                     return None
-                n *= value.numerator**power
-                d *= value.denominator**power
-            num, den = num * d + n * den, den * d
-        return Fraction(num, den)
+                if power == 1:
+                    n *= value.numerator
+                    d *= value.denominator
+                else:
+                    n *= value.numerator**power
+                    d *= value.denominator**power
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        divisor = gcd(num, den)
+        return num // divisor, den // divisor
+
+    def evaluate(self, valuation: Mapping[str, Rational]) -> Optional[Fraction]:
+        """The exact value when `valuation` assigns every symbol, else None
+        (`ratio` as a `Fraction`)."""
+        ratio = self.ratio(valuation)
+        return None if ratio is None else Fraction(*ratio)
 
     def value(self, valuation: Mapping[str, Rational]) -> Fraction:
         """Exact rational evaluation; every symbol must be assigned."""
@@ -215,8 +267,12 @@ class Poly:
 
 
 def _merge(m1: tuple, m2: tuple) -> tuple:
-    powers: dict[str, int] = {}
-    for sym, power in m1 + m2:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    powers = dict(m1)
+    for sym, power in m2:
         powers[sym] = powers.get(sym, 0) + power
     return tuple(sorted(powers.items()))
 

@@ -174,8 +174,9 @@ def extension_interval(
     coherent and one tolerance step outside it is not.  A search endpoint
     that no candidate certifies is coherent, within the tolerance of the
     true bound, and the interval is tagged `bisection(2^-k)`.  A
-    `tolerance_exponent` outside 0..256 raises `OutOfRange` before
-    anything else, whichever path the target takes.
+    `tolerance_exponent` that is not an int, or lies outside 0..256,
+    raises `OutOfRange` before anything else, whichever path the target
+    takes.
 
     The premises and the combined family are both held to `cap` (by
     default COHERE_SUBSET_CAP): the premises first, then the combined
@@ -184,6 +185,11 @@ def extension_interval(
     The endpoint system runs only when the combined family is within the
     cap, and no oracle call runs before both checks.
     """
+    if not isinstance(tolerance_exponent, int):
+        raise OutOfRange(
+            f"tolerance exponent {tolerance_exponent!r} is not an integer in "
+            f"0..{MAX_TOLERANCE_EXPONENT}"
+        )
     if not 0 <= tolerance_exponent <= MAX_TOLERANCE_EXPONENT:
         raise OutOfRange(
             f"tolerance exponent {tolerance_exponent} lies outside 0..{MAX_TOLERANCE_EXPONENT}"

@@ -82,6 +82,11 @@ whose live members lie in a given set, to check that one solution
 releases exactly that set.  `single_system_levels` runs the levels on
 it as `_levels` does.
 
+`tokenize_line` is the document tokenizer as it ran before a line was
+scanned once: at each position, one match of blanks, a comment or a
+token, an error at the first position where none matches, and an `end`
+token after the line.
+
 `composed_substitute` is `Poly.substitute` as it was before it folded
 numeric values into the coefficients: every term rebuilt as a product of
 `Poly` factors, a numeric value coerced to a constant `Poly`, and the
@@ -89,6 +94,7 @@ terms summed `Poly` by `Poly`.
 """
 
 import itertools
+import re
 import weakref
 from fractions import Fraction
 from math import lcm
@@ -116,11 +122,13 @@ from coherekit.crq import (
     PlainShape,
     SumShape,
 )
+from coherekit.dsl import Token
 from coherekit.errors import (
     DimensionMismatch,
     IncoherentPremises,
     InternalError,
     MissingSymbol,
+    ParseError,
 )
 from coherekit.linprog import (
     DEGENERATE_LIMIT,
@@ -783,3 +791,29 @@ def composed_substitute(poly: Poly, valuation) -> Poly:
                 term = term * base
         out = out + term
     return out
+
+
+_LINE_TOKEN_RE = re.compile(
+    r"""(?P<ws>[ \t]+)
+      | (?P<comment>\#[^\n]*)
+      | (?P<number>-?\d+(?:/\d+|\.\d+)?)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[()=!&|])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize_line(text: str, line_no: int) -> list[Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _LINE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+        pos = match.end()
+        if match.lastgroup in ("ws", "comment"):
+            continue
+        tokens.append(Token(match.lastgroup, match.group(), line_no, match.start() + 1))
+    tokens.append(Token("end", "", line_no, len(text) + 1))
+    return tokens

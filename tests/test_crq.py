@@ -7,7 +7,7 @@ tables that define each notion, with symbolic (polynomial) entries.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from coherekit.errors import (
     ImpossibleConditioningEvent,
@@ -406,19 +406,16 @@ def test_payoffs_stay_in_unit_interval(xv, yv, mv):
             assert 0 <= value <= 1
 
 
-def test_every_constructor_keeps_its_row_masks():
-    """Each quantity keeps one world mask per payoff row, in row order,
-    equal to its region event's own mask: rows built from shared
-    sub-events, from an operand's rows (`negate`, `given_event`), from
-    the nonempty overlaps of two operands' kept masks (`add`), and over
-    events in logical relations (A implies A or B, H and K overlap)."""
-    reg = AtomRegistry(["A", "B", "C", "H", "K"])
-    a, b, c, h, k = reg.atoms("A", "B", "C", "H", "K")
-    b_wide = b | a
-    ah = conditional_event(a, h, "x")
-    bk = conditional_event(b_wide, k | h, "y")
-    quantity = conditional_quantity([(a, Poly.const(2)), (~a, x)], h | k, "q")
-    built = [
+def _every_constructor(reg, a, b, c, h, k):
+    """One quantity of each constructor over the events a, b, c and the
+    possible conditions h and k: rows built from shared sub-events, from
+    an operand's rows (`negate`, `given_event`), from the nonempty
+    overlaps of two operands' kept masks (`add`), and a conditional event
+    on the sure event."""
+    ah = conditional_event(a, h, "x", registry=reg)
+    bk = conditional_event(b, k, "y", registry=reg)
+    quantity = conditional_quantity([(c, Poly.const(2)), (~c, x)], h, "q", registry=reg)
+    return [
         ah,
         bk,
         conditional_event(c, TRUE, "z", registry=reg),
@@ -429,9 +426,41 @@ def test_every_constructor_keeps_its_row_masks():
         iterated(ah, bk, "mu", "cj"),
         iterated_simple(ah, c, "w"),
         iterated_simple(negate(ah, "nx"), c & b, "nw"),
-        given_event(quantity, h | c, "g"),
+        given_event(quantity, k, "g"),
         add(ah, bk, "s"),
         add(quantity, conjunction(ah, bk, "cj"), "t"),
     ]
-    for q in built:
+
+
+def test_every_constructor_keeps_its_row_masks():
+    """Each quantity keeps one world mask per payoff row, in row order,
+    equal to its region event's own mask, also over events in logical
+    relations (A implies A or B, H and K overlap)."""
+    reg = AtomRegistry(["A", "B", "C", "H", "K"])
+    a, b, c, h, k = reg.atoms("A", "B", "C", "H", "K")
+    for q in _every_constructor(reg, a, b | a, c, h, k | h):
         assert q.masks == tuple(event.mask(q.registry) for event, _ in q.rows)
+
+
+MASK_REGISTRY = AtomRegistry(["A", "B", "C"])
+mask_formulas = st.recursive(
+    st.sampled_from(MASK_REGISTRY.atoms("A", "B", "C") + (TRUE, FALSE)),
+    lambda sub: st.one_of(
+        sub.map(lambda e: ~e),
+        st.tuples(sub, sub).map(lambda pair: pair[0] & pair[1]),
+        st.tuples(sub, sub).map(lambda pair: pair[0] | pair[1]),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mask_formulas, mask_formulas, mask_formulas, mask_formulas, mask_formulas)
+def test_constructor_masks_are_their_region_events_masks(a, b, c, h, k):
+    """The masks every constructor reads off its operands' masks with int
+    operations are the region events' own masks, on random formulas:
+    constants, equal, nested, implied and incompatible events included."""
+    reg = MASK_REGISTRY
+    assume(h.mask(reg) and k.mask(reg))
+    for q in _every_constructor(reg, a, b, c, h, k):
+        assert q.masks == tuple(event.mask(reg) for event, _ in q.rows)

@@ -5,8 +5,9 @@ against the sweep of every subfamily, of the assessment's region cells,
 the points read off their pieces, point tables and extension systems
 against their world-by-world construction, of the integer simplex
 against the `Fraction` tableau it replaced, on random linear programs,
-and of polynomial substitution against its product-by-product form, on
-random polynomials.
+of polynomial substitution against its product-by-product form, on
+random polynomials, and of the document tokenizer's one scan against its
+position-by-position matching, on random lines.
 
 Events are random formulas, so the atoms of a family stand in logical
 relations (implication, incompatibility, equivalence).  Previsions are
@@ -22,7 +23,7 @@ from operator import or_
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from coherekit import coherence, linprog, propagation
+from coherekit import coherence, crq, dsl, linprog, propagation
 from coherekit.cli import main
 from coherekit.coherence import (
     Assessment,
@@ -52,6 +53,7 @@ from coherekit.errors import (
     IncoherentPremises,
     InternalError,
     MissingSymbol,
+    ParseError,
 )
 from coherekit.events import TRUE, AtomRegistry
 from coherekit.polynomials import Poly
@@ -1175,10 +1177,13 @@ values = st.one_of(coefficients, st.integers(-3, 3), st.sampled_from([0.5, -1.25
 @example(Poly.sym("x") * 3, {"x": 0.5})
 def test_substitution_matches_the_composed_products(poly, valuation):
     """Partial, full and `Poly`-valued valuations give the polynomial of
-    the term-by-term product construction, with `Fraction` coefficients."""
+    the term-by-term product construction, with coefficients in one exact
+    form: an int when integral, else a `Fraction`."""
     got = poly.substitute(valuation)
     assert got == oracles.composed_substitute(poly, valuation)
-    assert all(type(c) is Fraction for c in got.terms.values())
+    assert all(
+        type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values()
+    )
 
 
 @settings(deadline=None, max_examples=300)
@@ -1386,3 +1391,73 @@ def test_extension_columns_match_the_world_by_world_system(case):
     assert released == reduce(
         or_, (live for live, low, high in zip(lives, least, most) if low or high), 0
     )
+
+
+# Payoffs of an iterated conditional's rows as `iterated` writes them,
+# in its own symbol x: the hedge x*(1 - y) and its sums with y and z.
+HEDGED = (
+    Poly.sym("x"),
+    Poly.sym("x") * (1 - Poly.sym("y")),
+    Poly.sym("y") + Poly.sym("x") * (1 - Poly.sym("y")),
+    Poly.sym("z") + Poly.sym("x") * (1 - Poly.sym("y")),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(st.sampled_from(HEDGED), polynomials, polynomials.map(lambda p: p + Poly.sym("x"))),
+    st.dictionaries(
+        st.sampled_from(SYMBOLS[1:]),
+        st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), coefficients),
+    ),
+)
+@example(Poly.sym("x") + Poly.sym("x") * Poly.sym("y") - Poly.sym("x") * Poly.sym("y"), {})
+@example(HEDGED[2], {"y": Fraction(0)})
+@example(HEDGED[3], {"y": Fraction(0), "z": Fraction(0)})
+@example(Poly.sym("x") * Poly.sym("x") - Poly.sym("x") * Poly.sym("x") * Poly.sym("y"), {"y": 0})
+def test_own_prevision_rows_match_the_substitution(poly, valuation):
+    """The called-off rule of an iterated conditional's row, decided from
+    the row's values at x = 0 and x = 1, is the substitution's: the row,
+    with every other assigned symbol substituted, is its own symbol x."""
+    at_zero, at_one = {**valuation, "x": 0}, {**valuation, "x": 1}
+    expected = poly.substitute(valuation) == Poly.sym("x")
+    assert crq._pays_own_prevision(poly, "x", at_zero, at_one) == expected
+
+
+# Lines of document tokens run together or apart, with characters that
+# start no token, a stray minus, slash or point, tabs and comments.
+LINE_PIECES = (
+    "atoms", "assess", "query", "P", "given", "and", "A", "H", "x_1", "_b", "TOP",
+    "(", ")", "=", "!", "&", "|", "1/2", "-3", "0.25", "7", "10/0",
+    "-", "/", ".", " ", "  ", "\t", "@", "%", "é", "# note", "#",
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(LINE_PIECES), max_size=14).map("".join),
+        st.text(alphabet=" \t#@%-/.()=!&|Ax19_", max_size=16),
+    ),
+    st.integers(1, 40),
+)
+@example("assess P(A given H) = 1/2  # a comment", 3)
+@example("  \t", 1)
+@example("A @ B % C", 2)
+def test_one_scan_tokens_match_the_position_by_position_tokenizer(line, line_no):
+    """The one `finditer` scan of a line gives the tokens of matching one
+    token at each position, kinds, texts, lines and columns, or the same
+    `ParseError`: its message, line and column."""
+    expected = _tokens_or_error(oracles.tokenize_line, line, line_no)
+    assert _tokens_or_error(_scanned_tokens, line, line_no) == expected
+
+
+def _scanned_tokens(line, line_no):
+    return dsl._Cursor(line, line_no).tokens()
+
+
+def _tokens_or_error(tokenize, line, line_no):
+    try:
+        return tokenize(line, line_no)
+    except ParseError as error:
+        return str(error), error.line, error.column

@@ -82,6 +82,12 @@ def test_unknown_directive():
 def test_undeclared_name():
     with pytest.raises(UndeclaredAtom):
         parse("atoms A\nassess P(B) = 1/2\n")
+    # Of several, the first in the expression's canonical order is named,
+    # whatever the hash seed.
+    with pytest.raises(UndeclaredAtom, match="undeclared name 'C'"):
+        parse("atoms A\nassess P(C & B given !D) = 1/2\n")
+    with pytest.raises(UndeclaredAtom, match="undeclared name 'Y'"):
+        parse("atoms A\nassess P((Z given A) and (Y given A)) = 1/2\n")
 
 
 def test_duplicate_declaration_rejected():

@@ -1,6 +1,7 @@
 """Bound propagation: closed forms, generic extension sweep, decomposition."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,20 @@ def test_tolerance_exponent_outside_0_to_256_is_out_of_range(monkeypatch, family
     on the LP path alike."""
     lps = _counted(monkeypatch, linprog, "simplex_minimize")
     with pytest.raises(OutOfRange, match=f"tolerance exponent {exponent} lies outside 0..256"):
+        extension_interval(*family(), tolerance_exponent=exponent)
+    assert lps == []
+
+
+@pytest.mark.parametrize("exponent", [20.5, 20.0, F(20), "20"])
+@pytest.mark.parametrize("family", [_product_rule_family, lambda: mp_family(0, F(1, 2))])
+def test_tolerance_exponent_that_is_no_int_is_out_of_range(monkeypatch, family, exponent):
+    """A non-integer exponent is refused with the typed error, before any
+    LP or oracle call, on the search path (the product-rule family) and on
+    the LP path (the MP family) alike; neither path raises a bare
+    `TypeError`."""
+    lps = _counted(monkeypatch, linprog, "simplex_minimize")
+    message = re.escape(f"tolerance exponent {exponent!r} is not an integer")
+    with pytest.raises(OutOfRange, match=message):
         extension_interval(*family(), tolerance_exponent=exponent)
     assert lps == []
 
