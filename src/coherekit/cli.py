@@ -209,7 +209,7 @@ def _cmd_extend(args) -> int:
     built = _load(args.file)
     assessment = _require_assessment(built)
     expr = None
-    if args.target:
+    if args.target is not None:
         expr = parse_expression(args.target)
     elif built.document.query and built.document.query.kind == "extend":
         expr = built.document.query.target
@@ -280,7 +280,7 @@ def _cmd_mp(args) -> int:
 
 def _cmd_table(args) -> int:
     built = _load(args.file)
-    if args.target:
+    if args.target is not None:
         expr = parse_expression(args.target)
     elif built.document.query and built.document.query.kind == "table":
         expr = built.document.query.target

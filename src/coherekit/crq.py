@@ -10,13 +10,15 @@ Constructors cover: plain conditional events `A|H` (pays 1 on AH, 0 on
 ¬A·H, and its own prevision on ¬H), conjunctions `(A|H) ∧ (B|K)`,
 iterated conditionals `(B|K)|(A|H)` and the event-consequent special case
 `C|(A|H)`, negation, pointwise sums, and conditioning an existing
-quantity on a further event.
+quantity on a further event.  Each payoff region is an (event, world
+mask) pair, and a compound's regions are meets of its operands' regions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -33,6 +35,7 @@ from .events import (
 from .polynomials import ONE, ZERO, Poly, Rational
 
 Valuation = Mapping[str, Rational]
+Region = tuple[Event, int]  # an event and its world mask
 
 
 # -- provenance tags -------------------------------------------------------
@@ -113,13 +116,15 @@ class ConditionalRandomQuantity:
     """Immutable payoff table with its own prevision symbol.
 
     `rows` is an ordered tuple of `(region event, payoff polynomial)` pairs
-    whose regions partition the sure event.  `masks` holds each row's
-    region as a world mask (bit k = world k, as in `Event.mask`): the
-    constructors below read it off their operands' masks with int
-    operations and pass it in, and when none is passed it is each region
-    event's own mask; either way it is checked to partition the worlds.
-    `payoff_poly`, `support`, `add` and `coherence.Assessment` read these,
-    not the region events.
+    whose regions partition the sure event, and `masks` holds each row's
+    region as a world mask (bit k = world k, as in `Event.mask`), in row
+    order.  The constructors below pass each row as `((event, mask),
+    payoff)`, a region being one (event, mask) pair made as the meet of
+    its operands' regions, so that a region's formula and its mask are
+    written together, once; `__init__` splits the pairs and checks that
+    the masks partition the worlds.  `payoff_poly`, `support`, `add` and
+    `coherence.Assessment` read the masks; the region events render the
+    table.
     `links` records symbols whose value is determined by other symbols
     (e.g. the negation of a quantity carries `new = 1 - old`).
     """
@@ -128,21 +133,18 @@ class ConditionalRandomQuantity:
 
     def __init__(
         self,
-        rows: Sequence[tuple[Event, Union[Poly, Rational]]],
+        rows: Sequence[tuple[Region, Union[Poly, Rational]]],
         own_symbol: str,
         registry: AtomRegistry,
         shape: Shape,
         links: Sequence[tuple[str, Poly]] = (),
-        masks: Optional[Sequence[int]] = None,
     ):
-        self.rows = tuple([(event, Poly.coerce(poly)) for event, poly in rows])
+        self.rows = tuple([(event, Poly.coerce(poly)) for (event, _), poly in rows])
+        self.masks: tuple[int, ...] = _partition([mask for (_, mask), _ in rows], registry)
         self.own_symbol = own_symbol
         self.registry = registry
         self.shape = shape
         self.links = tuple(links)
-        if masks is None:
-            masks = [event.mask(registry) for event, _ in self.rows]
-        self.masks: tuple[int, ...] = _partition(masks, registry)
 
     # -- payoffs ------------------------------------------------------
 
@@ -198,6 +200,26 @@ def _partition(masks: Sequence[int], registry: AtomRegistry) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _table(q: CRQ) -> list[tuple[Region, Poly]]:
+    """`q`'s payoff rows, each region as its (event, world mask) pair."""
+    return [((event, mask), poly) for (event, poly), mask in zip(q.rows, q.masks)]
+
+
+def _meet(r: Region, s: Region) -> Region:
+    """The region where both `r` and `s` hold."""
+    return r[0] & s[0], r[1] & s[1]
+
+
+def _join(r: Region, s: Region) -> Region:
+    """The region where `r` or `s` holds."""
+    return r[0] | s[0], r[1] | s[1]
+
+
+def _complement(r: Region, registry: AtomRegistry) -> Region:
+    """The region where `r` fails."""
+    return ~r[0], registry.full_mask() ^ r[1]
+
+
 # -- constructors ----------------------------------------------------------
 
 
@@ -217,6 +239,13 @@ def _registry_for(*events: Event, registry: Optional[AtomRegistry] = None) -> At
     return reg
 
 
+def _shared_registry(left: CRQ, right: CRQ, operands: str = "events") -> AtomRegistry:
+    """The registry of two operands, which must be one and the same."""
+    if left.registry is not right.registry:
+        raise PreconditionFailed(f"{operands} belong to different registries")
+    return left.registry
+
+
 def _condition_mask(h: Event, registry: AtomRegistry) -> int:
     """The world mask of a conditioning event, which must be possible."""
     mask = h.mask(registry)
@@ -234,28 +263,14 @@ def conditional_event(
 ) -> CRQ:
     """A|H: pays 1 on AH, 0 on ¬A·H, and its own prevision on ¬H."""
     reg = _registry_for(consequent, condition, registry=registry)
-    h = _condition_mask(condition, reg)
-    return _conditional(consequent, condition, symbol, reg, consequent.mask(reg), h)
-
-
-def _conditional(
-    consequent: Event,
-    condition: Event,
-    symbol: str,
-    reg: AtomRegistry,
-    a: int,
-    h: int,
-    links: Sequence[tuple[str, Poly]] = (),
-) -> CRQ:
-    """A|H over `reg`, where a and h are the masks of A and of H."""
+    h = (condition, _condition_mask(condition, reg))
+    a = (consequent, consequent.mask(reg))
     rows = [
-        (consequent & condition, ONE),
-        (~consequent & condition, ZERO),
-        (~condition, Poly.sym(symbol)),
+        (_meet(a, h), ONE),
+        (_meet(_complement(a, reg), h), ZERO),
+        (_complement(h, reg), Poly.sym(symbol)),
     ]
-    masks = (a & h, h & ~a, reg.full_mask() ^ h)
-    shape = ConditionalEventShape(consequent, condition)
-    return CRQ(rows, symbol, reg, shape, links, masks)
+    return CRQ(rows, symbol, reg, ConditionalEventShape(consequent, condition))
 
 
 def conditional_quantity(
@@ -267,69 +282,57 @@ def conditional_quantity(
 ) -> CRQ:
     """X|H for a finite quantity X given as value regions partitioning H."""
     reg = _registry_for(condition, *(e for e, _ in values), registry=registry)
-    h = _condition_mask(condition, reg)
+    h = (condition, _condition_mask(condition, reg))
     rows = []
-    masks = []
     seen = 0
     for event, poly in values:
-        mask = event.mask(reg) & h
-        if mask & seen:
+        region = _meet((event, event.mask(reg)), h)
+        if region[1] & seen:
             raise PreconditionFailed("value regions overlap inside the condition")
-        seen |= mask
-        rows.append((event & condition, poly))
-        masks.append(mask)
-    if seen != h:
+        seen |= region[1]
+        rows.append((region, poly))
+    if seen != h[1]:
         raise PreconditionFailed("value regions do not cover the condition")
-    rows.append((~condition, Poly.sym(symbol)))
-    masks.append(reg.full_mask() ^ h)
-    return CRQ(rows, symbol, reg, PlainShape(condition), masks=masks)
+    rows.append((_complement(h, reg), Poly.sym(symbol)))
+    return CRQ(rows, symbol, reg, PlainShape(condition))
 
 
 def negate(q: CRQ, symbol: Optional[str] = None) -> CRQ:
     """1 - q, with a fresh own symbol linked to 1 minus q's symbol.
 
     Negating a plain conditional event A|H yields the conditional event
-    ¬A|H, preserving the shape so that it can seed further constructions.
+    ¬A|H, preserving the shape so that it can seed further constructions:
+    its regions ¬A·H, AH and ¬H are those of A|H, reordered.
     """
     name = symbol if symbol is not None else f"not({q.own_symbol})"
     links = _merge_links(q.links, ((name, ONE - Poly.sym(q.own_symbol)),))
     shape = q.shape
     if isinstance(shape, ConditionalEventShape):
-        reg = q.registry
-        not_a = reg.full_mask() ^ shape.consequent.mask(reg)
-        h = shape.condition.mask(reg)
-        return _conditional(~shape.consequent, shape.condition, name, reg, not_a, h, links)
-    rows = [(event, ONE - poly) for event, poly in q.rows]
-    return CRQ(rows, name, q.registry, NegationShape(q), links, q.masks)
+        ah, not_ah, not_h = _conditional_regions(q)
+        rows = [(not_ah, ONE), (ah, ZERO), (not_h, Poly.sym(name))]
+        shape = ConditionalEventShape(~shape.consequent, shape.condition)
+    else:
+        rows = [(region, ONE - poly) for region, poly in _table(q)]
+        shape = NegationShape(q)
+    return CRQ(rows, name, q.registry, shape, links)
 
 
 def conjunction(left: CRQ, right: CRQ, symbol: str) -> CRQ:
     """(A|H) ∧ (B|K): pays 1 on AHBK, x on ¬H·BK, y on AH·¬K, its own
     prevision on ¬H·¬K, and 0 elsewhere."""
-    a, h, x = _conditional_parts(left)
-    b, k, y = _conditional_parts(right)
-    reg = _registry_for(a, h, b, k, registry=left.registry)
-    hm = _condition_mask(h, reg)
-    km = _condition_mask(k, reg)
-    ahm = a.mask(reg) & hm
-    bkm = b.mask(reg) & km
-    full = reg.full_mask()
-    ah, not_h, not_k = a & h, ~h, ~k
-    certain = ah & b & k
-    left_void = not_h & b & k
-    right_void = ah & not_k
-    both_void = not_h & not_k
+    ah, _, not_h = _conditional_regions(left)
+    bk, _, not_k = _conditional_regions(right)
+    reg = _shared_registry(left, right)
     rows = [
-        (certain, ONE),
-        (left_void, Poly.sym(x)),
-        (right_void, Poly.sym(y)),
-        (both_void, Poly.sym(symbol)),
-        (~(certain | left_void | right_void | both_void), ZERO),
+        (_meet(ah, bk), ONE),
+        (_meet(not_h, bk), Poly.sym(left.own_symbol)),
+        (_meet(ah, not_k), Poly.sym(right.own_symbol)),
+        (_meet(not_h, not_k), Poly.sym(symbol)),
     ]
-    masks = [ahm & bkm, bkm & ~hm, ahm & ~km, full ^ (hm | km)]
-    masks.append(full ^ (masks[0] | masks[1] | masks[2] | masks[3]))
+    paid = reduce(_join, [region for region, _ in rows])
+    rows.append((_complement(paid, reg), ZERO))
     links = _merge_links(left.links, right.links)
-    return CRQ(rows, symbol, reg, ConjunctionShape(left, right), links, masks)
+    return CRQ(rows, symbol, reg, ConjunctionShape(left, right), links)
 
 
 def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CRQ:
@@ -337,94 +340,69 @@ def iterated(inner: CRQ, outer: CRQ, symbol: str, conjunction_symbol: str) -> CR
 
     The quantity equals the conjunction (A|H) ∧ (B|K) plus its own
     prevision times ¬A|H, which spells out as the seven-region table
-    below; `conjunction_symbol` names the prevision of the conjunction,
-    which appears in the ¬H·¬K payoff.
+    below, each region the meet of one of AH, ¬A·H, ¬H with one of BK,
+    ¬B·K, ¬K, or ¬A·H itself; `conjunction_symbol` names the prevision of
+    the conjunction, which appears in the ¬H·¬K payoff.
     """
-    a, h, x_sym = _conditional_parts(inner)
-    b, k, y_sym = _conditional_parts(outer)
-    reg = _registry_for(a, h, b, k, registry=inner.registry)
-    hm = _condition_mask(h, reg)
-    km = _condition_mask(k, reg)
-    am = a.mask(reg)
-    bm = b.mask(reg)
-    ahm, not_hm = am & hm, reg.full_mask() ^ hm
-    x = Poly.sym(x_sym)
-    y = Poly.sym(y_sym)
+    ah, not_ah, not_h = _conditional_regions(inner)
+    bk, not_bk, not_k = _conditional_regions(outer)
+    reg = _shared_registry(inner, outer)
+    x = Poly.sym(inner.own_symbol)
     mu = Poly.sym(symbol)
-    z = Poly.sym(conjunction_symbol)
     hedge = mu * (ONE - x)
-    ah, not_b, not_h, not_k = a & h, ~b, ~h, ~k
     rows = [
-        (ah & b & k, ONE),
-        (ah & not_b & k, ZERO),
-        (ah & not_k, y),
-        (~a & h, mu),
-        (not_h & b & k, x + hedge),
-        (not_h & not_b & k, hedge),
-        (not_h & not_k, z + hedge),
+        (_meet(ah, bk), ONE),
+        (_meet(ah, not_bk), ZERO),
+        (_meet(ah, not_k), Poly.sym(outer.own_symbol)),
+        (not_ah, mu),
+        (_meet(not_h, bk), x + hedge),
+        (_meet(not_h, not_bk), hedge),
+        (_meet(not_h, not_k), Poly.sym(conjunction_symbol) + hedge),
     ]
-    masks = (
-        ahm & bm & km,
-        ahm & km & ~bm,
-        ahm & ~km,
-        hm & ~am,
-        not_hm & bm & km,
-        not_hm & km & ~bm,
-        not_hm & ~km,
-    )
     links = _merge_links(inner.links, outer.links)
-    return CRQ(rows, symbol, reg, IteratedShape(inner, outer), links, masks)
+    return CRQ(rows, symbol, reg, IteratedShape(inner, outer), links)
 
 
 def iterated_simple(inner: CRQ, consequent: Event, symbol: str) -> CRQ:
     """C|(A|H) for a conditional event inner = A|H and plain event C."""
-    a, h, x_sym = _conditional_parts(inner)
-    reg = _registry_for(a, h, consequent, registry=inner.registry)
-    hm = _condition_mask(h, reg)
-    am = a.mask(reg)
-    cm = consequent.mask(reg)
-    ahm, not_hm = am & hm, reg.full_mask() ^ hm
-    x = Poly.sym(x_sym)
+    ah, not_ah, not_h = _conditional_regions(inner)
+    reg = _registry_for(consequent, registry=inner.registry)
+    c = (consequent, consequent.mask(reg))
+    not_c = _complement(c, reg)
+    x = Poly.sym(inner.own_symbol)
     y = Poly.sym(symbol)
     hedge = y * (ONE - x)
-    ah, not_c, not_h = a & h, ~consequent, ~h
     rows = [
-        (ah & consequent, ONE),
-        (ah & not_c, ZERO),
-        (~a & h, y),
-        (not_h & consequent, x + hedge),
-        (not_h & not_c, hedge),
+        (_meet(ah, c), ONE),
+        (_meet(ah, not_c), ZERO),
+        (not_ah, y),
+        (_meet(not_h, c), x + hedge),
+        (_meet(not_h, not_c), hedge),
     ]
-    masks = (ahm & cm, ahm & ~cm, hm & ~am, not_hm & cm, not_hm & ~cm)
-    return CRQ(rows, symbol, reg, IteratedEventShape(inner, consequent), inner.links, masks)
+    return CRQ(rows, symbol, reg, IteratedEventShape(inner, consequent), inner.links)
 
 
 def given_event(q: CRQ, condition: Event, symbol: str) -> CRQ:
     """(X|H)|K: condition an existing quantity on a further event K."""
     reg = _registry_for(condition, registry=q.registry)
-    k = _condition_mask(condition, reg)
-    rows = [(event & condition, poly) for event, poly in q.rows]
-    rows.append((~condition, Poly.sym(symbol)))
-    masks = [mask & k for mask in q.masks]
-    masks.append(reg.full_mask() ^ k)
-    return CRQ(rows, symbol, reg, NestedEventShape(q, condition), q.links, masks)
+    k = (condition, _condition_mask(condition, reg))
+    rows = [(_meet(region, k), poly) for region, poly in _table(q)]
+    rows.append((_complement(k, reg), Poly.sym(symbol)))
+    return CRQ(rows, symbol, reg, NestedEventShape(q, condition), q.links)
 
 
 def add(left: CRQ, right: CRQ, symbol: Optional[str] = None) -> CRQ:
     """Pointwise sum; its prevision is linked to the sum of previsions."""
-    if left.registry is not right.registry:
-        raise PreconditionFailed("summands belong to different registries")
+    reg = _shared_registry(left, right, "summands")
     name = symbol if symbol is not None else f"({left.own_symbol}+{right.own_symbol})"
     rows = []
-    masks = []
-    for m1, (ev1, p1) in zip(left.masks, left.rows):
-        for m2, (ev2, p2) in zip(right.masks, right.rows):
-            if m1 & m2:
-                rows.append((ev1 & ev2, p1 + p2))
-                masks.append(m1 & m2)
+    for r1, p1 in _table(left):
+        for r2, p2 in _table(right):
+            if r1[1] & r2[1]:
+                rows.append((_meet(r1, r2), p1 + p2))
     link = (name, Poly.sym(left.own_symbol) + Poly.sym(right.own_symbol))
     links = _merge_links(left.links, right.links) + (link,)
-    return CRQ(rows, name, left.registry, SumShape(left, right), links, masks)
+    return CRQ(rows, name, reg, SumShape(left, right), links)
 
 
 def reduce_nested(q: CRQ, valuation: Optional[Valuation] = None) -> CRQ:
@@ -452,12 +430,13 @@ def reduce_nested(q: CRQ, valuation: Optional[Valuation] = None) -> CRQ:
     return inner
 
 
-def _conditional_parts(q: CRQ) -> tuple[Event, Event, str]:
+def _conditional_regions(q: CRQ) -> list[Region]:
+    """The regions AH, ¬A·H and ¬H of a plain conditional event A|H."""
     if not isinstance(q.shape, ConditionalEventShape):
         raise PreconditionFailed(
             "expected a plain conditional event A|H, got " + q.describe()
         )
-    return q.shape.consequent, q.shape.condition, q.own_symbol
+    return [region for region, _ in _table(q)]
 
 
 def _merge_links(*link_groups: Sequence[tuple[str, Poly]]) -> tuple[tuple[str, Poly], ...]:

@@ -88,6 +88,26 @@ def test_extend_without_target_fails(write, capsys):
     assert "target" in capsys.readouterr().err
 
 
+def test_extend_empty_target_fails(write, capsys):
+    """An empty `--target` is an expression that fails to parse, not a
+    request for the file's query target."""
+    code = main(["extend", write(MP_DOC), "--target="])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected an expression, found 'end of line'" in captured.err
+
+
+def test_table_empty_target_fails(write, capsys):
+    """An empty `--target` is an expression that fails to parse, not a
+    request for the family table."""
+    code = main(["table", write(MP_DOC), "--target="])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected an expression, found 'end of line'" in captured.err
+
+
 def test_mp_command(capsys):
     code = main(["mp", "--x", "1/2", "--y", "1/2"])
     out = capsys.readouterr().out

@@ -464,3 +464,146 @@ def test_constructor_masks_are_their_region_events_masks(a, b, c, h, k):
     assume(h.mask(reg) and k.mask(reg))
     for q in _every_constructor(reg, a, b, c, h, k):
         assert q.masks == tuple(event.mask(reg) for event, _ in q.rows)
+
+
+def _golden_quantities():
+    """One quantity of each constructor over the atoms A B C H K, with an
+    `|` condition, the sure condition and a negated inner among them."""
+    reg = AtomRegistry(["A", "B", "C", "H", "K"])
+    a, b, c, h, k = reg.atoms("A", "B", "C", "H", "K")
+    ah = conditional_event(a, h, "x")
+    bk = conditional_event(b, k, "y")
+    quantity = conditional_quantity([(c, Poly.const(2)), (~c, x)], h, "q")
+    return {
+        "conditional_event_or": conditional_event(a, h | k, "x"),
+        "conditional_event_true": conditional_event(c, TRUE, "z", registry=reg),
+        "negate_conditional": negate(ah, "nx"),
+        "negate_conjunction": negate(conjunction(ah, bk, "cj"), "ncj"),
+        "conditional_quantity": quantity,
+        "conjunction": conjunction(ah, bk, "cj"),
+        "iterated_negated_inner": iterated(negate(ah, "nx"), bk, "mu", "cj"),
+        "iterated_simple": iterated_simple(ah, c, "w"),
+        "given_event": given_event(quantity, k, "g"),
+        "add": add(ah, bk, "s"),
+    }
+
+
+GOLDEN_ROWS = {
+    "conditional_event_or": (
+        [("A & (H | K)", "1"), ("!A & (H | K)", "0"), ("!(H | K)", "x")],
+        (0xEEEE0000, 0xEEEE, 0x11111111),
+    ),
+    "conditional_event_true": (
+        [("C & TOP", "1"), ("!C & TOP", "0"), ("!TOP", "z")],
+        (0xF0F0F0F0, 0x0F0F0F0F, 0),
+    ),
+    "negate_conditional": (
+        [("!A & H", "1"), ("A & H", "0"), ("!H", "nx")],
+        (0xCCCC, 0xCCCC0000, 0x33333333),
+    ),
+    "negate_conjunction": (
+        [
+            ("A & H & B & K", "0"),
+            ("!H & B & K", "1 - x"),
+            ("A & H & !K", "1 - y"),
+            ("!H & !K", "1 - cj"),
+            ("!(A & H & B & K | !H & B & K | A & H & !K | !H & !K)", "1"),
+        ],
+        (0x88000000, 0x22002200, 0x44440000, 0x11111111, 0xAACCEE),
+    ),
+    "conditional_quantity": (
+        [("C & H", "2"), ("!C & H", "x"), ("!H", "q")],
+        (0xC0C0C0C0, 0x0C0C0C0C, 0x33333333),
+    ),
+    "conjunction": (
+        [
+            ("A & H & B & K", "1"),
+            ("!H & B & K", "x"),
+            ("A & H & !K", "y"),
+            ("!H & !K", "cj"),
+            ("!(A & H & B & K | !H & B & K | A & H & !K | !H & !K)", "0"),
+        ],
+        (0x88000000, 0x22002200, 0x44440000, 0x11111111, 0xAACCEE),
+    ),
+    "iterated_negated_inner": (
+        [
+            ("!A & H & B & K", "1"),
+            ("!A & H & !B & K", "0"),
+            ("!A & H & !K", "y"),
+            ("A & H", "mu"),
+            ("!H & B & K", "mu + nx - mu*nx"),
+            ("!H & !B & K", "mu - mu*nx"),
+            ("!H & !K", "cj + mu - mu*nx"),
+        ],
+        (0x8800, 0x88, 0x4444, 0xCCCC0000, 0x22002200, 0x220022, 0x11111111),
+    ),
+    "iterated_simple": (
+        [
+            ("A & H & C", "1"),
+            ("A & H & !C", "0"),
+            ("!A & H", "w"),
+            ("!H & C", "w + x - w*x"),
+            ("!H & !C", "w - w*x"),
+        ],
+        (0xC0C00000, 0x0C0C0000, 0xCCCC, 0x30303030, 0x03030303),
+    ),
+    "given_event": (
+        [("C & H & K", "2"), ("!C & H & K", "x"), ("!H & K", "q"), ("!K", "g")],
+        (0x80808080, 0x08080808, 0x22222222, 0x55555555),
+    ),
+    "add": (
+        [
+            ("A & H & B & K", "2"),
+            ("A & H & !B & K", "1"),
+            ("A & H & !K", "1 + y"),
+            ("!A & H & B & K", "1"),
+            ("!A & H & !B & K", "0"),
+            ("!A & H & !K", "y"),
+            ("!H & B & K", "1 + x"),
+            ("!H & !B & K", "x"),
+            ("!H & !K", "x + y"),
+        ],
+        (
+            0x88000000,
+            0x880000,
+            0x44440000,
+            0x8800,
+            0x88,
+            0x4444,
+            0x22002200,
+            0x220022,
+            0x11111111,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROWS))
+def test_golden_rows(name):
+    """Each constructor's rows render, and its row masks read, as pinned:
+    the row order, the region formulas and the payoff polynomials."""
+    q = _golden_quantities()[name]
+    rendered = [(str(event), str(poly)) for event, poly in q.rows]
+    assert (rendered, q.masks) == GOLDEN_ROWS[name]
+
+
+def test_compounds_of_two_registries_are_rejected():
+    """A compound of operands over two registries raises, naming them,
+    also when one operand names no atom."""
+    one, two = AtomRegistry(["A", "H"]), AtomRegistry(["A", "H"])
+    left = conditional_event(one.atom("A"), one.atom("H"), "x")
+    right = conditional_event(two.atom("A"), two.atom("H"), "y")
+    constant = conditional_event(TRUE, TRUE, "t", registry=two)
+    builds = [
+        lambda: conjunction(left, right, "z"),
+        lambda: conjunction(left, constant, "z"),
+        lambda: iterated(left, constant, "mu", "z"),
+        lambda: iterated(left, right, "mu", "z"),
+        lambda: iterated_simple(left, two.atom("A"), "w"),
+        lambda: given_event(left, two.atom("H"), "g"),
+    ]
+    for build in builds:
+        with pytest.raises(PreconditionFailed, match="^events belong to different registries$"):
+            build()
+    with pytest.raises(PreconditionFailed, match="^summands belong to different registries$"):
+        add(left, right)
