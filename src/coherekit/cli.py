@@ -11,12 +11,16 @@ Subcommands:
   exits 2 whatever the target.
 * ``cohere mp --x P/Q --y P/Q [--classical] [--json]`` - closed-form
   conclusion bounds from premises x and y, cross-checked against the
-  generic engine; the command fails loudly if the two disagree.
+  generic engine; if the two disagree, that is an internal error (exit 4).
 * ``cohere dutchbook FILE [--json]`` - sure-win stakes against an
   incoherent assessment, or "none".
 * ``cohere table FILE [--target EXPR] [--json]`` - payoff tables: the
-  target's symbolic rows, or the world-by-member matrix of the file's
-  assessment.
+  target's symbolic rows, empty regions left out, or the world-by-member
+  matrix of the file's assessment.
+
+Each command builds one payload, a JSON object, and `main` prints it:
+``--json`` prints the object itself, and the text form is rendered from
+it, so the two forms show the same result.
 
 Exit codes: 0 success/coherent, 1 incoherent or Dutch book found,
 2 parse/validation error (input nested too deeply included), 3 cap
@@ -34,10 +38,10 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
-from .coherence import Assessment, DutchBook, check_coherence, find_dutch_book
-from .dsl import BuiltDocument, build, parse, parse_expression, parse_value
+from .coherence import Assessment, check_coherence, find_dutch_book
+from .dsl import BuiltDocument, Expr, build, parse, parse_expression, parse_value
 from .errors import CapExceeded, CoherekitError, InternalError, ParseError
 from .propagation import extension_interval, mp_bounds, mp_family
 
@@ -47,21 +51,20 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
+# A command returns its exit code, its payload and the renderer of the
+# payload's text form, which gives the lines to print.
+Result = tuple[int, dict, Callable[[dict], list[str]]]
+
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except CapExceeded as error:
+        code, payload, text = args.handler(args)
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(text(payload)))
+        return code
+    except (CoherekitError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_CAP
-    except CoherekitError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_CAP if isinstance(error, CapExceeded) else EXIT_INVALID
     except RecursionError:  # only expressions, events and definitions nest
         print("error: the input is nested too deeply", file=sys.stderr)
         return EXIT_INVALID
@@ -85,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="decide coherence of an assessment file")
     check.add_argument("file")
-    check.add_argument("--json", action="store_true")
     check.set_defaults(handler=_cmd_check)
 
     extend = sub.add_parser(
@@ -99,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bisection tolerance 2^-K, K in 0..256, e.g. 2^-20; read only for targets that "
         "the exact LP path does not cover (such as a target named inside a premise's payoffs)",
     )
-    extend.add_argument("--json", action="store_true")
     extend.set_defaults(handler=_cmd_extend)
 
     mp = sub.add_parser("mp", help="conclusion bounds from premises x and y")
@@ -110,19 +111,19 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="condition the antecedent on the sure event",
     )
-    mp.add_argument("--json", action="store_true")
     mp.set_defaults(handler=_cmd_mp)
 
     dutch = sub.add_parser("dutchbook", help="search for sure-win stakes")
     dutch.add_argument("file")
-    dutch.add_argument("--json", action="store_true")
     dutch.set_defaults(handler=_cmd_dutchbook)
 
     table = sub.add_parser("table", help="payoff tables")
     table.add_argument("file")
     table.add_argument("--target", help="render this expression's payoff rows")
-    table.add_argument("--json", action="store_true")
     table.set_defaults(handler=_cmd_table)
+
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -146,238 +147,190 @@ def _require_assessment(built: BuiltDocument) -> Assessment:
     return built.assessment
 
 
-def _member_names(built: BuiltDocument) -> list[str]:
-    return [crq.own_symbol for crq in built.members]
+def _subfamily(built: BuiltDocument, subset) -> dict:
+    """Members of the document's assessment, by index and by name."""
+    return {"subset": list(subset), "members": [built.members[i].own_symbol for i in subset]}
+
+
+def _target_expr(args, built: BuiltDocument, kind: str) -> Optional[Expr]:
+    """The `--target` expression, else the file's `query KIND` target, else None."""
+    if args.target is not None:
+        return parse_expression(args.target)
+    query = built.document.query
+    return query.target if query and query.kind == kind else None
 
 
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Result:
     built = _load(args.file)
-    assessment = _require_assessment(built)
-    result = check_coherence(assessment)
-    names = _member_names(built)
-    if args.json:
-        payload = {"coherent": result.coherent}
-        if result.witness is not None:
-            payload["witness"] = {
-                "subset": list(result.witness),
-                "members": [names[i] for i in result.witness],
-            }
-        print(json.dumps(payload, indent=2))
-    elif result.coherent:
-        print("coherent")
-    else:
-        members = ", ".join(names[i] for i in result.witness)
-        print("incoherent")
-        print(f"witness subset: {{{members}}} (indices {list(result.witness)})")
-    return EXIT_OK if result.coherent else EXIT_INCOHERENT
+    result = check_coherence(_require_assessment(built))
+    payload = {"coherent": result.coherent}
+    if result.witness is not None:
+        payload["witness"] = _subfamily(built, result.witness)
+    return (EXIT_OK if result.coherent else EXIT_INCOHERENT), payload, _check_text
 
 
-def _cmd_dutchbook(args) -> int:
+def _check_text(payload: dict) -> list[str]:
+    if payload["coherent"]:
+        return ["coherent"]
+    witness = payload["witness"]
+    members = ", ".join(witness["members"])
+    return ["incoherent", f"witness subset: {{{members}}} (indices {witness['subset']})"]
+
+
+def _cmd_dutchbook(args) -> Result:
     built = _load(args.file)
-    assessment = _require_assessment(built)
-    book = find_dutch_book(assessment)
-    names = _member_names(built)
-    if args.json:
-        print(json.dumps(_book_payload(book, names), indent=2))
-    elif book is None:
-        print("none (the assessment is coherent)")
-    else:
-        print("dutch book found")
-        for index, stake in zip(book.subset, book.stakes):
-            print(f"  stake {_text(stake)} on {names[index]}")
-        print(f"  guaranteed gain: {_text(book.guaranteed_gain)}")
-    return EXIT_OK if book is None else EXIT_INCOHERENT
-
-
-def _book_payload(book: Optional[DutchBook], names: list[str]) -> dict:
+    book = find_dutch_book(_require_assessment(built))
     if book is None:
-        return {"dutch_book": None}
-    return {
-        "dutch_book": {
-            "subset": list(book.subset),
-            "members": [names[i] for i in book.subset],
-            "stakes": [_text(s) for s in book.stakes],
-            "epsilon": _text(book.guaranteed_gain),
-        }
+        return EXIT_OK, {"dutch_book": None}, _dutchbook_text
+    payload = {
+        **_subfamily(built, book.subset),
+        "stakes": [_text(s) for s in book.stakes],
+        "epsilon": _text(book.guaranteed_gain),
     }
+    return EXIT_INCOHERENT, {"dutch_book": payload}, _dutchbook_text
 
 
-def _cmd_extend(args) -> int:
+def _dutchbook_text(payload: dict) -> list[str]:
+    book = payload["dutch_book"]
+    if book is None:
+        return ["none (the assessment is coherent)"]
+    return [
+        "dutch book found",
+        *(f"  stake {s} on {m}" for s, m in zip(book["stakes"], book["members"])),
+        f"  guaranteed gain: {book['epsilon']}",
+    ]
+
+
+def _cmd_extend(args) -> Result:
     built = _load(args.file)
     assessment = _require_assessment(built)
-    expr = None
-    if args.target is not None:
-        expr = parse_expression(args.target)
-    elif built.document.query and built.document.query.kind == "extend":
-        expr = built.document.query.target
+    expr = _target_expr(args, built, "extend")
     if expr is None:
         raise ParseError("no target: pass --target or put 'query extend TARGET' in the file")
     target = built.builder.crq(expr)
     interval = extension_interval(
         assessment, target, tolerance_exponent=_parse_tolerance(args.tol)
     )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "target": target.own_symbol,
-                    "lower": _text(interval.lower),
-                    "upper": _text(interval.upper),
-                    "exactness": interval.exactness,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"target {target.own_symbol}")
-        print(f"lower {_text(interval.lower)}")
-        print(f"upper {_text(interval.upper)}")
-        print(f"exactness {interval.exactness}")
-    return EXIT_OK
+    payload = {
+        "target": target.own_symbol,
+        "lower": _text(interval.lower),
+        "upper": _text(interval.upper),
+        "exactness": interval.exactness,
+    }
+    return EXIT_OK, payload, _extend_text
 
 
-def _cmd_mp(args) -> int:
+def _extend_text(payload: dict) -> list[str]:
+    return [f"{key} {value}" for key, value in payload.items()]
+
+
+def _cmd_mp(args) -> Result:
     x = parse_value(args.x)
     y = parse_value(args.y)
     closed = mp_bounds(x, y)
     premises, target = mp_family(x, y, classical=args.classical)
     engine = extension_interval(premises, target)
-    agreed = (
-        engine.as_tuple() == closed.as_tuple()
-        and engine.exactness == "certified-by-LP"
-    )
-    if not agreed:
-        print(
-            "error: closed-form bounds "
-            f"[{_text(closed.lower)}, {_text(closed.upper)}] disagree with the engine "
-            f"[{_text(engine.lower)}, {_text(engine.upper)}] ({engine.exactness})",
-            file=sys.stderr,
+    if engine.as_tuple() != closed.as_tuple() or engine.exactness != "certified-by-LP":
+        raise InternalError(
+            f"closed-form bounds [{_text(closed.lower)}, {_text(closed.upper)}] disagree "
+            f"with the engine [{_text(engine.lower)}, {_text(engine.upper)}] ({engine.exactness})"
         )
-        return EXIT_INVALID
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "x": _text(x),
-                    "y": _text(y),
-                    "classical": args.classical,
-                    "lower": _text(closed.lower),
-                    "upper": _text(closed.upper),
-                    "exactness": closed.exactness,
-                    "engine_cross_check": "agreed",
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"conclusion bounds: [{_text(closed.lower)}, {_text(closed.upper)}]")
-        print("engine cross-check: agreed (certified-by-LP)")
-    return EXIT_OK
+    payload = {
+        "x": _text(x),
+        "y": _text(y),
+        "classical": args.classical,
+        "lower": _text(closed.lower),
+        "upper": _text(closed.upper),
+        "exactness": closed.exactness,
+        "engine_cross_check": "agreed",
+    }
+    return EXIT_OK, payload, _mp_text
 
 
-def _cmd_table(args) -> int:
+def _mp_text(payload: dict) -> list[str]:
+    return [
+        f"conclusion bounds: [{payload['lower']}, {payload['upper']}]",
+        f"engine cross-check: {payload['engine_cross_check']} (certified-by-LP)",
+    ]
+
+
+def _cmd_table(args) -> Result:
     built = _load(args.file)
-    if args.target is not None:
-        expr = parse_expression(args.target)
-    elif built.document.query and built.document.query.kind == "table":
-        expr = built.document.query.target
-    else:
-        expr = None
+    expr = _target_expr(args, built, "table")
     if expr is not None:
-        return _print_target_table(built, expr, args.json)
-    return _print_family_table(built, args.json)
+        return EXIT_OK, _target_table(built, expr), _target_table_text
+    return EXIT_OK, _family_table(built), _family_table_text
 
 
-def _print_target_table(built: BuiltDocument, expr, as_json: bool) -> int:
+def _target_table(built: BuiltDocument, expr: Expr) -> dict:
+    """The target's payoff rows; a row over no world (the `!TOP` of an
+    unconditional event) is left out."""
     target = built.builder.crq(expr)
     aliases = _aliases(target.symbols())
-    rows = [
-        {"region": str(event), "payoff": poly.render(aliases)}
-        for event, poly in target.rows
+    return {
+        "target": target.own_symbol,
+        "legend": {alias: name for name, alias in aliases.items()},
+        "rows": [
+            {"region": str(event), "payoff": poly.render(aliases)}
+            for (event, poly), mask in zip(target.rows, target.masks)
+            if mask
+        ],
+    }
+
+
+def _target_table_text(payload: dict) -> list[str]:
+    width = max(len(row["region"]) for row in payload["rows"])
+    return [
+        f"payoff table of {payload['target']}",
+        *(f"  {alias} = {name}" for alias, name in payload["legend"].items()),
+        *(f"  {row['region']:<{width}}  ->  {row['payoff']}" for row in payload["rows"]),
     ]
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "target": target.own_symbol,
-                    "legend": {alias: name for name, alias in aliases.items()},
-                    "rows": rows,
-                },
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    print(f"payoff table of {target.own_symbol}")
-    for name, alias in aliases.items():
-        print(f"  {alias} = {name}")
-    width = max(len(r["region"]) for r in rows)
-    for row in rows:
-        print(f"  {row['region']:<{width}}  ->  {row['payoff']}")
-    return EXIT_OK
 
 
-def _print_family_table(built: BuiltDocument, as_json: bool) -> int:
+def _family_table(built: BuiltDocument) -> dict:
     assessment = _require_assessment(built)
-    names = _member_names(built)
-    aliases = _aliases(
-        name for crq in built.members for name in crq.symbols()
-    )
+    aliases = _aliases(name for crq in built.members for name in crq.symbols())
     worlds = assessment.registry.constituents()
-    cells = []
-    for c in worlds:
-        row = []
-        for (crq, _), live in zip(assessment.items, assessment.live_masks):
-            poly = crq.payoff_poly(c).substitute(assessment.valuation)
-            text = poly.render(aliases)
-            if not live >> c.index & 1:
-                text += " *"
-            row.append(text)
-        cells.append(row)
-    if as_json:
-        print(
-            json.dumps(
-                {
-                    "members": names,
-                    "legend": {alias: name for name, alias in aliases.items()},
-                    "worlds": [c.label() for c in worlds],
-                    "cells": cells,
-                    "called_off_marker": "*",
-                },
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    for name, alias in aliases.items():
-        print(f"{alias} = {name}")
-    headers = [aliases.get(n, n) for n in names]
-    label_width = max(len(c.label()) for c in worlds)
-    col_widths = [
-        max(len(headers[i]), max(len(row[i]) for row in cells))
-        for i in range(len(headers))
+    cells = [
+        [
+            crq.payoff_poly(c).substitute(assessment.valuation).render(aliases)
+            + ("" if live >> c.index & 1 else " *")
+            for (crq, _), live in zip(assessment.items, assessment.live_masks)
+        ]
+        for c in worlds
     ]
-    header = " " * label_width + "  " + "  ".join(
-        h.ljust(w) for h, w in zip(headers, col_widths)
-    )
-    print(header)
-    for c, row in zip(worlds, cells):
-        line = c.label().ljust(label_width) + "  " + "  ".join(
-            v.ljust(w) for v, w in zip(row, col_widths)
-        )
-        print(line.rstrip())
-    print("(* bet called off at this world)")
-    return EXIT_OK
+    return {
+        "members": [crq.own_symbol for crq in built.members],
+        "legend": {alias: name for name, alias in aliases.items()},
+        "worlds": [c.label() for c in worlds],
+        "cells": cells,
+        "called_off_marker": "*",
+    }
+
+
+def _family_table_text(payload: dict) -> list[str]:
+    aliases = {name: alias for alias, name in payload["legend"].items()}
+    headers = [aliases[name] for name in payload["members"]]
+    rows = [("", headers), *zip(payload["worlds"], payload["cells"])]
+    label_width = max(len(label) for label, _ in rows)
+    widths = [max(map(len, column)) for column in zip(*(row for _, row in rows))]
+    lines = [
+        label.ljust(label_width) + "  " + "  ".join(v.ljust(w) for v, w in zip(row, widths))
+        for label, row in rows
+    ]
+    return [
+        *(f"{alias} = {name}" for alias, name in payload["legend"].items()),
+        lines[0],  # the header line keeps its padding
+        *(line.rstrip() for line in lines[1:]),
+        f"({payload['called_off_marker']} bet called off at this world)",
+    ]
 
 
 def _aliases(symbols) -> dict[str, str]:
-    ordered: list[str] = []
-    for name in symbols:
-        if name not in ordered:
-            ordered.append(name)
-    ordered.sort()
-    return {name: f"x{i + 1}" for i, name in enumerate(ordered)}
+    return {name: f"x{i + 1}" for i, name in enumerate(sorted(set(symbols)))}
 
 
 def _parse_tolerance(text: str) -> int:

@@ -224,14 +224,22 @@ def _complement(r: Region, registry: AtomRegistry) -> Region:
 
 
 def _registry_for(*events: Event, registry: Optional[AtomRegistry] = None) -> AtomRegistry:
+    """The registry that every atom of `events` belongs to, which must be
+    `registry` when one is given.  The trees are walked without recursion,
+    since a document's can be deep, and each shared node is visited once."""
     reg = registry
-    for e in events:
-        found = e.registry()
-        if found is not None:
-            if reg is None:
-                reg = found
-            elif reg is not found:
-                raise PreconditionFailed("events belong to different registries")
+    stack, seen = list(events), set()
+    while stack:
+        e = stack.pop()
+        if id(e) in seen:
+            continue
+        seen.add(id(e))
+        if e.kind != "atom":
+            stack.extend(e.args)
+        elif reg is None:
+            reg = e.args[0].registry
+        elif reg is not e.args[0].registry:
+            raise PreconditionFailed("events belong to different registries")
     if reg is None:
         raise PreconditionFailed(
             "cannot infer an atom registry from constant events; pass registry="

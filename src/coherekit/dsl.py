@@ -518,9 +518,6 @@ class QuantityBuilder:
             f"expected an event, got the conditional expression {render_expr(expr)}"
         )
 
-    def symbol(self, expr: Expr) -> str:
-        return _symbol(render_expr(expr), is_conditional(expr))
-
     def crq(self, expr: Expr) -> CRQ:
         texts: dict[int, str] = {}
         _render_parts(expr, texts)

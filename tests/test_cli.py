@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,23 @@ def test_mp_rejects_out_of_range(capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_mp_disagreement_is_an_internal_error(capsys, monkeypatch):
+    """A closed form that disagrees with the engine is a bug, not invalid
+    input: exit 4, one `internal error:` line, and nothing on stdout."""
+    from coherekit import cli
+    from coherekit.propagation import ExtensionInterval
+
+    wrong = ExtensionInterval(Fraction(0), Fraction(1), "closed-form")
+    monkeypatch.setattr(cli, "mp_bounds", lambda x, y: wrong)
+    assert main(["mp", "--x", "1/2", "--y", "1/2", "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: closed-form bounds [0, 1] disagree with the engine "
+        "[1/4, 3/4] (certified-by-LP)\n"
+    )
+
+
 def test_dutchbook_none(write, capsys):
     code = main(["dutchbook", write(NESTED_TRIPLE_DOC)])
     assert code == 0
@@ -173,6 +191,20 @@ def test_table_target_seven_rows_for_nested_pair(write, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert len(payload["rows"]) == 7
+
+
+def test_table_target_leaves_out_empty_regions(write, capsys):
+    """An unconditional event C is C given TOP, whose called-off region
+    !TOP holds no world: its table shows the two rows C and !C."""
+    doc = write("atoms C H\n")
+    assert main(["table", doc, "--target", "C", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"region": "C & TOP", "payoff": "1"},
+        {"region": "!C & TOP", "payoff": "0"},
+    ]
+    assert main(["table", doc, "--target", "C"]) == 0
+    out = capsys.readouterr().out
+    assert out == "payoff table of P(C)\n  x1 = P(C)\n  C & TOP   ->  1\n  !C & TOP  ->  0\n"
 
 
 def test_table_family_matrix(write, capsys):
@@ -526,3 +558,53 @@ def test_consecutive_calls_match_fresh_processes(write, capsys):
     for argv in calls:
         code = main(argv)
         assert (code, capsys.readouterr().out) == _fresh_process(argv), argv
+
+
+# -- pinned outputs -------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "cli_output"
+GOLDEN_DOCS = {
+    "mp": MP_DOC,
+    "overcommitted": OVERCOMMITTED_DOC,
+    "nested": NESTED_TRIPLE_DOC,
+    "product": PRODUCT_RULE_DOC,
+}
+GOLDEN_COMMANDS = {
+    "check": ["check", "FILE"],
+    "dutchbook": ["dutchbook", "FILE"],
+    "extend": ["extend", "FILE"],
+    "table": ["table", "FILE"],
+    "table-target": ["table", "FILE", "--target", "(C given (A given H))"],
+}
+# The exit code of each command on each document, in the order of
+# GOLDEN_COMMANDS; the `--json` form exits as the text form does.
+GOLDEN_EXITS = {
+    "mp": (0, 0, 0, 0, 0),
+    "overcommitted": (1, 1, 2, 0, 0),
+    "nested": (0, 0, 2, 0, 0),
+    "product": (0, 0, 0, 0, 2),
+}
+GOLDEN_CASES = [
+    (f"{doc}-{command}", doc, argv, code)
+    for doc, codes in GOLDEN_EXITS.items()
+    for (command, argv), code in zip(GOLDEN_COMMANDS.items(), codes)
+] + [
+    ("mp-x1_3-y3_4", None, ["mp", "--x", "1/3", "--y", "3/4"], 0),
+    ("mp-x1_3-y3_4-classical", None, ["mp", "--x", "1/3", "--y", "3/4", "--classical"], 0),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "name, doc, argv, code", GOLDEN_CASES, ids=[case[0] for case in GOLDEN_CASES]
+)
+def test_output_is_pinned(name, doc, argv, code, as_json, write, capsys):
+    """Every command prints exactly its recorded standard output, kept in
+    `tests/cli_output/<case>.txt`, in the text form and the `--json` form."""
+    if doc is not None:
+        argv = [write(GOLDEN_DOCS[doc]) if arg == "FILE" else arg for arg in argv]
+    if as_json:
+        argv, name = argv + ["--json"], name + "-json"
+    assert main(argv) == code
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected

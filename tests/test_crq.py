@@ -589,11 +589,13 @@ def test_golden_rows(name):
 
 def test_compounds_of_two_registries_are_rejected():
     """A compound of operands over two registries raises, naming them,
-    also when one operand names no atom."""
+    also when one operand names no atom, and so does an event whose tree
+    holds atoms of both, before any world mask is computed."""
     one, two = AtomRegistry(["A", "H"]), AtomRegistry(["A", "H"])
     left = conditional_event(one.atom("A"), one.atom("H"), "x")
     right = conditional_event(two.atom("A"), two.atom("H"), "y")
     constant = conditional_event(TRUE, TRUE, "t", registry=two)
+    mixed = one.atom("A") & two.atom("A")
     builds = [
         lambda: conjunction(left, right, "z"),
         lambda: conjunction(left, constant, "z"),
@@ -601,6 +603,9 @@ def test_compounds_of_two_registries_are_rejected():
         lambda: iterated(left, right, "mu", "z"),
         lambda: iterated_simple(left, two.atom("A"), "w"),
         lambda: given_event(left, two.atom("H"), "g"),
+        lambda: conditional_event(mixed, one.atom("H"), "m"),
+        lambda: iterated_simple(left, ~mixed, "w"),
+        lambda: given_event(left, one.atom("H") | mixed, "g"),
     ]
     for build in builds:
         with pytest.raises(PreconditionFailed, match="^events belong to different registries$"):
